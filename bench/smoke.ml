@@ -1,5 +1,7 @@
 (* Smoke benchmark: one tiny Bechamel case per timed group, finishing
-   in seconds rather than minutes, with machine-readable JSON output.
+   in seconds rather than minutes, with machine-readable JSON output:
+   every row records ns_per_run and words_per_run (minor-heap words
+   allocated per run).
 
    Purpose (see docs/OBSERVABILITY.md): seed a perf trajectory across
    PRs and prove the observability layer's instrumentation-off path
@@ -88,6 +90,10 @@ let kernel_data128 =
 let kernel_data64 =
   Signal.random_walk ~rng:(Prng.create ~seed:2719) ~n:64 ~step:3.
 
+(* The live-write re-cut's size (n=256, B=32, absolute error). *)
+let kernel_data256 =
+  Signal.random_walk ~rng:(Prng.create ~seed:2720) ~n:256 ~step:3.
+
 let kernel_cases =
   let data128 = kernel_data128 in
   let data64 = kernel_data64 in
@@ -96,6 +102,11 @@ let kernel_cases =
       (Staged.stage (fun () ->
            ignore
              (Minmax_dp.solve ~impl:Minmax_dp.Flat ~data:data128 ~budget:8 rel1)));
+    Test.make ~name:"KERNEL/minmax-flat:256-b32"
+      (Staged.stage (fun () ->
+           ignore
+             (Minmax_dp.solve ~impl:Minmax_dp.Flat ~data:kernel_data256
+                ~budget:32 Metrics.Abs)));
     Test.make ~name:"KERNEL/minmax-reference:128"
       (Staged.stage (fun () ->
            ignore
@@ -120,12 +131,17 @@ let kernel_states () =
   let minmax =
     (Minmax_dp.solve ~data:kernel_data128 ~budget:8 rel1).Minmax_dp.dp_states
   in
+  let minmax256 =
+    (Minmax_dp.solve ~data:kernel_data256 ~budget:32 Metrics.Abs)
+      .Minmax_dp.dp_states
+  in
   let nd = Ndarray.of_flat_array ~dims:[| 64 |] kernel_data64 in
   let md =
     (Approx_abs.solve ~data:nd ~budget:8 ~epsilon:0.25 ()).Approx_abs.dp_states
   in
   [
     ("smoke/KERNEL/minmax-flat:128", minmax);
+    ("smoke/KERNEL/minmax-flat:256-b32", minmax256);
     ("smoke/KERNEL/minmax-reference:128", minmax);
     ("smoke/KERNEL/md-flat:64", md);
     ("smoke/KERNEL/md-reference:64", md);
@@ -295,17 +311,39 @@ let srv_cases =
     srv_cache_case ~cache:true;
   ]
 
+(* Minor-heap words allocated, as a Bechamel measure. Bechamel's own
+   [Instance.minor_allocated] reads [Gc.quick_stat], whose minor_words
+   only advance at a minor collection on OCaml 5 (a case that
+   allocates less than the minor heap between samples reads as 0);
+   [Gc.minor_words] includes the current minor heap's fill. *)
+module Minor_words = struct
+  type witness = unit
+
+  let load () = ()
+  let unload () = ()
+  let make () = ()
+  let get () = Gc.minor_words ()
+  let label () = "minor-words"
+  let unit () = "mnw"
+end
+
+let minor_words =
+  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+
+(* Every case is measured for time and for minor-heap allocation
+   (words per run): one OLS estimate table per instance. *)
 let benchmark tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances = Instance.[ monotonic_clock ] in
+  let instances = [ Instance.monotonic_clock; minor_words ] in
   let cfg =
     Benchmark.cfg ~limit:500 ~quota:(Time.second 0.2) ~stabilize:true ()
   in
   let grouped = Test.make_grouped ~name:"smoke" ~fmt:"%s/%s" tests in
   let raw = Benchmark.all cfg instances grouped in
-  Analyze.all ols Instance.monotonic_clock raw
+  ( Analyze.all ols Instance.monotonic_clock raw,
+    Analyze.all ols minor_words raw )
 
 let json_escape s =
   let b = Buffer.create (String.length s) in
@@ -323,7 +361,7 @@ let write_rows oc ~schema ~extra ?(states = []) rows =
   Printf.fprintf oc "{\n  \"schema\": \"%s\",%s\n  \"results\": [\n" schema
     extra;
   List.iteri
-    (fun k (name, ns) ->
+    (fun k (name, ns, words) ->
       let state_cols =
         match List.assoc_opt name states with
         | Some s when s > 0 ->
@@ -331,22 +369,31 @@ let write_rows oc ~schema ~extra ?(states = []) rows =
               (ns /. float_of_int s)
         | _ -> ""
       in
-      Printf.fprintf oc "    {\"name\": \"%s\", \"ns_per_run\": %.1f%s}%s\n"
-        (json_escape name) ns state_cols
+      Printf.fprintf oc
+        "    {\"name\": \"%s\", \"ns_per_run\": %.1f, \"words_per_run\": \
+         %.0f%s}%s\n"
+        (json_escape name) ns words state_cols
         (if k = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "  ]\n}\n"
 
-let rows_of results =
-  Hashtbl.fold
-    (fun name ols acc ->
-      let ns =
+(* Words per run are whole numbers for these deterministic cases; the
+   OLS slope only adds float noise, so they are rounded (and clamped at
+   zero), which keeps the benchgate words check exact. *)
+let rows_of (times, words) =
+  let estimate results name =
+    match Hashtbl.find_opt results name with
+    | Some ols -> (
         match Analyze.OLS.estimates ols with
         | Some (x :: _) -> x
-        | _ -> Float.nan
-      in
-      (name, ns) :: acc)
-    results []
+        | _ -> Float.nan)
+    | None -> Float.nan
+  in
+  Hashtbl.fold
+    (fun name _ acc ->
+      let w = Float.max 0. (Float.round (estimate words name)) in
+      (name, estimate times name, w) :: acc)
+    times []
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_obs.json" in
@@ -362,7 +409,7 @@ let () =
   Pool.shutdown pool4;
   let rows =
     rows_of seq_results @ rows_of pool_results
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
   in
   let states = kernel_states () in
   let oc = open_out out in
@@ -372,7 +419,7 @@ let () =
      core count: on a 1-core container the pooled numbers legitimately
      match (or slightly trail) the sequential ones. *)
   let par_rows =
-    List.filter (fun (name, _) -> String.starts_with ~prefix:"smoke/PAR/" name)
+    List.filter (fun (name, _, _) -> String.starts_with ~prefix:"smoke/PAR/" name)
       rows
   in
   let oc = open_out "BENCH_par.json" in
@@ -384,11 +431,14 @@ let () =
   close_out oc;
   (* Serving-subsystem cases in their own file (docs/SERVING.md). *)
   let srv_rows =
-    List.filter (fun (name, _) -> String.starts_with ~prefix:"smoke/SRV/" name)
+    List.filter (fun (name, _, _) -> String.starts_with ~prefix:"smoke/SRV/" name)
       rows
   in
   let oc = open_out "BENCH_server.json" in
   write_rows oc ~schema:"wavesyn-bench-server/1" ~extra:"" srv_rows;
   close_out oc;
-  List.iter (fun (name, ns) -> Printf.printf "%-40s %12.1f ns/run\n" name ns) rows;
+  List.iter
+    (fun (name, ns, words) ->
+      Printf.printf "%-40s %12.1f ns/run %12.0f words/run\n" name ns words)
+    rows;
   Printf.printf "wrote %s\n" out

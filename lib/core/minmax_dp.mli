@@ -17,8 +17,9 @@
     [O(N B)] live entries per level in the worst case (Theorem 3.1).
 
     The memo's storage layout (contiguous per-(node, ancestor-mask)
-    budget rows, with a dense single-array fast path and a lazy-row
-    spill path) and its allocation profile are specified in
+    budget rows, with a dense single-table fast path and a spill path
+    carving rows from an arena) and its allocation profile (none per
+    DP state) are specified in
     [docs/KERNELS.md]; {!impl} selects the legacy Hashtbl kernel for
     equivalence testing.
 
@@ -78,9 +79,9 @@ val solve :
     knobs exist for testing and memory tuning; see [docs/KERNELS.md]. *)
 
 val default_dense_limit : int
-(** Ceiling (in table entries, one float + one int word each) under
-    which the flat kernel preallocates the whole dense table
-    ([2^22] entries, about 64 MiB). *)
+(** Ceiling (in table entries, one float cell each) under which the
+    flat kernel preallocates the whole dense table ([2^22] entries,
+    32 MiB). *)
 
 type budget_search = {
   best : result;

@@ -3,7 +3,8 @@
    results — max_err bits, synopsis, dp_states — to the original
    tuple-keyed Hashtbl kernels, across random signals, budgets,
    metrics, split strategies, the dense and spill layouts, and pool
-   sizes 1 and 4. Plus the grain knob of the pool fan-out. *)
+   sizes 1 and 4; a dense Minmax_dp solve allocates nothing per state.
+   Plus the grain knob of the pool fan-out. *)
 
 module Pool = Wavesyn_par.Pool
 module Minmax_dp = Wavesyn_core.Minmax_dp
@@ -37,14 +38,28 @@ let signal rng n =
 
 (* --- Minmax_dp: Flat vs Reference --- *)
 
+(* Few distinct levels: many equal and zero coefficients, so the DP
+   meets exact ties between splits and between keeping and dropping a
+   coefficient, where only the tie-break rules decide. *)
+let coarse_signal rng n = Array.init n (fun _ -> float_of_int (Prng.int rng 4))
+
+(* n up to 32 with small budgets, plus n in {64, 128} with budgets
+   from a tight n/8 to n + 3 (above the root's coefficient count, so
+   the root cap clamps it), plus tie-prone coarse signals. *)
 let minmax_cases rng =
-  List.concat_map
-    (fun n ->
-      List.concat_map
-        (fun metric ->
-          List.map (fun budget -> (signal rng n, budget, metric)) [ 0; 1; 3; n / 2 ])
-        [ Metrics.Abs; Metrics.Rel { sanity = 5. } ])
-    [ 8; 16; 32 ]
+  let cases gen ns budgets =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun metric ->
+            List.map (fun budget -> (gen rng n, budget, metric)) (budgets n))
+          [ Metrics.Abs; Metrics.Rel { sanity = 5. } ])
+      ns
+  in
+  let small = cases signal [ 8; 16; 32 ] (fun n -> [ 0; 1; 3; n / 2 ]) in
+  let large = cases signal [ 64; 128 ] (fun n -> [ n / 8; n - 1; n + 3 ]) in
+  let coarse = cases coarse_signal [ 8; 32 ] (fun n -> [ 1; n / 4; n / 2 ]) in
+  small @ large @ coarse
 
 let check_minmax_pair name (r_flat : Minmax_dp.result) (r_ref : Minmax_dp.result)
     =
@@ -52,27 +67,52 @@ let check_minmax_pair name (r_flat : Minmax_dp.result) (r_ref : Minmax_dp.result
   check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
   checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states
 
+(* Every case under both split strategies and cap_budget on and off,
+   for the reference kernel and the flat kernel's dense and spill
+   layouts ([dense_limit:1] forces spill). [on_state] must fire
+   exactly [dp_states] times in each. The uncapped linear scan at
+   n = 128 with a budget of n/2 or more is left out: its ~1.4M states
+   take the reference kernel over ten seconds, and n = 64 covers that
+   combination. *)
 let test_minmax_flat_vs_reference () =
   let rng = Prng.create ~seed:41 in
   List.iter
     (fun (data, budget, metric) ->
+      let n = Array.length data in
       List.iter
         (fun split ->
           List.iter
             (fun cap_budget ->
-              let r_ref =
-                Minmax_dp.solve ~split ~cap_budget ~impl:Reference ~data ~budget
-                  metric
-              in
-              let r_flat =
-                Minmax_dp.solve ~split ~cap_budget ~impl:Flat ~data ~budget
-                  metric
-              in
-              let name =
-                Printf.sprintf "n=%d b=%d cap=%b" (Array.length data) budget
-                  cap_budget
-              in
-              check_minmax_pair name r_flat r_ref)
+              if
+                cap_budget || split = Minmax_dp.Binary_search || n < 128
+                || budget < n / 2
+              then begin
+                let solve impl ?dense_limit () =
+                  let fired = ref 0 in
+                  let r =
+                    Minmax_dp.solve ~split ~cap_budget ~impl ?dense_limit
+                      ~on_state:(fun () -> incr fired)
+                      ~data ~budget metric
+                  in
+                  (r, !fired)
+                in
+                let name =
+                  Printf.sprintf "n=%d b=%d %s cap=%b" n budget
+                    (match split with
+                    | Minmax_dp.Binary_search -> "bisect"
+                    | Minmax_dp.Linear_scan -> "scan")
+                    cap_budget
+                in
+                let r_ref, fired_ref = solve Minmax_dp.Reference () in
+                checki (name ^ ": reference on_state") r_ref.dp_states
+                  fired_ref;
+                List.iter
+                  (fun (layout, dense_limit) ->
+                    let r, fired = solve Minmax_dp.Flat ?dense_limit () in
+                    check_minmax_pair (name ^ layout) r r_ref;
+                    checki (name ^ layout ^ ": on_state") r.dp_states fired)
+                  [ (" dense", None); (" spill", Some 1) ]
+              end)
             [ true; false ])
         [ Minmax_dp.Binary_search; Minmax_dp.Linear_scan ])
     (minmax_cases rng)
@@ -90,6 +130,32 @@ let test_minmax_spill_layout () =
       in
       check_minmax_pair "dense vs spill" spill dense)
     (minmax_cases rng)
+
+(* A dense flat solve allocates its table (straight into the major
+   heap at these sizes) and O(n) bookkeeping, but nothing per DP
+   state: minor allocation stays under a bound linear in n that the
+   state count (tens of thousands here) would blow through at even one
+   word per state. *)
+let test_minmax_flat_allocation () =
+  let rng = Prng.create ~seed:73 in
+  List.iter
+    (fun (n, budget, metric) ->
+      let data = signal rng n in
+      let solve () = Minmax_dp.solve ~impl:Minmax_dp.Flat ~data ~budget metric in
+      ignore (solve ());
+      let w0 = Gc.minor_words () in
+      let r = solve () in
+      let words = Gc.minor_words () -. w0 in
+      let bound = 64 * n in
+      check
+        (Printf.sprintf "n=%d b=%d: %.0f minor words (%d states) < %d" n budget
+           words r.dp_states bound)
+        true
+        (words < float_of_int bound);
+      check
+        (Printf.sprintf "n=%d b=%d: more states than the bound" n budget)
+        true (r.dp_states > bound))
+    [ (256, 32, Metrics.Abs); (64, 8, Metrics.Rel { sanity = 5. }) ]
 
 let test_budget_for_flat_vs_reference () =
   let rng = Prng.create ~seed:47 in
@@ -245,6 +311,8 @@ let () =
             test_minmax_flat_vs_reference;
           Alcotest.test_case "dense = spill layout" `Quick
             test_minmax_spill_layout;
+          Alcotest.test_case "flat solve allocates O(n), not per state" `Quick
+            test_minmax_flat_allocation;
           Alcotest.test_case "budget_for flat = reference, pooled" `Quick
             test_budget_for_flat_vs_reference;
         ] );

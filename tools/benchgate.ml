@@ -22,6 +22,13 @@
      (docs/ADAPTIVE.md). A cache whose hits cost more than the
      evaluation they skip is a regression, and fails here.
 
+   - words gate (with --baseline): every row recording words_per_run
+     in both files must not allocate more than its baseline. Minor
+     words per run repeat from run to run, so there is no slack flag;
+     one word absorbs the rounding of the OLS estimate. Pooled
+     ("-pool") rows are skipped: their count covers only the calling
+     domain, so it depends on how chunks were scheduled.
+
    Exit status: 0 when every active check passes (skips included),
    1 on any FAIL, 2 on usage or parse errors.
 
@@ -50,9 +57,9 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline ("benchgate: " ^ s); exit 
 
    The bench files are machine-written by bench/smoke.ml with a fixed
    shape (schema wavesyn-bench-par/2), so a dependency-free field
-   scanner is enough: find every string value of "name" and the number
-   that follows its sibling "ns_per_run"; plus the two top-level
-   scalar fields. *)
+   scanner is enough: find every string value of "name", the number
+   that follows its sibling "ns_per_run" and, when the row records it,
+   its "words_per_run"; plus the two top-level scalar fields. *)
 
 let read_file path =
   match open_in_bin path with
@@ -133,6 +140,7 @@ type bench = {
   schema : string;
   host_domains : int option;
   rows : (string * float) list;  (* name, ns_per_run *)
+  words : (string * float) list;  (* name, words_per_run, where recorded *)
 }
 
 let parse path =
@@ -153,9 +161,17 @@ let parse path =
         | Some (f, _) -> Some (int_of_float f)
         | None -> die "%s: malformed \"host_recommended_domains\"" path)
   in
-  let rec rows acc from =
+  (* A row's optional fields are searched only up to its closing
+     brace, so a row without words_per_run never borrows the next
+     row's. *)
+  let row_end from =
+    match String.index_from_opt s from '}' with
+    | Some e -> e
+    | None -> String.length s
+  in
+  let rec rows acc words from =
     match after_key s ~from "name" with
-    | None -> List.rev acc
+    | None -> (List.rev acc, List.rev words)
     | Some i -> (
         match scan_string s (skip_ws s i) with
         | None -> die "%s: malformed \"name\"" path
@@ -165,9 +181,22 @@ let parse path =
             | Some k -> (
                 match scan_number s (skip_ws s k) with
                 | None -> die "%s: row %s: malformed ns_per_run" path name
-                | Some (ns, j') -> rows ((name, ns) :: acc) j')))
+                | Some (ns, j') ->
+                    let stop = row_end j in
+                    let words =
+                      match after_key s ~from:j "words_per_run" with
+                      | Some w when w < stop -> (
+                          match scan_number s (skip_ws s w) with
+                          | Some (wv, _) -> (name, wv) :: words
+                          | None ->
+                              die "%s: row %s: malformed words_per_run" path
+                                name)
+                      | _ -> words
+                    in
+                    rows ((name, ns) :: acc) words (Int.max j' stop))))
   in
-  { schema; host_domains; rows = rows [] 0 }
+  let rows, words = rows [] [] 0 in
+  { schema; host_domains; rows; words }
 
 (* --- gates --- *)
 
@@ -265,6 +294,28 @@ let baseline_gate ~max_regression ~old_b b =
               (max_regression *. 100.))
     (seq_rows b)
 
+let words_gate ~old_b b =
+  if b.words = [] then skipf "words-gate: no words_per_run recorded"
+  else
+    List.iter
+      (fun (name, new_w) ->
+        match List.assoc_opt name old_b.words with
+        | None -> skipf "words-gate: %s has no baseline words_per_run" name
+        | Some _ when contains ~sub:"-pool" name ->
+            skipf
+              "words-gate: %s runs on pool domains; words_per_run counts \
+               only the calling domain"
+              name
+        | Some old_w ->
+            if new_w <= old_w +. 1. then
+              passf "words-gate: %s %.0f words <= %.0f words (baseline)" name
+                new_w old_w
+            else
+              failf "words-gate: %s allocates more: %.0f words > %.0f words \
+                     (baseline)"
+                name new_w old_w)
+      b.words
+
 let () =
   let min_speedup = ref 1.0 in
   let min_cache_speedup = ref 1.0 in
@@ -299,8 +350,10 @@ let () =
   cache_gate ~min_cache_speedup:!min_cache_speedup b;
   (match !baseline with
   | None -> ()
-  | Some old_file -> baseline_gate ~max_regression:!max_regression
-                       ~old_b:(parse old_file) b);
+  | Some old_file ->
+      let old_b = parse old_file in
+      baseline_gate ~max_regression:!max_regression ~old_b b;
+      words_gate ~old_b b);
   if !fail_count > 0 then begin
     Printf.printf "benchgate: %d failure(s)\n" !fail_count;
     exit 1
