@@ -1117,8 +1117,8 @@ let shard_endpoint listen k =
   | _ -> Printf.sprintf "%s.shard%d" listen k
 
 let serve_sharded ~obs ~pool ~listen ~data ~budget ~metric ~epsilon ~queue
-    ~idle_ms ?max_requests ~conn_fault ?crash_after ~recut_every ~cache
-    ~wait_ms ~jobs ~shards ~shard_ranges () =
+    ~idle_ms ?max_requests ~conn_fault ?crash_after ~cache ~wait_ms ~jobs
+    ~shards ~shard_ranges () =
   let n = Array.length data in
   let ranges =
     match shard_ranges with
@@ -1138,8 +1138,7 @@ let serve_sharded ~obs ~pool ~listen ~data ~budget ~metric ~epsilon ~queue
   let cfg =
     match
       Server.config ~budget ~metric ~epsilon ~queue_bound:queue ~idle_ms
-        ?max_requests ~conn_fault ?crash_after ~recut_every ~cache
-        ~path:listen data
+        ?max_requests ~conn_fault ?crash_after ~cache ~path:listen data
     with
     | cfg -> cfg
     | exception Invalid_argument reason ->
@@ -1385,8 +1384,8 @@ let server_cmd =
              });
       serve_sharded ~obs ~pool ~listen ~data:(load_data file gen n seed)
         ~budget ~metric:(metric_of_name ~sanity metric_name) ~epsilon ~queue
-        ~idle_ms ?max_requests ~conn_fault ?crash_after ~recut_every ~cache
-        ~wait_ms ~jobs ~shards ~shard_ranges ()
+        ~idle_ms ?max_requests ~conn_fault ?crash_after ~cache ~wait_ms ~jobs
+        ~shards ~shard_ranges ()
     end
     else begin
     let no_file_gen () =
@@ -1398,9 +1397,9 @@ let server_cmd =
                reason = "cannot be combined with --file/--gen";
              })
     in
-    let follower_sup = ref None in
-    let primary_sup = ref None in
-    let data, budget, metric, epsilon, ship, role =
+    (* Both a primary's and a follower's store back the server's write
+       path: a follower rejects writes until a HANDOFF promotes it. *)
+    let data, budget, metric, epsilon, ship, role, live_store =
       match (follower_of, store) with
       | Some primary, Some dir ->
           no_file_gen ();
@@ -1426,7 +1425,6 @@ let server_cmd =
              snapshots=%d)\n"
             primary progress.Replica.final_seq progress.Replica.batches
             progress.Replica.records progress.Replica.snapshots;
-          follower_sup := Some sup;
           ( Stream_synopsis.current_data (Supervisor.stream sup),
             scfg.Supervisor.budget,
             scfg.Supervisor.metric,
@@ -1437,7 +1435,8 @@ let server_cmd =
                 ship_seq = Supervisor.seq sup;
                 ship_manifest = manifest;
               },
-            "follower" )
+            "follower",
+            Some sup )
       | Some _, None ->
           die
             (Validate.Bad_option
@@ -1461,7 +1460,6 @@ let server_cmd =
             }
           in
           let sup = ok_or_die (Supervisor.open_store ~obs scfg) in
-          primary_sup := Some sup;
           ( Stream_synopsis.current_data (Supervisor.stream sup),
             scfg.Supervisor.budget,
             scfg.Supervisor.metric,
@@ -1472,19 +1470,16 @@ let server_cmd =
                 ship_seq = Supervisor.seq sup;
                 ship_manifest = Supervisor.manifest_text scfg;
               },
-            "primary" )
+            "primary",
+            Some sup )
       | None, None ->
           ( load_data file gen n seed,
             budget,
             metric_of_name ~sanity metric_name,
             epsilon,
             None,
-            "standalone" )
-    in
-    (* Both a primary's and a follower's store back the server's write
-       path: a follower rejects writes until a HANDOFF promotes it. *)
-    let live_store =
-      match !primary_sup with Some _ as s -> s | None -> !follower_sup
+            "standalone",
+            None )
     in
     let cfg =
       match
@@ -1496,20 +1491,13 @@ let server_cmd =
       | exception Invalid_argument reason ->
           die (Validate.Bad_option { what = "server"; reason })
     in
-    let on_handoff =
-      Option.map
-        (fun sup () ->
-          Supervisor.promote sup;
-          Supervisor.seq sup)
-        !follower_sup
-    in
     let on_drain =
       Option.map
         (fun sup () ->
           match Supervisor.checkpoint sup with Ok _ | Error _ -> ())
         live_store
     in
-    let server = Server.create ~obs ~pool ?on_handoff ?on_drain cfg in
+    let server = Server.create ~obs ~pool ?on_drain cfg in
     Printf.printf "server: listening on %s n=%d budget=%d queue=%d jobs=%d\n%!"
       listen (Array.length data) budget queue jobs;
     (if role <> "standalone" then
@@ -1524,17 +1512,18 @@ let server_cmd =
          the orderly summary (or checkpoint) a live server would
          write. Whatever the journal acked before the kill is exactly
          what recovery replays. *)
-      Option.iter Supervisor.crash !follower_sup;
-      Option.iter Supervisor.crash !primary_sup;
+      Option.iter Supervisor.crash live_store;
       Printf.printf "server: crashed (simulated kill)\n";
       exit 137
     end;
-    Option.iter Supervisor.close !follower_sup;
+    (* A primary checkpoints before it closes; a follower's store is
+       closed as it stands. *)
     Option.iter
       (fun sup ->
-        (match Supervisor.checkpoint sup with Ok _ | Error _ -> ());
+        if role = "primary" then
+          (match Supervisor.checkpoint sup with Ok _ | Error _ -> ());
         Supervisor.close sup)
-      !primary_sup;
+      live_store;
     if Server.drained server then
       Printf.printf "server: drained (sigterm)\n";
     let s = Server.stats server in

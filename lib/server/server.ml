@@ -43,6 +43,13 @@ type ship_source = {
   ship_manifest : string;
 }
 
+type role = Standalone | Primary | Follower
+
+let roles =
+  [ ("standalone", Standalone); ("primary", Primary); ("follower", Follower) ]
+
+let role_name role = fst (List.find (fun (_, r) -> r = role) roles)
+
 type config = {
   path : string;
   data : float array;
@@ -53,7 +60,7 @@ type config = {
   idle_ms : float;
   max_requests : int option;
   ship : ship_source option;
-  role : string;
+  role : role;
   conn_fault : Fault.t;
   crash_after : int option;
   store : Supervisor.t option;
@@ -76,6 +83,11 @@ let config ?(budget = 8) ?(metric = Metrics.Abs) ?(epsilon = 0.25)
   if tiers < 0 then invalid_arg "Server.config: tiers must not be negative";
   if adapt_every < 1 then
     invalid_arg "Server.config: adapt_every must be at least 1";
+  let role =
+    match List.assoc_opt role roles with
+    | Some role -> role
+    | None -> invalid_arg ("Server.config: unknown role " ^ role)
+  in
   {
     path;
     data;
@@ -129,8 +141,18 @@ type upd_tele = {
   g_seq : Metric.gauge;
 }
 
+(* A live store journals every write ([sup]) while its incremental
+   solver ([inc]) keeps the serving synopsis and bound current. *)
+type live = { sup : Supervisor.t; inc : Incremental.t; tele : upd_tele }
+
+(* What answers reads and takes writes, fixed at [create]: an in-memory
+   dataset, a live journaled store, or a scatter-gather router over
+   shard servers. Every mode-dependent step is one match on it. *)
+type backend = Static of float array | Live of live | Router of Shard.t
+
 type t = {
   cfg : config;
+  backend : backend;
   obs : Registry.t;
   trace : Trace.sink option;
   pool : Pool.t;
@@ -138,9 +160,6 @@ type t = {
   on_handoff : (unit -> int) option;
   on_drain : (unit -> unit) option;
   repl : repl_tele option;
-  upd : upd_tele option;
-  live : Incremental.t option;
-  router : Shard.t option;
   profiler : Profiler.t option;
   cache : (string, Wire.reply) Rcache.t option;
   mutable tiers_state : Tiers.t option;
@@ -151,11 +170,10 @@ type t = {
          then and its state stays a pure function of the request
          schedule *)
   mutable rounds_seen : int;  (* request-carrying rounds, for cadences *)
-  mutable role : string;
+  mutable role : role;
   mutable tier_floor : int;
   mutable synopsis : Synopsis.t;
   mutable tier_name : string;
-  mutable listen_fd : Unix.file_descr option;
   conns : (int, Conn.t) Hashtbl.t;
   mutable next_id : int;
   mutable running : bool;
@@ -181,38 +199,43 @@ let with_span t name f =
 let bump_epoch t = t.epoch <- t.epoch + 1
 
 (* Adopt the incremental solver's current answer as the served state. *)
-let sync_from_live t live =
+let sync_from_live t inc =
   bump_epoch t;
-  t.synopsis <- Incremental.synopsis live;
-  t.tier_name <- Incremental.tier live;
-  t.bound <- Incremental.bound live
+  t.synopsis <- Incremental.synopsis inc;
+  t.tier_name <- Incremental.tier inc;
+  t.bound <- Incremental.bound inc
 
-(* The journal sequence the pre-cut tiers must have been built at to
-   be served: a read-only server's data never moves. *)
+(* The journal sequence pre-cut tiers are cut at; a set serves only
+   while it still matches. A static dataset never moves. *)
 let tiers_seq t =
-  match t.cfg.store with Some sup -> Supervisor.seq sup | None -> 0
-
-let tiers_data t =
-  match t.cfg.store with
-  | Some sup -> Wavesyn_stream.Stream_synopsis.current_data (Supervisor.stream sup)
-  | None -> t.cfg.data
+  match t.backend with
+  | Live l -> Supervisor.seq l.sup
+  | Static _ | Router _ -> 0
 
 (* Re-cut the serving synopsis at the ladder tier the current pressure
    allows. No deadline: tier choice is by pressure alone, so the
-   synopsis served at a given pressure level is deterministic. With
-   fresh pre-cut tiers the re-cut is an O(1) swap to the pre-built
-   synopsis for this level; otherwise, over a live store this is a
-   {e full} incremental-state re-cut against the stream's current
-   data, and a static dataset is re-cut in place. *)
-let rec recut t =
+   synopsis served at a given pressure level is deterministic. A router
+   broadcasts the level as RETIER so every shard re-cuts to the tier
+   this server's OVERLOAD replies advertise. Fresh pre-cut tiers serve
+   it by an O(1) swap; a stale set never serves (the next adapt cadence
+   replaces it). Otherwise a live store takes a {e full}
+   incremental-state re-cut of the stream's current data, and a static
+   dataset is re-cut in place. [cadenced] marks the write path's
+   every-[recut_every] full cut, which the incremental solver counts in
+   [recut.full]: it is neither a [server.recuts] event nor a span. *)
+let recut ?(cadenced = false) t =
   bump_epoch t;
   let level = max (Admit.pressure t.admit) t.tier_floor in
   let top = Admit.top_of_pressure level in
-  match t.router with
-  | Some r ->
-      (* Scatter-gather front-end: no synopsis of its own to cut.
-         Broadcast the pressure level so every shard re-cuts to the
-         tier this server's OVERLOAD replies advertise. *)
+  let counted () =
+    if not cadenced then begin
+      t.total_recuts <- t.total_recuts + 1;
+      Metric.incr t.c_recuts
+    end
+  in
+  let cut f = if cadenced then f () else with_span t "server.recut" f in
+  match (t.backend, t.tiers_state) with
+  | Router r, _ ->
       Shard.retier r level;
       t.tier_name <-
         Ladder.tier_name
@@ -220,52 +243,33 @@ let rec recut t =
           | `Minmax -> Ladder.Minmax
           | `Approx -> Ladder.Approx_additive { epsilon = t.cfg.epsilon }
           | `Greedy -> Ladder.Greedy_maxerr);
-      t.total_recuts <- t.total_recuts + 1;
-      Metric.incr t.c_recuts
-  | None -> route_free_recut t ~level ~top
-
-(* Pre-cut fast path: a tier set built at the current journal sequence
-   serves this pressure level by an O(1) swap. A stale set (the store
-   moved since it was built) never serves — the plain re-cut below
-   runs instead, and the set is replaced at the next adapt cadence. *)
-and tier_swap t ~level =
-  match t.tiers_state with
-  | Some ts when Tiers.fresh ts ~seq:(tiers_seq t) ->
+      counted ()
+  | (Static _ | Live _), Some ts when Tiers.fresh ts ~seq:(tiers_seq t) ->
       let e = Tiers.select ts ~level in
       t.synopsis <- e.Tiers.e_synopsis;
       t.tier_name <- e.Tiers.e_name;
       t.bound <- e.Tiers.e_bound;
-      t.total_recuts <- t.total_recuts + 1;
-      Metric.incr t.c_recuts;
-      true
-  | _ -> false
-
-and route_free_recut t ~level ~top =
-  if tier_swap t ~level then ()
-  else
-  match t.live with
-  | Some live -> (
+      counted ()
+  | Live l, _ ->
+      let cut_ok =
+        Result.is_ok
+          (cut (fun () ->
+               Incremental.full_cut ~top l.inc (Supervisor.stream l.sup)))
+      in
+      (* On [Error] (impossible for finite stream data) the solver kept
+         its previous state. *)
+      sync_from_live t l.inc;
+      if cut_ok then counted ()
+  | Static data, _ -> (
       match
-        with_span t "server.recut" @@ fun () ->
-        Incremental.full_cut ~top live
-          (Supervisor.stream (Option.get t.cfg.store))
-      with
-      | Ok _ ->
-          sync_from_live t live;
-          t.total_recuts <- t.total_recuts + 1;
-          Metric.incr t.c_recuts
-      | Error _ -> ())
-  | None -> (
-      match
-        with_span t "server.recut" @@ fun () ->
-        Ladder.serve ~epsilon:t.cfg.epsilon ~top ~data:t.cfg.data
-          ~budget:t.cfg.budget t.cfg.metric
+        cut (fun () ->
+            Ladder.serve ~epsilon:t.cfg.epsilon ~top ~data
+              ~budget:t.cfg.budget t.cfg.metric)
       with
       | Ok served ->
           t.synopsis <- served.Ladder.synopsis;
           t.tier_name <- Ladder.tier_name served.Ladder.tier;
-          t.total_recuts <- t.total_recuts + 1;
-          Metric.incr t.c_recuts
+          counted ()
       | Error _ ->
           (* Every tier failed (cannot happen for finite data: the
              greedy floor is total); keep serving the previous
@@ -273,11 +277,10 @@ and route_free_recut t ~level ~top =
           ())
 
 (* (Re)build the pre-cut tier ladder from the observed query mix (the
-   default mix until the profiler has seen anything), at the store's
-   current data and sequence. Never installed behind a router — a
-   scatter-gather front-end owns no synopsis to pre-cut. *)
+   default mix until the profiler has seen anything), at the backend's
+   current data and sequence. *)
 let rebuild_tiers t =
-  if t.cfg.tiers > 0 && t.router = None then
+  if t.cfg.tiers > 0 then
     let mix =
       match t.profiler with
       | Some p when Profiler.total p > 0 -> Profiler.observed p
@@ -285,20 +288,69 @@ let rebuild_tiers t =
     in
     match
       with_span t "server.precut" @@ fun () ->
-      Tiers.build ~epsilon:t.cfg.epsilon ~metric:t.cfg.metric
-        ~data:(tiers_data t) ~budget:t.cfg.budget ~levels:t.cfg.tiers ~mix
-        ~seq:(tiers_seq t)
+      let data =
+        match t.backend with
+        | Live l ->
+            Wavesyn_stream.Stream_synopsis.current_data (Supervisor.stream l.sup)
+        | Static data -> data
+        | Router _ -> invalid_arg "Server: no pre-cut tiers behind a router"
+      in
+      Tiers.build ~epsilon:t.cfg.epsilon ~metric:t.cfg.metric ~data
+        ~budget:t.cfg.budget ~levels:t.cfg.tiers ~mix ~seq:(tiers_seq t)
     with
     | Ok ts -> t.tiers_state <- Some ts
     | Error _ -> t.tiers_state <- None
 
 let role_gauge_value = function
-  | "primary" -> 0.
-  | "follower" -> 1.
-  | _ -> -1.
+  | Primary -> 0.
+  | Follower -> 1.
+  | Standalone -> -1.
+
+let live_backend obs cfg sup =
+  let counter ?(unit_ = "updates") ~help name =
+    Registry.counter obs ~help ~unit_ name
+  in
+  let g_seq =
+    Registry.gauge obs ~help:"last durable journal sequence acknowledged"
+      ~unit_:"seq" "update.seq"
+  in
+  Metric.set g_seq (float_of_int (Supervisor.seq sup));
+  let tele =
+    {
+      c_applied =
+        counter ~help:"point updates journaled and applied" "update.applied";
+      c_rejected =
+        counter ~help:"updates rejected (validation or journal failure)"
+          "update.rejected";
+      c_storms =
+        counter ~unit_:"storms" ~help:"INGEST storms accepted" "update.storms";
+      c_storm_deltas =
+        counter ~help:"deltas applied from INGEST storms" "update.storm.deltas";
+      g_seq;
+    }
+  in
+  Live
+    {
+      sup;
+      inc =
+        Incremental.create ~obs ~full_every:cfg.recut_every ~budget:cfg.budget
+          ~metric:cfg.metric ~epsilon:cfg.epsilon (Supervisor.stream sup);
+      tele;
+    }
 
 let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
   let obs = match obs with Some r -> r | None -> Registry.create () in
+  let backend =
+    match (router, cfg.store) with
+    | Some _, Some _ ->
+        invalid_arg
+          "Server.create: a router front-end cannot serve a live store"
+    | Some _, None when cfg.tiers > 0 ->
+        invalid_arg "Server.create: no pre-cut tiers behind a router"
+    | Some r, None -> Router r
+    | None, Some sup -> live_backend obs cfg sup
+    | None, None -> Static cfg.data
+  in
   let pool =
     match pool with Some p -> p | None -> Pool.create ~domains:1 ()
   in
@@ -355,47 +407,10 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
                 ~unit_:"handoffs" "server.handoffs";
           }
   in
-  let upd =
-    match cfg.store with
-    | None -> None
-    | Some sup ->
-        Some
-          {
-            c_applied =
-              Registry.counter obs ~help:"point updates journaled and applied"
-                ~unit_:"updates" "update.applied";
-            c_rejected =
-              Registry.counter obs
-                ~help:"updates rejected (validation or journal failure)"
-                ~unit_:"updates" "update.rejected";
-            c_storms =
-              Registry.counter obs ~help:"INGEST storms accepted"
-                ~unit_:"storms" "update.storms";
-            c_storm_deltas =
-              Registry.counter obs ~help:"deltas applied from INGEST storms"
-                ~unit_:"updates" "update.storm.deltas";
-            g_seq =
-              (let g =
-                 Registry.gauge obs
-                   ~help:"last durable journal sequence acknowledged"
-                   ~unit_:"seq" "update.seq"
-               in
-               Metric.set g (float_of_int (Supervisor.seq sup));
-               g);
-          }
-  in
-  let live =
-    match cfg.store with
-    | None -> None
-    | Some sup ->
-        Some
-          (Incremental.create ~obs ~full_every:cfg.recut_every
-             ~budget:cfg.budget ~metric:cfg.metric ~epsilon:cfg.epsilon
-             (Supervisor.stream sup))
-  in
   let t =
     {
       cfg;
+      backend;
       obs;
       trace;
       pool;
@@ -403,9 +418,6 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
       on_handoff;
       on_drain;
       repl;
-      upd;
-      live;
-      router;
       (* Adaptive instruments are strictly flag-gated so a server run
          without them registers exactly the historical metric families
          (the stats tables the cram suite pins byte for byte). *)
@@ -418,7 +430,6 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
       tier_floor = 0;
       synopsis = Synopsis.make ~n:(Array.length cfg.data) [];
       tier_name = "none";
-      listen_fd = None;
       conns = Hashtbl.create 16;
       next_id = 0;
       running = false;
@@ -448,16 +459,19 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
       c_kind = kind_counter;
     }
   in
-  (* Over a live store the initial full cut already ran inside
-     [Incremental.create]; adopt it instead of cutting twice. *)
-  (match t.live with Some live -> sync_from_live t live | None -> recut t);
-  (* A cached sharded front-end also memoises sub-range sums inside
-     the router, so a QUANTILE bisection's repeated prefix probes skip
-     their shard RPCs (see Shard.set_cache for why this preserves
-     replies). *)
-  (match (router, cfg.cache) with
-  | Some r, true -> Shard.set_cache r ~cap:4096
-  | _ -> ());
+  (match backend with
+  | Live l ->
+      (* The initial full cut already ran inside [Incremental.create];
+         adopt it instead of cutting twice. *)
+      sync_from_live t l.inc
+  | Static _ -> recut t
+  | Router r ->
+      recut t;
+      (* A cached front-end also memoises sub-range sums inside the
+         router, so a QUANTILE bisection's repeated prefix probes skip
+         their shard RPCs (see Shard.set_cache for why this preserves
+         replies). *)
+      if cfg.cache then Shard.set_cache r ~cap:4096);
   (* The initial tier set is cut from the default mix (nothing has
      been observed yet) and adopted immediately, so a --tiers server
      serves a pre-cut synopsis from its first request on. *)
@@ -469,9 +483,9 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
    every shard's table under a shard header, in shard-index order. *)
 let stats_text t =
   let own = Registry.render_table t.obs in
-  match t.router with
-  | None -> own
-  | Some r -> own ^ Shard.stats_sections r
+  match t.backend with
+  | Router r -> own ^ Shard.stats_sections r
+  | Static _ | Live _ -> own
 
 let stats t =
   {
@@ -603,9 +617,9 @@ let sync_reply t ~since ~max =
          write; a static snapshot of it would strand followers behind
          the storm they are replicating. *)
       let ship_seq =
-        match t.cfg.store with
-        | Some sup -> Supervisor.seq sup
-        | None -> src.ship_seq
+        match t.backend with
+        | Live l -> Supervisor.seq l.sup
+        | Static _ | Router _ -> src.ship_seq
       in
       if max = 0 || since >= ship_seq then
         Wire.Ship
@@ -685,21 +699,16 @@ let wire_error_of_validate err =
 
 (* One accepted delta: journal-before-apply through the supervisor,
    then mark the incremental solver's dirty set. *)
-let apply_one t sup ~i ~delta =
-  match Supervisor.ingest sup ~i ~delta with
+let apply_one t l ~i ~delta =
+  match Supervisor.ingest l.sup ~i ~delta with
   | Ok seq ->
-      (match t.live with
-      | Some live -> Incremental.note_update live ~i ~delta
-      | None -> ());
+      Incremental.note_update l.inc ~i ~delta;
       t.total_updates <- t.total_updates + 1;
-      (match t.upd with
-      | Some u ->
-          Metric.incr u.c_applied;
-          Metric.set u.g_seq (float_of_int seq)
-      | None -> ());
+      Metric.incr l.tele.c_applied;
+      Metric.set l.tele.g_seq (float_of_int seq);
       Ok seq
   | Error err ->
-      (match t.upd with Some u -> Metric.incr u.c_rejected | None -> ());
+      Metric.incr l.tele.c_rejected;
       Error err
 
 (* An INGEST storm is atomic-on-validation: every delta is checked
@@ -708,8 +717,8 @@ let apply_one t sup ~i ~delta =
    deltas apply in order; only a journal I/O failure can then stop the
    storm mid-way, leaving the applied prefix durable (the error reply
    tells the client its resume cursor is the last ACKED sequence). *)
-let storm_reply t sup deltas =
-  let n = Wavesyn_stream.Stream_synopsis.n (Supervisor.stream sup) in
+let storm_reply t l deltas =
+  let n = Wavesyn_stream.Stream_synopsis.n (Supervisor.stream l.sup) in
   let bad =
     List.find_opt
       (fun (i, d) -> i < 0 || i >= n || not (Float.is_finite d))
@@ -717,7 +726,7 @@ let storm_reply t sup deltas =
   in
   match bad with
   | Some (i, d) ->
-      (match t.upd with Some u -> Metric.incr u.c_rejected | None -> ());
+      Metric.incr l.tele.c_rejected;
       if i < 0 || i >= n then
         Wire.Error
           {
@@ -734,24 +743,18 @@ let storm_reply t sup deltas =
       let rec go last = function
         | [] -> Wire.Acked { seq = last }
         | (i, delta) :: tl -> (
-            match apply_one t sup ~i ~delta with
+            match apply_one t l ~i ~delta with
             | Ok seq -> go seq tl
             | Error err -> wire_error_of_validate err)
       in
-      let reply = go (Supervisor.seq sup) deltas in
-      (match (reply, t.upd) with
-      | Wire.Acked _, Some u ->
-          Metric.incr u.c_storms;
-          Metric.incr ~by:(List.length deltas) u.c_storm_deltas
+      let reply = go (Supervisor.seq l.sup) deltas in
+      (match reply with
+      | Wire.Acked _ ->
+          Metric.incr l.tele.c_storms;
+          Metric.incr ~by:(List.length deltas) l.tele.c_storm_deltas
       | _ -> ());
       reply
 
-(* Apply the round's staged writes in arrival order. Runs only after
-   the crash check passed: a crashed round journals {e nothing}, so a
-   client resending its unanswered write frames after recovery cannot
-   double-apply — exactly-once lands on the at-most-once journal. The
-   serving synopsis then folds in the dirty subtrees (or takes the
-   cadenced full re-cut) before any of the round's reads evaluate. *)
 let routed_writes t r writes =
   List.iter
     (fun (slot, req) ->
@@ -768,42 +771,41 @@ let routed_writes t r writes =
       slot.s_reply <- Some reply)
     writes
 
-let apply_writes t writes =
-  match (writes, t.router) with
-  | [], _ -> ()
-  | writes, Some r -> routed_writes t r writes
-  | writes, None ->
-      let sup =
-        match t.cfg.store with Some s -> s | None -> assert false
+let live_writes t l writes =
+  let before = t.total_updates in
+  List.iter
+    (fun (slot, req) ->
+      let reply =
+        match req with
+        | Wire.Update { i; delta } -> (
+            match apply_one t l ~i ~delta with
+            | Ok seq -> Wire.Acked { seq }
+            | Error err -> wire_error_of_validate err)
+        | Wire.Ingest deltas -> storm_reply t l deltas
+        | _ -> Wire.Error { code = Wire.Internal; message = "not a write" }
       in
-      let before = t.total_updates in
-      List.iter
-        (fun (slot, req) ->
-          let reply =
-            match req with
-            | Wire.Update { i; delta } -> (
-                match apply_one t sup ~i ~delta with
-                | Ok seq -> Wire.Acked { seq }
-                | Error err -> wire_error_of_validate err)
-            | Wire.Ingest deltas -> storm_reply t sup deltas
-            | _ -> Wire.Error { code = Wire.Internal; message = "not a write" }
-          in
-          count_error t reply;
-          slot.s_reply <- Some reply)
-        writes;
-      if t.total_updates > before then (
-        match t.live with
-        | Some live ->
-            let stream = Supervisor.stream sup in
-            (if Incremental.due_full live then
-               let top =
-                 Admit.top_of_pressure
-                   (max (Admit.pressure t.admit) t.tier_floor)
-               in
-               ignore (Incremental.full_cut ~top live stream)
-             else Incremental.refresh live stream);
-            sync_from_live t live
-        | None -> ())
+      count_error t reply;
+      slot.s_reply <- Some reply)
+    writes;
+  if t.total_updates > before then
+    if Incremental.due_full l.inc then recut ~cadenced:true t
+    else begin
+      Incremental.refresh l.inc (Supervisor.stream l.sup);
+      sync_from_live t l.inc
+    end
+
+(* Apply the round's staged writes in arrival order. Runs only after
+   the crash check passed: a crashed round journals {e nothing}, so a
+   client resending its unanswered write frames after recovery cannot
+   double-apply — exactly-once lands on the at-most-once journal. A
+   live store's serving synopsis then folds in the dirty subtrees (or
+   takes the cadenced full re-cut) before any of the round's reads
+   evaluate. A static server staged no writes: it refused them. *)
+let apply_writes t writes =
+  match t.backend with
+  | Router r -> routed_writes t r writes
+  | Live l -> live_writes t l writes
+  | Static _ -> ()
 
 let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
   t.total_requests <- t.total_requests + 1;
@@ -838,15 +840,15 @@ let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
   (* Writes take a slot now (order!) but are applied only after the
      round's crash check — see [apply_writes]. *)
   let stage_write request =
-    match (t.cfg.store, t.router) with
-    | None, None ->
+    match t.backend with
+    | Static _ ->
         push
           (Wire.Error
              {
                code = Wire.Unanswerable;
                message = "read-only server: no live store";
              })
-    | _ ->
+    | Live _ | Router _ ->
         let slot = { s_conn = conn; s_reply = None } in
         slots := slot :: !slots;
         writes := (slot, request) :: !writes
@@ -864,31 +866,29 @@ let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
          authoritative sequence, so the client can check it lost no
          acked write across the failover. *)
       let seq =
-        match t.on_handoff with
-        | Some f -> f ()
-        | None -> (
-            match t.cfg.store with
-            | Some sup ->
-                (* Idempotent on an already-primary store. *)
-                Supervisor.promote sup;
-                Supervisor.seq sup
-            | None -> (
-                match t.cfg.ship with Some s -> s.ship_seq | None -> 0))
+        match (t.on_handoff, t.backend) with
+        | Some f, _ -> f ()
+        | None, Live l ->
+            (* Idempotent on an already-primary store. *)
+            Supervisor.promote l.sup;
+            Supervisor.seq l.sup
+        | None, (Static _ | Router _) -> (
+            match t.cfg.ship with Some s -> s.ship_seq | None -> 0)
       in
-      t.role <- "primary";
+      t.role <- Primary;
       (* A live standby's store may have been caught up — journal
          records shipped straight into the supervisor — behind the
          incremental solver's back while it was a read-only follower.
          Promotion re-cuts from the store's current stream, so the
          sequence this ack carries is exactly the state the promoted
          server serves. *)
-      (match t.live with Some _ -> recut t | None -> ());
+      (match t.backend with Live _ -> recut t | Static _ | Router _ -> ());
       (match t.repl with
       | Some r ->
           Metric.set r.g_role (role_gauge_value t.role);
           Metric.incr r.c_handoffs
       | None -> ());
-      push (Wire.Handoff_ack { seq; role = t.role })
+      push (Wire.Handoff_ack { seq; role = role_name t.role })
   | Wire.Batch reqs ->
       List.iter
         (fun r ->
@@ -932,8 +932,8 @@ let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
    cache-off. *)
 let rec evaluate_round t evals =
   ignore (Admit.take_batch t.admit);
-  match t.router with
-  | Some r ->
+  match t.backend with
+  | Router r ->
       (* Scatter-gather is synchronous RPC, not pool work: shards are
          walked in shard-index order per request, requests in arrival
          order, so the merged transcript is independent of this
@@ -951,7 +951,7 @@ let rec evaluate_round t evals =
           count_error t reply;
           slot.s_reply <- Some reply)
         (List.rev evals)
-  | None -> pooled_round t evals
+  | Static _ | Live _ -> pooled_round t evals
 
 and pooled_round t evals =
   let evals = Array.of_list (List.rev evals) in
@@ -1178,7 +1178,6 @@ let run_exn t =
         previous)
   @@ fun () ->
   let listen_fd = listen_on t.cfg.path in
-  t.listen_fd <- Some listen_fd;
   t.running <- true;
   Fun.protect
     ~finally:(fun () ->

@@ -14,14 +14,30 @@
     [SO_REUSEADDR], and [TCP_NODELAY] on accepted connections). The
     framing, determinism and drain semantics are transport-independent.
 
-    A server created with a {!Shard} router is a {e scatter-gather
-    front-end}: it owns no synopsis, forwards each admitted read and
-    staged write through the router (shards walked in shard-index
-    order, requests in arrival order — independent of the pool size),
-    answers [STATS] with its own table plus every shard's, and
-    broadcasts its admission pressure to the shards as [RETIER] so
-    overload degradation stays byte-identical to an unsharded
-    server's.
+    {2 Backends}
+
+    {!create} fixes one backend for the server's lifetime, from the
+    config's [store] and its [router] argument:
+
+    - {e Static} (neither): the in-memory [data] is cut once. Reads
+      evaluate on the serving synopsis; [UPDATE] / [INGEST] are
+      answered with an [unanswerable] error. A pressure change re-cuts
+      [data] through the ladder.
+    - {e Live} ([store]): writes journal through the store before they
+      touch memory, and {!Wavesyn_robust.Incremental} keeps the
+      serving synopsis and its bound current (see {e Write rounds}
+      below). A pressure change, a [HANDOFF] and every
+      [recut_every]-th applied update take a full re-cut of the
+      store's current data. [SYNC] acks the store's moving sequence.
+    - {e Router} ([router]): a scatter-gather front-end that owns no
+      synopsis. Each admitted read and staged write goes through the
+      {!Shard} router (shards walked in shard-index order, requests in
+      arrival order, independent of the pool size). [STATS] appends
+      every shard's table to its own. A pressure change is broadcast
+      to the shards as [RETIER], so overload degradation stays
+      byte-identical to an unsharded server's.
+
+    Pre-cut [tiers] serve the Static and Live backends only.
 
     Overload feeds back into quality, not availability: pressure from
     shedding steps the serving synopsis down the
@@ -38,6 +54,10 @@ type ship_source = {
           reproduces the primary's exact configuration *)
 }
 
+(** The serving role, exported as the [server.role] gauge and flipped
+    to [Primary] by [HANDOFF]. *)
+type role = Standalone | Primary | Follower
+
 type config = {
   path : string;  (** Unix-domain socket path to listen on *)
   data : float array;  (** backing dataset (power-of-two length) *)
@@ -52,20 +72,15 @@ type config = {
       (** when present, [SYNC] ships journal records (or a snapshot
           bootstrap) from this store, and the replication metrics are
           registered *)
-  role : string;  (** ["primary"], ["follower"], or ["standalone"] *)
+  role : role;
   conn_fault : Wavesyn_robust.Fault.t;
       (** network chaos plan armed on every accepted connection *)
   crash_after : int option;
       (** simulate a crash: after this many request frames, stop
           without answering, flushing, or draining *)
   store : Wavesyn_robust.Supervisor.t option;
-      (** when present, the server is {e live}: [UPDATE] / [INGEST]
-          frames are journaled through this store before they touch the
-          in-memory state, the serving synopsis is maintained by
-          {!Wavesyn_robust.Incremental} (dirty subtrees re-solved per
-          round, full re-cut every [recut_every] applied updates), and
-          the [update.*] metric family is registered. Absent, write
-          frames are answered with an [unanswerable] error. *)
+      (** when present, the server has the {e Live} backend (see
+          {e Backends}) and registers the [update.*] metric family *)
   recut_every : int;
       (** applied updates between full ladder re-cuts of a live
           server's synopsis (the incremental solver's
@@ -85,7 +100,7 @@ type config = {
           pressure change swaps synopses in O(1) instead of re-cutting;
           registers the [adaptive.*] metrics. 0 (the default) serves
           the historical re-cut path. Not supported behind a
-          router. *)
+          router (see {!create}). *)
   adapt_every : int;
       (** request-carrying rounds between tier-set rebuilds from the
           profiler's observed mix (only meaningful with [tiers > 0]) *)
@@ -114,9 +129,11 @@ val config :
     timeout 30 s, no request limit, no ship source, role
     ["standalone"], no connection faults, no simulated crash, no live
     store, full re-cut every 32 applied updates, result cache off,
-    no pre-cut tiers, tier rebuild every 32 rounds. Raises
+    no pre-cut tiers, tier rebuild every 32 rounds. [role] is one of
+    ["primary"], ["follower"] or ["standalone"]. Raises
     [Invalid_argument] on a non-positive queue bound, idle timeout,
-    [recut_every] or [adapt_every], or a negative [tiers]. *)
+    [recut_every] or [adapt_every], a negative [tiers], or any other
+    [role] string. *)
 
 type t
 
@@ -134,18 +151,17 @@ val create :
     [server.*] metrics of [docs/OBSERVABILITY.md]; [trace] records
     [server.recut] and [server.round] spans; [pool] (sequential when
     absent) evaluates admitted requests — the caller shuts it down.
-    [router] makes this server a sharded front-end: reads and writes
-    route through it instead of a local synopsis ([data] then only
-    fixes the domain length for the shards' combined key space), and
-    pressure changes broadcast [RETIER] instead of re-cutting. The
-    caller owns the router's backends and shuts the shards down after
-    {!run} returns (e.g. {!Shard.shutdown}).
+    [router] selects the Router backend ([data] then only fixes the
+    domain length for the shards' combined key space). The caller owns
+    the router's backends and shuts the shards down after {!run}
+    returns (e.g. {!Shard.shutdown}). Raises [Invalid_argument] when
+    [router] is combined with a [store] or with [tiers > 0].
 
     [on_handoff] runs when a [HANDOFF] request promotes this server:
     it must promote the backing store and return its authoritative
-    sequence for the [HANDOFF-ACK] (absent, a configured live [store]
-    is promoted in place and its sequence acked; failing that, the
-    ship source's static sequence). On a live server the promotion
+    sequence for the [HANDOFF-ACK] (absent, a Live backend's store is
+    promoted in place and its sequence acked; otherwise the ship
+    source's static sequence). On a Live backend the promotion
     also re-cuts the serving synopsis from the store's current stream,
     so a standby whose store was caught up by journal shipping serves
     exactly the state its ack sequence names. [on_drain] runs after a
@@ -154,7 +170,7 @@ val create :
 
     {2 Write rounds}
 
-    On a live server, [UPDATE] / [INGEST] frames are {e staged} while
+    On the Live backend, [UPDATE] / [INGEST] frames are {e staged} while
     a round gathers and applied only after the round's crash check
     passed, in connection-arrival order — so a [crash_after] kill
     loses a whole round atomically: nothing it staged reaches the

@@ -8,6 +8,9 @@ module Client = Wavesyn_server.Client
 module Loadgen = Wavesyn_server.Loadgen
 module Registry = Wavesyn_obs.Registry
 module Validate = Wavesyn_robust.Validate
+module Supervisor = Wavesyn_robust.Supervisor
+module Stream_synopsis = Wavesyn_stream.Stream_synopsis
+module Metrics = Wavesyn_synopsis.Metrics
 module Prng = Wavesyn_util.Prng
 
 let check = Alcotest.(check bool)
@@ -471,6 +474,114 @@ let test_jobs_determinism () =
   check "the schedule actually overloads" true (s1.Loadgen.overloads > 0);
   checki "all requests answered" 40 s1.Loadgen.replies
 
+(* The role is parsed once: a typo is a configuration error, not a
+   server exporting [server.role -1]. *)
+let test_config_role () =
+  let role_of s = (Server.config ~role:s ~path:"unused" [| 0. |]).Server.role in
+  check "primary" true (role_of "primary" = Server.Primary);
+  check "follower" true (role_of "follower" = Server.Follower);
+  check "standalone" true (role_of "standalone" = Server.Standalone);
+  List.iter
+    (fun bad ->
+      match role_of bad with
+      | _ -> Alcotest.failf "role %S accepted" bad
+      | exception Invalid_argument _ -> ())
+    [ "primray"; "Primary"; "" ]
+
+(* HANDOFF with no [on_handoff] hook over a follower's live store: the
+   server promotes the store itself, acks its sequence, and takes
+   writes from then on. *)
+let test_handoff_promotes_live_follower () =
+  let must = function
+    | Ok v -> v
+    | Error e -> Alcotest.fail (Validate.to_string e)
+  in
+  let dir =
+    Printf.sprintf "%s/wavesyn-handoff-%d"
+      (Filename.get_temp_dir_name ())
+      (Unix.getpid ())
+  in
+  let rm_dir () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir
+    end
+  in
+  rm_dir ();
+  Fun.protect ~finally:rm_dir @@ fun () ->
+  let scfg =
+    Supervisor.config ~checkpoint_every:1_000_000 ~recut_every:1_000_000
+      ~sync:false ~dir ~n:16 ~budget:8 Metrics.Abs
+  in
+  (* Three writes acked as a primary, then reopened as a follower. *)
+  let sup = must (Supervisor.open_store scfg) in
+  for i = 1 to 3 do
+    ignore (must (Supervisor.ingest sup ~i ~delta:2.))
+  done;
+  Supervisor.close sup;
+  let sup = must (Supervisor.open_store ~role:Supervisor.Follower scfg) in
+  Fun.protect ~finally:(fun () -> Supervisor.close sup) @@ fun () ->
+  let path = sock_path () in
+  let ship =
+    {
+      Server.ship_dir = dir;
+      ship_seq = Supervisor.seq sup;
+      ship_manifest = Supervisor.manifest_text scfg;
+    }
+  in
+  let server =
+    Server.create
+      (Server.config ~ship ~role:"follower" ~store:sup ~path
+         (Stream_synopsis.current_data (Supervisor.stream sup)))
+  in
+  let runner = Domain.spawn (fun () -> Server.run server) in
+  let client =
+    match Client.connect ~wait_ms:5000. path with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (Validate.to_string e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Client.request_one client Wire.Shutdown);
+      Client.close client;
+      ignore (Domain.join runner))
+  @@ fun () ->
+  let role_gauge () =
+    match expect_one client Wire.Stats with
+    | Wire.Stats_text body -> (
+        let row =
+          List.find_opt
+            (fun line ->
+              match String.split_on_char ' ' line with
+              | _ :: rest -> List.mem "server.role" rest
+              | [] -> false)
+            (String.split_on_char '\n' body)
+        in
+        match row with
+        | Some line -> (
+            match
+              List.filter (( <> ) "") (String.split_on_char ' ' line)
+            with
+            | [ _; _; value; _ ] -> value
+            | _ -> Alcotest.fail ("server.role row: " ^ line))
+        | None -> Alcotest.fail "no server.role row")
+    | r -> Alcotest.fail ("stats: " ^ Wire.describe_reply r)
+  in
+  checks "follower gauge" "1" (role_gauge ());
+  (match expect_one client (Wire.Update { i = 0; delta = 1. }) with
+  | Wire.Error { code = Wire.Unanswerable; _ } -> ()
+  | r -> Alcotest.fail ("update before handoff: " ^ Wire.describe_reply r));
+  (match expect_one client Wire.Handoff with
+  | Wire.Handoff_ack { seq; role } ->
+      checki "ack carries the store's sequence" 3 seq;
+      checks "ack role" "primary" role
+  | r -> Alcotest.fail ("handoff: " ^ Wire.describe_reply r));
+  check "store promoted" true (Supervisor.role sup = Supervisor.Primary);
+  checks "primary gauge" "0" (role_gauge ());
+  match expect_one client (Wire.Update { i = 0; delta = 1. }) with
+  | Wire.Acked { seq } -> checki "update after handoff" 4 seq
+  | r -> Alcotest.fail ("update after handoff: " ^ Wire.describe_reply r)
+
 let test_client_connect_error () =
   match Client.connect (sock_path ()) with
   | Error (Validate.Io_error _) -> ()
@@ -611,6 +722,9 @@ let () =
             test_batch_and_overload;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
           Alcotest.test_case "connect error" `Quick test_client_connect_error;
+          Alcotest.test_case "config role" `Quick test_config_role;
+          Alcotest.test_case "handoff promotes a live follower" `Quick
+            test_handoff_promotes_live_follower;
         ] );
       ( "loadgen",
         [

@@ -732,6 +732,38 @@ let test_sharded_failover_byte_identity () =
       checks ("composed store state byte-identical" ^ tag) ref_state state)
     [ 1; 4 ]
 
+(* A router front-end owns no synopsis: [create] refuses a live store
+   (whose journal the routed writes would bypass) and pre-cut tiers
+   (whose re-cuts would broadcast spurious RETIERs) before any shard
+   hears from it. *)
+let test_router_refuses_store_and_tiers () =
+  let n = 16 in
+  let ranges = must_s (Shard.split ~n ~shards:2) in
+  let calls = ref 0 in
+  let rpcs =
+    Array.of_list
+      (List.map
+         (fun _ _ ->
+           incr calls;
+           Ok [ Wire.Pong ])
+         ranges)
+  in
+  let router = must_s (Shard.router ~n ~ranges rpcs) in
+  let refused what cfg =
+    match Server.create ~router cfg with
+    | _ -> Alcotest.failf "router accepted %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "tiers" (Server.config ~tiers:2 ~path:(sock_path ()) (Array.make n 0.));
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  build_store ~dir ~n ~updates:3 ~seed:5 ();
+  let sup, data, _ = open_live dir in
+  Fun.protect ~finally:(fun () -> Supervisor.close sup) @@ fun () ->
+  refused "a store" (Server.config ~store:sup ~path:(sock_path ()) data);
+  checki "no shard was contacted" 0 !calls;
+  checki "the store journaled nothing" 3 (Supervisor.seq sup)
+
 let () =
   Alcotest.run "shard"
     [
@@ -758,6 +790,8 @@ let () =
           Alcotest.test_case "stats sections positional" `Quick
             test_stats_sections_positional;
           Alcotest.test_case "overload parity" `Quick test_overload_parity;
+          Alcotest.test_case "router refuses store and tiers" `Quick
+            test_router_refuses_store_and_tiers;
         ] );
       ( "failover",
         [
