@@ -897,8 +897,7 @@ let serve_cmd =
         ?recut_deadline_ms:deadline_ms ~keep ~sync:(not no_fsync) ~dir:store ~n
         ~budget metric
     in
-    let durable = ok_or_die (Engine.open_store ?obs ?trace:trace_sink cfg) in
-    let sup = Engine.store_supervisor durable in
+    let sup = ok_or_die (Supervisor.open_store ?obs ?trace:trace_sink cfg) in
     Printf.printf "serve: store=%s n=%d budget=%d metric=%s\n" store n budget
       metric_name;
     pp_recovery (Supervisor.last_recovery sup);
@@ -926,7 +925,7 @@ let serve_cmd =
     in
     Array.iteri
       (fun k (i, delta) ->
-        ignore (ok_or_die (Engine.store_ingest durable ~i ~delta));
+        ignore (ok_or_die (Supervisor.ingest sup ~i ~delta));
         match (metrics, obs) with
         | Some dest, Some reg
           when metrics_every > 0 && (k + 1) mod metrics_every = 0 ->
@@ -940,10 +939,11 @@ let serve_cmd =
     let stats = Supervisor.stats sup in
     Printf.printf "ingested: %d updates (seq %d)\n" stats.Supervisor.acked
       stats.Supervisor.seq;
-    (match Engine.store_close durable with
-    | Ok () -> ()
+    (match Supervisor.checkpoint sup with
+    | Ok _ -> ()
     | Error e ->
         Printf.printf "shutdown checkpoint failed: %s\n" (Validate.to_string e));
+    Supervisor.close sup;
     let stats = Supervisor.stats sup in
     Printf.printf "checkpoints: %d (latest generation %s)\n"
       stats.Supervisor.checkpoints
@@ -1014,10 +1014,7 @@ let stats_cmd =
          & info [ "store" ] ~docv:"DIR"
              ~doc:"Store directory holding snapshots, journal and manifest.")
   in
-  let run store connect connect_tcp wait_ms timeout_ms prom jobs =
-    (* stats is read-only and single-domain today; the flag is validated
-       for interface uniformity with threshold/serve. *)
-    Pool.shutdown (pool_of_jobs jobs);
+  let run store connect connect_tcp wait_ms timeout_ms prom =
     let connect = merge_connect connect connect_tcp in
     let store =
       match (store, connect) with
@@ -1100,7 +1097,7 @@ let stats_cmd =
        ~doc:"Inspect a store read-only, or scrape a running server's \
              metrics.")
     Term.(const run $ store_opt_arg $ connect_arg $ connect_tcp_arg
-          $ wait_arg $ timeout_arg $ prom_arg $ jobs_arg)
+          $ wait_arg $ timeout_arg $ prom_arg)
 
 (* --- server / loadgen: the network serving layer (docs/SERVING.md) --- *)
 

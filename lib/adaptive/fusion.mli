@@ -1,40 +1,17 @@
-(** Batch fusion: one shared error-tree traversal for a round's range
-    work.
+(** Compatibility aliases for the per-layer replay benchmark.
 
-    A {!plan} hoists a synopsis's per-coefficient state — index,
-    value, support endpoints and midpoint, ascending index order —
-    into flat arrays built once, so evaluating many ranges (or the
-    log2 n cumulative probes of a quantile bisection) shares the
-    support computations [Wavesyn_synopsis.Range_query.range_sum]
-    would redo per call.
+    A synopsis now carries its coefficients' supports
+    ({!Wavesyn_synopsis.Synopsis.supports}), so there is nothing left
+    to plan per round: these names forward to the one range-sum and
+    quantile path and are kept only for callers that still use them. *)
 
-    Bit-identity is the contract: {!range_sum} performs exactly the
-    float operations of [Range_query.range_sum] in exactly its
-    accumulation order, and {!quantile} mirrors
-    [Wavesyn_aqp.Quantiles.estimate] (same validity checks, same
-    exception messages, same bisection). The serving tier therefore
-    answers byte-identically with fusion on every code path — the
-    property [test/test_adaptive.ml] checks exhaustively and the cram
-    transcripts pin end to end. *)
-
-type plan
+type plan = Wavesyn_synopsis.Synopsis.t
 
 val plan : Wavesyn_synopsis.Synopsis.t -> plan
-(** Flatten the synopsis's retained coefficients (ascending index)
-    with their supports precomputed. O(B) time and space. *)
-
-val n : plan -> int
-(** Domain size of the planned synopsis. *)
-
-val size : plan -> int
-(** Retained coefficients in the plan. *)
+(** The synopsis itself. *)
 
 val range_sum : plan -> lo:int -> hi:int -> float
-(** Bit-identical to [Range_query.range_sum] on the planned synopsis:
-    same [Invalid_argument] on bad bounds, same accumulation order,
-    same result bits. O(B) per call with no support recomputation. *)
+(** [Wavesyn_synopsis.Range_query.range_sum]. *)
 
 val quantile : plan -> q:float -> int
-(** Bit-identical to [Quantiles.estimate] on the planned synopsis:
-    same [Invalid_argument] messages for an out-of-range [q] or a
-    non-positive estimated total, same bisection, same position. *)
+(** [Wavesyn_aqp.Quantiles.estimate]. *)

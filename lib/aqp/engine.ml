@@ -135,49 +135,10 @@ let run_range_workload t ranges =
 let guarantee t metric =
   Metrics.of_synopsis metric ~data:(Relation.frequencies t.relation) t.synopsis
 
-(* --- durable, supervised stores --- *)
+(* --- crash recovery of a supervised store --- *)
 
 module Supervisor = Wavesyn_robust.Supervisor
-module Validate = Wavesyn_robust.Validate
 module Stream_synopsis = Wavesyn_stream.Stream_synopsis
-
-type durable = { sup : Supervisor.t; dir : string }
-
-let open_store ?obs ?trace ?fault ?retry ?retry_attempts ?breaker cfg =
-  match
-    Supervisor.open_store ?obs ?trace ?fault ?retry ?retry_attempts ?breaker
-      cfg
-  with
-  | Error _ as e -> e
-  | Ok sup -> Ok { sup; dir = cfg.Supervisor.dir }
-
-let store_supervisor d = d.sup
-
-let store_ingest d ~i ~delta = Supervisor.ingest d.sup ~i ~delta
-
-let store_engine d =
-  let stream = Supervisor.stream d.sup in
-  let relation =
-    Relation.create ~name:("store:" ^ d.dir)
-      (Stream_synopsis.current_data stream)
-  in
-  (match Supervisor.last_served d.sup with
-  | Some _ -> ()
-  | None -> ignore (Supervisor.recut d.sup));
-  match Supervisor.last_served d.sup with
-  | Some served -> Some { relation; synopsis = served.Ladder.synopsis }
-  | None -> None
-
-let store_close ?(checkpoint = true) d =
-  let result =
-    if checkpoint then
-      match Supervisor.checkpoint d.sup with
-      | Ok _ -> Ok ()
-      | Error _ as e -> e
-    else Ok ()
-  in
-  Supervisor.close d.sup;
-  result
 
 type recovered = {
   engine : t;

@@ -94,43 +94,11 @@ val guarantee : t -> Wavesyn_synopsis.Metrics.error_metric -> float
     the given metric — the deterministic guarantee the paper's
     algorithms optimize. *)
 
-(** {1 Durable stores}
+(** {1 Recovered stores}
 
-    A durable engine persists its streamed state through the
-    {!Wavesyn_robust.Supervisor} — checkpointed snapshots plus a
-    write-ahead journal — so process death loses nothing that was
-    acknowledged. *)
-
-type durable
-
-val open_store :
-  ?obs:Wavesyn_obs.Registry.t ->
-  ?trace:Wavesyn_obs.Trace.sink ->
-  ?fault:Wavesyn_robust.Fault.t ->
-  ?retry:Wavesyn_robust.Retry.policy ->
-  ?retry_attempts:int ->
-  ?breaker:Wavesyn_robust.Retry.Breaker.t ->
-  Wavesyn_robust.Supervisor.config ->
-  (durable, Wavesyn_robust.Validate.error) result
-(** Open (creating or recovering) a durable store — see
-    {!Wavesyn_robust.Supervisor.open_store}, including the [obs]/[trace]
-    observability semantics. *)
-
-val store_supervisor : durable -> Wavesyn_robust.Supervisor.t
-
-val store_ingest :
-  durable -> i:int -> delta:float -> (int, Wavesyn_robust.Validate.error) result
-(** Journal and apply one point update; returns its sequence number. *)
-
-val store_engine : durable -> t option
-(** A query engine over the store's current state and most recent
-    re-cut synopsis (forcing a first re-cut if none has run). [None]
-    only if the ladder could not serve at all. *)
-
-val store_close :
-  ?checkpoint:bool -> durable -> (unit, Wavesyn_robust.Validate.error) result
-(** Clean shutdown: checkpoint (unless [checkpoint:false]) and close
-    the journal. *)
+    A store written through {!Wavesyn_robust.Supervisor} (checkpointed
+    snapshots plus a write-ahead journal) can be reopened read-only as
+    a query engine. *)
 
 type recovered = {
   engine : t;  (** query engine over the recovered state *)

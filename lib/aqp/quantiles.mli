@@ -10,13 +10,29 @@
 val cumulative : Wavesyn_synopsis.Synopsis.t -> int -> float
 (** Estimated cumulative frequency of domain values [0 .. i]. *)
 
+type refusal =
+  | Q_outside  (** [q] is not in [[0, 1]] (NaN included) *)
+  | Total_not_positive  (** the estimated total is [<= 0] *)
+
+val refusal_message : refusal -> string
+(** The one message per refusal, e.g.
+    ["Quantiles: q must be in [0, 1]"]. *)
+
+val search : n:int -> q:float -> (int -> float) -> (int, refusal) result
+(** [search ~n ~q cumulative]: the quantile search every backend runs
+    over its own prefix sums [cumulative i] (cells [0 .. i] of an
+    [n]-cell domain). Refuses a bad [q] before any probe, takes the
+    total as [cumulative (n - 1)], refuses a non-positive total, then
+    bisects for the smallest [i] with [cumulative i >= q * total]
+    (one valid crossing if the prefix sums dip). O(log n) probes. *)
+
 val estimate : Wavesyn_synopsis.Synopsis.t -> q:float -> int
 (** [estimate syn ~q] with [q] in [[0, 1]]: smallest domain value whose
     estimated cumulative frequency is [>= q * total]. Negative
     reconstructed frequencies are tolerated (estimates are monotonized
-    by the binary search on the prefix sums). Raises
-    [Invalid_argument] when [q] is outside [[0,1]] or the estimated
-    total is not positive. *)
+    by the binary search on the prefix sums). {!search} over
+    {!cumulative}; raises [Invalid_argument] with the
+    {!refusal_message} when it refuses. *)
 
 val median : Wavesyn_synopsis.Synopsis.t -> int
 (** [estimate ~q:0.5]. *)

@@ -23,7 +23,6 @@ module Workload = Wavesyn_aqp.Workload
 module Profiler = Wavesyn_adaptive.Profiler
 module Tiers = Wavesyn_adaptive.Tiers
 module Rcache = Wavesyn_adaptive.Rcache
-module Fusion = Wavesyn_adaptive.Fusion
 module Validate = Wavesyn_robust.Validate
 module Ladder = Wavesyn_robust.Ladder
 module Deadline = Wavesyn_robust.Deadline
@@ -161,7 +160,7 @@ type t = {
   on_drain : (unit -> unit) option;
   repl : repl_tele option;
   profiler : Profiler.t option;
-  cache : (string, Wire.reply) Rcache.t option;
+  cache : (Wire.request, Wire.reply) Rcache.t option;
   mutable tiers_state : Tiers.t option;
   mutable epoch : int;
       (* result-cache validity epoch: bumped on every event that can
@@ -504,59 +503,29 @@ let registry t = t.obs
 
 (* --- query evaluation (pure reads of the serving synopsis) --- *)
 
-(* With [plan], range and quantile work goes through the round's
-   shared fusion plan — bit-identical to the per-call path by
-   {!Fusion}'s contract, so the reply stream does not depend on
-   whether a plan was built. *)
-let eval_one ?plan t req =
+let eval_one t req =
   let n = Synopsis.n t.synopsis in
   match req with
-  | Wire.Point i ->
-      if i < 0 || i >= n then
-        Wire.Error
-          {
-            code = Wire.Out_of_range;
-            message = Printf.sprintf "cell %d outside domain [0, %d]" i (n - 1);
-          }
-      else Wire.Value (Synopsis.reconstruct_point t.synopsis i)
+  | Wire.Point i -> (
+      match Wire.point_refusal ~n i with
+      | Some refusal -> refusal
+      | None -> Wire.Value (Synopsis.reconstruct_point t.synopsis i))
   | Wire.Range { lo; hi } -> (
-      let sum () =
-        match plan with
-        | Some p -> Fusion.range_sum p ~lo ~hi
-        | None -> Range_query.range_sum t.synopsis ~lo ~hi
-      in
-      match sum () with
-      | v -> Wire.Value v
-      | exception Invalid_argument _ ->
-          Wire.Error
-            {
-              code = Wire.Out_of_range;
-              message =
-                Printf.sprintf "range [%d, %d] invalid over domain [0, %d]" lo
-                  hi (n - 1);
-            })
-  | Wire.Quantile q -> (
-      let estimate () =
-        match plan with
-        | Some p -> Fusion.quantile p ~q
-        | None -> Quantiles.estimate t.synopsis ~q
-      in
-      match estimate () with
-      | pos -> Wire.Quantile_pos pos
-      | exception Invalid_argument reason ->
-          let code =
-            if q < 0. || q > 1. || Float.is_nan q then Wire.Out_of_range
-            else Wire.Unanswerable
-          in
-          Wire.Error { code; message = reason })
+      match Wire.range_refusal ~n ~lo ~hi with
+      | Some refusal -> refusal
+      | None -> Wire.Value (Range_query.range_sum t.synopsis ~lo ~hi))
+  | Wire.Quantile q ->
+      Wire.of_quantile
+        (Quantiles.search ~n ~q (Quantiles.cumulative t.synopsis))
   | Wire.Ping | Wire.Stats | Wire.Batch _ | Wire.Shutdown | Wire.Sync _
   | Wire.Handoff | Wire.Update _ | Wire.Ingest _ | Wire.Retier _ ->
       Wire.Error { code = Wire.Internal; message = "not an admitted kind" }
 
 (* --- the result cache (RANGE / QUANTILE replies, epoch-guarded) --- *)
 
-(* Keys are the canonical request text, so two requests hit the same
-   entry exactly when their wire forms coincide. Only successful
+(* Keys are the request values themselves, so two requests share an
+   entry exactly when they are equal (QUANTILE q compared bit for bit
+   up to the sign of zero). Only successful
    replies are stored: errors are cheap to recompute and overload
    replies are round state, not synopsis state. *)
 let cacheable_req = function
@@ -570,13 +539,13 @@ let cacheable_reply = function
 let cache_find t req =
   match t.cache with
   | Some c when cacheable_req req ->
-      Rcache.find c ~epoch:t.epoch (Wire.describe_request req)
+      Rcache.find c ~epoch:t.epoch req
   | _ -> None
 
 let cache_store t req reply =
   match t.cache with
   | Some c when cacheable_req req && cacheable_reply reply ->
-      Rcache.add c ~epoch:t.epoch (Wire.describe_request req) reply
+      Rcache.add c ~epoch:t.epoch req reply
   | _ -> ()
 
 (* --- the serving round --- *)
@@ -719,26 +688,10 @@ let apply_one t l ~i ~delta =
    tells the client its resume cursor is the last ACKED sequence). *)
 let storm_reply t l deltas =
   let n = Wavesyn_stream.Stream_synopsis.n (Supervisor.stream l.sup) in
-  let bad =
-    List.find_opt
-      (fun (i, d) -> i < 0 || i >= n || not (Float.is_finite d))
-      deltas
-  in
-  match bad with
-  | Some (i, d) ->
+  match Wire.storm_refusal ~n deltas with
+  | Some refusal ->
       Metric.incr l.tele.c_rejected;
-      if i < 0 || i >= n then
-        Wire.Error
-          {
-            code = Wire.Out_of_range;
-            message = Printf.sprintf "%d: cell out of domain [0, %d)" i n;
-          }
-      else
-        Wire.Error
-          {
-            code = Wire.Bad_request;
-            message = Printf.sprintf "%h: not finite (NaN/Inf)" d;
-          }
+      refusal
   | None ->
       let rec go last = function
         | [] -> Wire.Acked { seq = last }
@@ -972,17 +925,6 @@ and pooled_round t evals =
                | None -> true)
              (Array.to_list evals))
   in
-  (* One fusion plan is shared by every range and quantile in the
-     round — built in the serving thread, immutable under the pool. *)
-  let plan =
-    if
-      Array.exists
-        (fun (_, r) ->
-          match r with Wire.Range _ | Wire.Quantile _ -> true | _ -> false)
-        pending
-    then Some (Fusion.plan t.synopsis)
-    else None
-  in
   let group_of tag =
     Array.of_list
       (List.filter
@@ -1000,7 +942,7 @@ and pooled_round t evals =
     if Array.length group > 0 then begin
       let replies =
         Pool.map_chunked t.pool (Array.length group) (fun i ->
-            eval_one ?plan t (snd group.(i)))
+            eval_one t (snd group.(i)))
       in
       Array.iteri
         (fun i (slot, _) ->
@@ -1011,8 +953,7 @@ and pooled_round t evals =
   in
   (* Ranges additionally dedup: identical spans are evaluated once (in
      first-appearance order) and the reply fanned back to every slot —
-     sound because evaluation is a pure function of the span and the
-     plan. *)
+     sound because evaluation is a pure function of the span. *)
   let range_round () =
     let group = group_of `Range in
     if Array.length group > 0 then begin
@@ -1034,7 +975,7 @@ and pooled_round t evals =
       let uniq = Array.of_list (List.rev !rev_uniq) in
       let replies =
         Pool.map_chunked t.pool (Array.length uniq) (fun j ->
-            eval_one ?plan t uniq.(j))
+            eval_one t uniq.(j))
       in
       Array.iteri
         (fun i (slot, _) ->

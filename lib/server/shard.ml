@@ -21,6 +21,7 @@
 
 module Validate = Wavesyn_robust.Validate
 module Rcache = Wavesyn_adaptive.Rcache
+module Quantiles = Wavesyn_aqp.Quantiles
 
 type range = { lo : int; hi : int }
 
@@ -181,6 +182,11 @@ let call t k req =
 
 exception Routed of Wire.reply
 
+let fetch t k ~lo ~hi =
+  match call t k (Wire.Range { lo; hi }) with
+  | Wire.Value v -> v
+  | other -> raise (Routed other)
+
 (* Shard-local range sum, for the scatter-gather merge paths. Anything
    but a VALUE aborts the merge and surfaces as this request's reply.
 
@@ -192,98 +198,67 @@ exception Routed of Wire.reply
    count is always 1), so a skipped RPC cannot change any shard's
    pressure history. Non-VALUE replies are never memoised. *)
 let value t k ~lo ~hi =
-  let compute () =
-    match call t k (Wire.Range { lo; hi }) with
-    | Wire.Value v -> v
-    | other -> raise (Routed other)
-  in
   match t.memo with
-  | None -> compute ()
+  | None -> fetch t k ~lo ~hi
   | Some memo -> (
       let key = (k, lo, hi) in
       match Rcache.find memo ~epoch:t.memo_epoch key with
       | Some v -> v
       | None ->
-          let v = compute () in
+          let v = fetch t k ~lo ~hi in
           Rcache.add memo ~epoch:t.memo_epoch key v;
           v)
 
-(* Mirror of [Quantiles.estimate] over composed per-shard prefix sums:
-   same validity checks, same messages, same bisection — [cumulative]
-   at a global index is the full totals of the shards before the owner
-   plus the owner's local prefix, accumulated in shard-index order. *)
+(* [Quantiles.search] over composed per-shard prefix sums: the prefix
+   at a global index is the full totals of the shards before its owner,
+   accumulated in shard-index order, plus the owner's local prefix.
+   Totals are fetched on first use; the search's first probe is the
+   last cell, so they arrive in shard-index order before any bisection
+   probe, and that probe's sum is the sum of all totals. *)
 let quantile t q =
-  if q < 0. || q > 1. then
-    Wire.Error
-      {
-        code = Wire.Out_of_range;
-        message = "Quantiles: q must be in [0, 1]";
-      }
-  else begin
-    let totals =
-      Array.mapi (fun k r -> value t k ~lo:0 ~hi:(r.hi - r.lo)) t.ranges
-    in
-    let total = Array.fold_left ( +. ) 0. totals in
-    if total <= 0. then
-      let code =
-        if Float.is_nan q then Wire.Out_of_range else Wire.Unanswerable
-      in
-      Wire.Error { code; message = "Quantiles: estimated total is not positive" }
-    else begin
-      let target = q *. total in
-      let cumulative mid =
-        let k = owner t mid in
-        let before = ref 0. in
-        for j = 0 to k - 1 do
-          before := !before +. totals.(j)
-        done;
-        !before +. value t k ~lo:0 ~hi:(mid - t.ranges.(k).lo)
-      in
-      let lo = ref 0 and hi = ref (t.n - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cumulative mid >= target then hi := mid else lo := mid + 1
-      done;
-      Wire.Quantile_pos !lo
-    end
-  end
+  let totals = Array.make (Array.length t.ranges) None in
+  let total k =
+    match totals.(k) with
+    | Some v -> v
+    | None ->
+        let v = value t k ~lo:0 ~hi:(t.ranges.(k).hi - t.ranges.(k).lo) in
+        totals.(k) <- Some v;
+        v
+  in
+  let cumulative i =
+    let k = owner t i in
+    let before = ref 0. in
+    for j = 0 to k - 1 do
+      before := !before +. total j
+    done;
+    !before +. value t k ~lo:0 ~hi:(i - t.ranges.(k).lo)
+  in
+  Wire.of_quantile (Quantiles.search ~n:t.n ~q cumulative)
 
 let eval t req =
   try
     match req with
-    | Wire.Point i ->
-        if i < 0 || i >= t.n then
-          Wire.Error
-            {
-              code = Wire.Out_of_range;
-              message =
-                Printf.sprintf "cell %d outside domain [0, %d]" i (t.n - 1);
-            }
-        else
-          let k = owner t i in
-          call t k (Wire.Point (i - t.ranges.(k).lo))
-    | Wire.Range { lo; hi } ->
-        if lo < 0 || hi >= t.n || lo > hi then
-          Wire.Error
-            {
-              code = Wire.Out_of_range;
-              message =
-                Printf.sprintf "range [%d, %d] invalid over domain [0, %d]" lo
-                  hi (t.n - 1);
-            }
-        else begin
-          let acc = ref 0. in
-          Array.iteri
-            (fun k r ->
-              if r.hi >= lo && r.lo <= hi then
-                acc :=
-                  !acc
-                  +. value t k
-                       ~lo:(Stdlib.max lo r.lo - r.lo)
-                       ~hi:(Stdlib.min hi r.hi - r.lo))
-            t.ranges;
-          Wire.Value !acc
-        end
+    | Wire.Point i -> (
+        match Wire.point_refusal ~n:t.n i with
+        | Some refusal -> refusal
+        | None ->
+            let k = owner t i in
+            call t k (Wire.Point (i - t.ranges.(k).lo)))
+    | Wire.Range { lo; hi } -> (
+        match Wire.range_refusal ~n:t.n ~lo ~hi with
+        | Some refusal -> refusal
+        | None ->
+            let acc = ref 0. in
+            Array.iteri
+              (fun k r ->
+                if r.hi >= lo && r.lo <= hi then
+                  acc :=
+                    !acc
+                    +. value t k
+                         ~lo:(Stdlib.max lo r.lo - r.lo)
+                         ~hi:(Stdlib.min hi r.hi - r.lo))
+              t.ranges;
+            Wire.Value !acc)
     | Wire.Quantile q -> quantile t q
     | _ -> Wire.Error { code = Wire.Internal; message = "not an admitted kind" }
   with Routed reply -> reply
@@ -298,24 +273,8 @@ let eval t req =
    reply tells the client its resume cursor, exactly as a mid-storm
    journal failure does unsharded). *)
 let ingest t deltas =
-  match
-    List.find_opt
-      (fun (i, d) -> i < 0 || i >= t.n || not (Float.is_finite d))
-      deltas
-  with
-  | Some (i, d) ->
-      if i < 0 || i >= t.n then
-        Wire.Error
-          {
-            code = Wire.Out_of_range;
-            message = Printf.sprintf "%d: cell out of domain [0, %d)" i t.n;
-          }
-      else
-        Wire.Error
-          {
-            code = Wire.Bad_request;
-            message = Printf.sprintf "%h: not finite (NaN/Inf)" d;
-          }
+  match Wire.storm_refusal ~n:t.n deltas with
+  | Some refusal -> refusal
   | None ->
       let subs = Array.make (Array.length t.ranges) [] in
       List.iter

@@ -17,6 +17,7 @@
    oversized length or CRC mismatch is [`Corrupt], never a guess. *)
 
 module Crc32 = Wavesyn_util.Crc32
+module Quantiles = Wavesyn_aqp.Quantiles
 
 type error_code =
   | Bad_request
@@ -562,3 +563,59 @@ let render_text_reply = function
       let s = if s <> "" && s.[String.length s - 1] <> '\n' then s ^ "\n" else s in
       s ^ "END\n"
   | r -> describe_reply r ^ "\n"
+
+(* --- refusals every backend shares --- *)
+
+let point_refusal ~n i =
+  if i < 0 || i >= n then
+    Some
+      (Error
+         {
+           code = Out_of_range;
+           message = Printf.sprintf "cell %d outside domain [0, %d]" i (n - 1);
+         })
+  else None
+
+let range_refusal ~n ~lo ~hi =
+  if lo < 0 || hi >= n || lo > hi then
+    Some
+      (Error
+         {
+           code = Out_of_range;
+           message =
+             Printf.sprintf "range [%d, %d] invalid over domain [0, %d]" lo hi
+               (n - 1);
+         })
+  else None
+
+let of_quantile = function
+  | Ok pos -> Quantile_pos pos
+  | Stdlib.Error r ->
+      let code =
+        match r with
+        | Quantiles.Q_outside -> Out_of_range
+        | Quantiles.Total_not_positive -> Unanswerable
+      in
+      Error { code; message = Quantiles.refusal_message r }
+
+let storm_refusal ~n deltas =
+  match
+    List.find_opt
+      (fun (i, d) -> i < 0 || i >= n || not (Float.is_finite d))
+      deltas
+  with
+  | None -> None
+  | Some (i, _) when i < 0 || i >= n ->
+      Some
+        (Error
+           {
+             code = Out_of_range;
+             message = Printf.sprintf "%d: cell out of domain [0, %d)" i n;
+           })
+  | Some (_, d) ->
+      Some
+        (Error
+           {
+             code = Bad_request;
+             message = Printf.sprintf "%h: not finite (NaN/Inf)" d;
+           })

@@ -170,3 +170,27 @@ val render_text_reply : reply -> string
 (** Text-mode rendering, newline-terminated. [Stats_text] emits the
     table body followed by an ["END"] line; everything else is the
     single {!describe_reply} line. *)
+
+(** {1 Refusals}
+
+    The read and storm refusals every backend (in-memory, live store,
+    sharded router) answers with, defined once so their messages are
+    byte-identical across backends. Each is [None] when the request is
+    in bounds. *)
+
+val point_refusal : n:int -> int -> reply option
+(** POINT [i] outside [[0, n)]: ["cell 9 outside domain [0, 7]"]. *)
+
+val range_refusal : n:int -> lo:int -> hi:int -> reply option
+(** RANGE [lo hi] empty or outside [[0, n)]:
+    ["range [5, 2] invalid over domain [0, 7]"]. *)
+
+val of_quantile : (int, Wavesyn_aqp.Quantiles.refusal) result -> reply
+(** A {!Wavesyn_aqp.Quantiles.search} result on the wire: the position,
+    or the refusal's message as [Out_of_range] (bad [q]) or
+    [Unanswerable] (non-positive total). *)
+
+val storm_refusal : n:int -> (int * float) list -> reply option
+(** An INGEST storm's validation over an [n]-cell domain: the first
+    delta whose cell is outside [[0, n)] ([Out_of_range]) or whose
+    value is not finite ([Bad_request]) rejects the whole storm. *)

@@ -4,7 +4,38 @@ module Md_tree = Wavesyn_haar.Md_tree
 module Ndarray = Wavesyn_util.Ndarray
 module Float_util = Wavesyn_util.Float_util
 
-type t = { n : int; coeffs : (int * float) list }
+type supports = {
+  value : float array;
+  start : int array;
+  mid : int array;
+  stop : int array;
+}
+
+type t = { n : int; coeffs : (int * float) list; supports : supports }
+
+(* Each retained coefficient's value and Haar support, hoisted out of
+   the range-sum loop: computed once here instead of once per query.
+   The average c0 gets [0, n) with its midpoint at n, so the detail
+   formula gives it exactly [c * width]. *)
+let supports_of ~n coeffs =
+  let k = List.length coeffs in
+  let s =
+    {
+      value = Array.make k 0.;
+      start = Array.make k 0;
+      mid = Array.make k 0;
+      stop = Array.make k 0;
+    }
+  in
+  List.iteri
+    (fun t (j, c) ->
+      let a, b = Haar1d.support ~n j in
+      s.value.(t) <- c;
+      s.start.(t) <- a;
+      s.mid.(t) <- (if j = 0 then b else (a + b) / 2);
+      s.stop.(t) <- b)
+    coeffs;
+  s
 
 let make ~n coeffs =
   if not (Float_util.is_pow2 n) then
@@ -23,7 +54,7 @@ let make ~n coeffs =
     | _ -> ()
   in
   check_dups sorted;
-  { n; coeffs = sorted }
+  { n; coeffs = sorted; supports = supports_of ~n sorted }
 
 let of_wavelet ~wavelet indices =
   let n = Array.length wavelet in
@@ -32,6 +63,7 @@ let of_wavelet ~wavelet indices =
 let n t = t.n
 let size t = List.length t.coeffs
 let coeffs t = t.coeffs
+let supports t = t.supports
 let mem t i = List.exists (fun (j, _) -> j = i) t.coeffs
 
 let reconstruct_point t i = Haar1d.point_from_set ~n:t.n t.coeffs i

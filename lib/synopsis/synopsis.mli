@@ -27,6 +27,21 @@ val size : t -> int
 val coeffs : t -> (int * float) list
 (** Retained coefficients, sorted by index. *)
 
+type supports = {
+  value : float array;  (** coefficient value *)
+  start : int array;  (** first cell of the support *)
+  mid : int array;  (** first cell of the negative half *)
+  stop : int array;  (** one past the last cell of the support *)
+}
+(** The retained coefficients as parallel arrays in ascending index
+    order, each with its {!Wavesyn_haar.Haar1d.support} [[start, stop)]
+    and midpoint, computed once by {!make}. The average [c0] has no
+    negative half: its midpoint is [stop = n]. Read-only: the arrays
+    are shared with the synopsis. *)
+
+val supports : t -> supports
+(** Flat per-coefficient view that {!Range_query.range_sum} walks. O(1). *)
+
 val mem : t -> int -> bool
 (** Is this coefficient index retained? *)
 

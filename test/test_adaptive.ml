@@ -1,6 +1,6 @@
 (* Workload-adaptive serving suite: the shared mix string form, the
    workload profiler, pre-cut tier ladders, the epoch-keyed result
-   cache, batch fusion's bit-identity contract, the sharded router's
+   cache, the sharded router's
    sub-range memo at quantile shard boundaries, and the end-to-end
    cache-on/cache-off transcript byte-identity proof over live
    sockets.
@@ -22,7 +22,6 @@ module Pool = Wavesyn_par.Pool
 module Profiler = Wavesyn_adaptive.Profiler
 module Tiers = Wavesyn_adaptive.Tiers
 module Rcache = Wavesyn_adaptive.Rcache
-module Fusion = Wavesyn_adaptive.Fusion
 module Wire = Wavesyn_server.Wire
 module Shard = Wavesyn_server.Shard
 module Server = Wavesyn_server.Server
@@ -216,59 +215,6 @@ let test_rcache () =
     (match Rcache.create ~cap:0 () with
     | exception Invalid_argument _ -> true
     | _ -> false)
-
-(* --- batch fusion bit-identity --- *)
-
-let test_fusion_bit_identity () =
-  let rng = Prng.create ~seed:42 in
-  List.iter
-    (fun (n, budget) ->
-      let data = Array.init n (fun _ -> Prng.float rng 8.0 +. 0.25) in
-      let served =
-        must (Ladder.serve ~epsilon:0.25 ~top:`Greedy ~data ~budget Metrics.Abs)
-      in
-      let syn = served.Ladder.synopsis in
-      let plan = Fusion.plan syn in
-      checki "plan n" n (Fusion.n plan);
-      checki "plan size" (Synopsis.size syn) (Fusion.size plan);
-      (* Every range: identical bits, not merely close. *)
-      for lo = 0 to n - 1 do
-        for hi = lo to n - 1 do
-          let a = Range_query.range_sum syn ~lo ~hi in
-          let b = Fusion.range_sum plan ~lo ~hi in
-          if Int64.bits_of_float a <> Int64.bits_of_float b then
-            Alcotest.fail
-              (Printf.sprintf "range [%d, %d]: %h <> %h (n=%d b=%d)" lo hi a b
-                 n budget)
-        done
-      done;
-      (* A quantile grid: identical positions. *)
-      List.iter
-        (fun q ->
-          checki
-            (Printf.sprintf "quantile %g (n=%d b=%d)" q n budget)
-            (Quantiles.estimate syn ~q)
-            (Fusion.quantile plan ~q))
-        [ 0.; 0.01; 0.25; 0.5; 0.75; 0.99; 1. ])
-    [ (16, 4); (16, 16); (64, 7); (64, 64); (128, 13) ];
-  (* Same validity surface, same messages. *)
-  let data = exact_data 16 in
-  let served =
-    must (Ladder.serve ~epsilon:0.25 ~top:`Minmax ~data ~budget:16 Metrics.Abs)
-  in
-  let plan = Fusion.plan served.Ladder.synopsis in
-  let msg f = match f () with
-    | exception Invalid_argument m -> m
-    | _ -> Alcotest.fail "expected Invalid_argument"
-  in
-  checks "bad bounds message" "Range_query: invalid range bounds"
-    (msg (fun () -> Fusion.range_sum plan ~lo:3 ~hi:2));
-  checks "bad q message" "Quantiles: q must be in [0, 1]"
-    (msg (fun () -> Fusion.quantile plan ~q:1.5));
-  let zero = Fusion.plan (Synopsis.make ~n:8 []) in
-  checks "non-positive total message"
-    "Quantiles: estimated total is not positive"
-    (msg (fun () -> Fusion.quantile zero ~q:0.5))
 
 (* --- the sharded router's sub-range memo --- *)
 
@@ -562,8 +508,6 @@ let () =
           Alcotest.test_case "shard memo quantiles" `Quick
             test_shard_memo_quantiles;
         ] );
-      ( "fusion",
-        [ Alcotest.test_case "bit identity" `Quick test_fusion_bit_identity ] );
       ( "serving",
         [
           Alcotest.test_case "cache transcripts" `Quick

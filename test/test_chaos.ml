@@ -351,24 +351,23 @@ let test_matrix_is_deterministic () =
   checki "same checkpoint count" cp1 cp2;
   checki "same failure count" cf1 cf2
 
-(* --- the engine-level store API over the same machinery --- *)
+(* --- the engine's recovery over a supervised store --- *)
 
 let test_engine_store_roundtrip () =
   let n = 32 and m = 30 in
   let ups = gen_updates ~n ~m ~seed:13 in
   with_store (fun dir ->
-      let store = must (Engine.open_store (cfg ~recut_every:16 dir ~n)) in
+      let sup = must (Supervisor.open_store (cfg ~recut_every:16 dir ~n)) in
       Array.iter
-        (fun (i, delta) -> ignore (must (Engine.store_ingest store ~i ~delta)))
+        (fun (i, delta) -> ignore (must (Supervisor.ingest sup ~i ~delta)))
         ups;
-      (match Engine.store_engine store with
-      | Some eng ->
-          let g = Engine.guarantee eng Metrics.Abs in
-          check "store engine guarantee is finite" true (Float.is_finite g)
-      | None -> Alcotest.fail "store engine must serve");
-      (match Engine.store_close store with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail (Validate.to_string e));
+      (match Supervisor.last_served sup with
+      | Some served ->
+          check "served guarantee is finite" true
+            (Float.is_finite served.Ladder.max_err)
+      | None -> Alcotest.fail "the store must have served a re-cut");
+      ignore (must (Supervisor.checkpoint sup));
+      Supervisor.close sup;
       match Engine.recover ~dir () with
       | Error e -> Alcotest.fail (Validate.to_string e)
       | Ok r ->

@@ -180,6 +180,21 @@ let test_quantiles_validation () =
   Alcotest.check_raises "q out of range"
     (Invalid_argument "Quantiles: q must be in [0, 1]")
     (fun () -> ignore (Quantiles.estimate syn ~q:1.5));
+  (* NaN is outside [0, 1] too, for the estimate and the reference. *)
+  Alcotest.check_raises "q NaN"
+    (Invalid_argument "Quantiles: q must be in [0, 1]")
+    (fun () -> ignore (Quantiles.estimate syn ~q:Float.nan));
+  Alcotest.check_raises "exact q NaN"
+    (Invalid_argument "Quantiles: q must be in [0, 1]")
+    (fun () -> ignore (Quantiles.exact [| 1.; 1. |] ~q:Float.nan));
+  (* [search] refuses a bad q before probing anything. *)
+  let probed = ref false in
+  check "search refuses NaN unprobed" true
+    (Quantiles.search ~n:8 ~q:Float.nan (fun _ ->
+         probed := true;
+         1.)
+     = Error Quantiles.Q_outside
+    && not !probed);
   let zero = Synopsis.make ~n:8 [] in
   Alcotest.check_raises "zero total"
     (Invalid_argument "Quantiles: estimated total is not positive")

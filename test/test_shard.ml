@@ -319,7 +319,8 @@ let test_partition_map () =
 (* Spawn one static shard server per range plus a scatter-gather
    front-end over client connections to them; hand [f] the public
    path, then tear the whole topology down. *)
-let with_sharded_topology ?(queue_bound = 64) ~domains ~budget ~data ~shards f =
+let with_sharded_topology ?(queue_bound = 64) ?cache ~domains ~budget ~data
+    ~shards f =
   let n = Array.length data in
   let ranges = must_s (Shard.split ~n ~shards) in
   let shard_paths = List.map (fun _ -> sock_path ()) ranges in
@@ -340,7 +341,7 @@ let with_sharded_topology ?(queue_bound = 64) ~domains ~budget ~data ~shards f =
   let front_path = sock_path () in
   let front =
     Server.create ~pool ~router
-      (Server.config ~budget ~queue_bound ~path:front_path data)
+      (Server.config ~budget ~queue_bound ?cache ~path:front_path data)
   in
   let front_runner = spawn_server front in
   Fun.protect
@@ -511,6 +512,56 @@ let test_overload_parity () =
     ref_lines got_lines;
   checki "same shed count" reference_summary.Loadgen.overloads
     summary.Loadgen.overloads
+
+(* --- refusals and cache keys, on every read backend --- *)
+
+(* Run [f] against an unsharded server and a 2-shard front-end over
+   the same data, tagging each run. *)
+let on_both_backends ?cache data f =
+  let n = Array.length data in
+  let path = sock_path () in
+  let runner =
+    spawn_server (Server.create (Server.config ~budget:n ?cache ~path data))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      shutdown_via path;
+      join_server runner)
+    (fun () -> f "unsharded" path);
+  with_sharded_topology ?cache ~domains:1 ~budget:n ~data ~shards:2
+    (f "2 shards")
+
+(* NaN is not in [0, 1]: every backend refuses it as out of range
+   instead of bisecting to the last cell. *)
+let test_quantile_nan_refused () =
+  on_both_backends [| 1.; 1. |] @@ fun tag path ->
+  check_sl ("QUANTILE nan refused, " ^ tag)
+    [
+      "ERROR out-of-range Quantiles: q must be in [0, 1]";
+      "ERROR out-of-range Quantiles: q must be in [0, 1]";
+    ]
+    (ask path [ Wire.Quantile Float.nan; Wire.Quantile (-.Float.nan) ])
+
+(* Two QUANTILEs whose q print alike under %g answer differently; the
+   result cache must tell them apart, so cache-on replies equal
+   cache-off replies. *)
+let test_cache_keys_on_request_value () =
+  let reqs = [ Wire.Quantile 0.5; Wire.Quantile 0.5000001; Wire.Quantile 0.5 ] in
+  let replies cache =
+    let got = ref [] in
+    on_both_backends ~cache [| 1.; 1. |] (fun tag path ->
+        got := (tag, ask path reqs) :: !got);
+    List.rev !got
+  in
+  let off = replies false and on = replies true in
+  List.iter
+    (fun (tag, r) ->
+      check_sl ("cache-off replies, " ^ tag) [ "QPOS 0"; "QPOS 1"; "QPOS 0" ] r)
+    off;
+  List.iter2
+    (fun (tag, r_off) (_, r_on) ->
+      check_sl ("cache-on = cache-off, " ^ tag) r_off r_on)
+    off on
 
 (* --- the sharded failover chaos proof --- *)
 
@@ -792,6 +843,13 @@ let () =
           Alcotest.test_case "overload parity" `Quick test_overload_parity;
           Alcotest.test_case "router refuses store and tiers" `Quick
             test_router_refuses_store_and_tiers;
+        ] );
+      ( "refusals and cache keys",
+        [
+          Alcotest.test_case "quantile nan refused" `Quick
+            test_quantile_nan_refused;
+          Alcotest.test_case "cache keys on request value" `Quick
+            test_cache_keys_on_request_value;
         ] );
       ( "failover",
         [

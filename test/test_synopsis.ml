@@ -194,6 +194,56 @@ let test_range_server_hot_path_corners () =
   checkf "empty synopsis sums to zero" 0.
     (Range_query.range_sum empty ~lo:0 ~hi:7)
 
+(* The supports a synopsis carries are each coefficient's Haar
+   support, and the range sum walking them is bit-identical to the
+   closed form recomputed from scratch per coefficient. *)
+let test_range_sum_supports () =
+  let rng = Prng.create ~seed:42 in
+  List.iter
+    (fun (n, budget) ->
+      let wavelet =
+        Haar1d.decompose (Array.init n (fun _ -> Prng.float rng 8. +. 0.25))
+      in
+      let syn =
+        Synopsis.of_wavelet ~wavelet
+          (List.init budget (fun _ -> Prng.int rng n) |> List.sort_uniq compare)
+      in
+      let s = Synopsis.supports syn in
+      List.iteri
+        (fun t (j, c) ->
+          let a, b = Haar1d.support ~n j in
+          check "support entry" true
+            (Float.equal s.Synopsis.value.(t) c
+            && s.Synopsis.start.(t) = a
+            && s.Synopsis.mid.(t) = (if j = 0 then b else (a + b) / 2)
+            && s.Synopsis.stop.(t) = b))
+        (Synopsis.coeffs syn);
+      let overlap a b c d = max 0 (min b d - max a c) in
+      let reference ~lo ~hi =
+        List.fold_left
+          (fun acc (j, c) ->
+            acc
+            +.
+            if j = 0 then c *. float_of_int (hi - lo + 1)
+            else begin
+              let a, b = Haar1d.support ~n j in
+              let mid = (a + b) / 2 in
+              c
+              *. float_of_int
+                   (overlap lo (hi + 1) a mid - overlap lo (hi + 1) mid b)
+            end)
+          0. (Synopsis.coeffs syn)
+      in
+      for lo = 0 to n - 1 do
+        for hi = lo to n - 1 do
+          let a = reference ~lo ~hi and b = Range_query.range_sum syn ~lo ~hi in
+          if Int64.bits_of_float a <> Int64.bits_of_float b then
+            Alcotest.failf "range [%d, %d]: %h <> %h (n=%d b=%d)" lo hi a b n
+              budget
+        done
+      done)
+    [ (1, 1); (16, 4); (16, 16); (64, 7); (64, 64); (128, 13) ]
+
 let test_selectivity_zero_total () =
   let s = Synopsis.make ~n:8 [] in
   checkf "zero total" 0. (Range_query.selectivity s ~lo:0 ~hi:3)
@@ -355,6 +405,8 @@ let () =
           Alcotest.test_case "server hot-path corners" `Quick
             test_range_server_hot_path_corners;
           Alcotest.test_case "zero total" `Quick test_selectivity_zero_total;
+          Alcotest.test_case "supports bit identity" `Quick
+            test_range_sum_supports;
           Alcotest.test_case "md full synopsis" `Quick test_md_range_sum_full_synopsis;
           QCheck_alcotest.to_alcotest prop_range_sum_matches_reconstruction;
           QCheck_alcotest.to_alcotest prop_md_range_matches_reconstruction;
