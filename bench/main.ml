@@ -142,7 +142,10 @@ let ablation_tests =
   let data = signal 128 in
   [
     Test.make ~name:"E12/minmax-topdown:128"
-      (Staged.stage (fun () -> ignore (Minmax_dp.solve ~data ~budget:12 Metrics.Abs)));
+      (Staged.stage (fun () ->
+           ignore
+             (Minmax_dp.solve ~impl:Minmax_dp.Reference ~data ~budget:12
+                Metrics.Abs)));
     Test.make ~name:"E12/minmax-linear-split:128"
       (Staged.stage (fun () ->
            ignore
@@ -150,7 +153,7 @@ let ablation_tests =
                 Metrics.Abs)));
     Test.make ~name:"E12/minmax-bottomup:128"
       (Staged.stage (fun () ->
-           ignore (Wavesyn_core.Minmax_bottomup.solve ~data ~budget:12 Metrics.Abs)));
+           ignore (Minmax_dp.solve ~data ~budget:12 Metrics.Abs)));
     Test.make ~name:"E12/multi-measure-3x64"
       (Staged.stage
          (let measures = Array.init 3 (fun _ -> signal 64) in

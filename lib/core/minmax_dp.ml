@@ -12,7 +12,12 @@ type split_strategy = Binary_search | Linear_scan
 
 type impl = Flat | Reference
 
-type result = { max_err : float; synopsis : Synopsis.t; dp_states : int }
+type result = {
+  max_err : float;
+  synopsis : Synopsis.t;
+  dp_states : int;
+  working_cells : int;
+}
 
 type entry = { value : float; retained : bool; left_allot : int }
 
@@ -110,12 +115,21 @@ let solve_tree_reference ~split ~cap_budget ~on_state ~tree ~budget metric =
     end
   in
   let max_err = solve 0 budget 0 0. in
-  (* Retrace the memoized choices to materialize the synopsis. *)
+  (* Retrace the memoized choices to materialize the synopsis. A split
+     whose candidates are all [+inf] (non-finite input) chooses [b' =
+     0], which its bisection may not have probed: such a state is
+     solved on the way down. *)
   let rec trace j b mask incoming acc =
     if j >= n then acc
     else begin
       let b = cap j b in
-      let e = Hashtbl.find memo (j, b, mask) in
+      let key = (j, b, mask) in
+      let e =
+        try Hashtbl.find memo key
+        with Not_found ->
+          ignore (solve j b mask incoming);
+          Hashtbl.find memo key
+      in
       let c = coeffs.(j) in
       let bit = 1 lsl Error_tree.depth tree j in
       if e.retained then begin
@@ -145,331 +159,332 @@ let solve_tree_reference ~split ~cap_budget ~on_state ~tree ~budget metric =
   Log.debug (fun m ->
       m "solved n=%d budget=%d states=%d max_err=%g" n budget
         (Hashtbl.length memo) max_err);
-  { max_err; synopsis; dp_states = Hashtbl.length memo }
+  let states = Hashtbl.length memo in
+  { max_err; synopsis; dp_states = states; working_cells = states }
 
-(* --- the flat kernel ---
+(* --- the bottom-up kernel ---
 
-   Same recurrence, same evaluation order (bit-identical results, the
-   same dp_states count, the same fresh states in the same order), but
-   the memo is contiguous storage and computing a state allocates
-   nothing:
+   The reference recurrence with the same float operations, evaluated
+   bottom-up in Theorem 3.1's working space instead of a memo table:
 
-   - [probe j b mask d] returns an int index into the unboxed [cells]
-     array, never a float (a float result would be boxed on every
-     call). A leaf's error goes to the reserved scratch cell 0, from
-     per-leaf precomputed denominators; callers read a probe's value
-     before the next probe.
-   - The incoming reconstruction of the node at recursion depth [d] is
-     [inc.(d)]. A parent sets [inc.(d + 1)] before each child probe —
-     [incoming +. c] / [incoming -. c], the very additions the
-     reference kernel makes — so no float crosses a call boundary.
-   - The budget split (bisection, or the E12 linear scan) and the
-     candidate compare are loops in [decide]; [pair] leaves the two
-     children's values in the per-depth [left_v]/[right_v] slots, and
-     computes leaf children in place instead of probing them.
-   - A state is one float cell holding its value; [-1.] marks an
-     unvisited state (an error is never negative). The choice behind a
-     value is not stored: the retrace re-runs [decide] on the O(n)
-     states along the optimal path, whose children are all computed by
-     then, so it re-derives the same choice from memo hits.
-   - Each (node, ancestor-mask) budget row starts at a base index.
-     Dense layout, when the whole table (sum over nodes of
-     [2^depth * row_width] states) fits under [dense_limit]: one
-     preallocated table ordered by depth, then mask, then node, so the
-     two children a split compares have adjacent rows; the base is
-     [node_off.(j) + mask * stride.(j)]. Spill layout otherwise: rows
-     carved on first touch from a doubling arena, their base found by
-     the int key [(mask lsl node_bits) lor j].
+   - Forward pass. Nodes are computed in post-order, each one's whole
+     row (every ancestor mask, every budget) from its two children's
+     rows. A row lives in one of two arena slots at its depth (the
+     parent's left or right child), so the arena holds at most
+     [4 n log2 n] cells with the budget cap. The incoming
+     reconstructions of a node's masks are built root-down, one array
+     per depth, with the [+. c] / [-. c] additions the reference
+     kernel makes. A node above two leaves computes their errors in
+     place: every split of its budget then has the same value. A
+     mask's row stops where its budget plus its retained ancestors
+     would exceed the root's budget: past that, no cell is reachable.
+   - Split search. A cell is never NaN (a split folds its candidates
+     with strict [<] from [+inf]) and a row is exactly non-increasing
+     in the budget (cells are mins and maxes of leaf errors, with no
+     rounding). So the bisection's crossover [lo] for total [t + 1] is
+     [lo t] or [lo t + 1], one comparison per cell finds it, and
+     comparing the candidates [lo] then [lo - 1] with strict [<]
+     gives the bisection's value. [Linear_scan] and
+     [cap_budget:false] run the reference split on each cell instead
+     (E12 times them).
+   - Retrace. Choices are not stored. Each node on the retrace
+     rebuilds its children's rows for its own ancestor prefix (two
+     masks per child) and re-runs the reference split on its one
+     cell, so it makes the reference kernel's choice, tie-breaks
+     included. Summed over the tree this is at most one more forward
+     pass. With a zero root budget nothing can be retained, and there
+     is no retrace.
 
-   See docs/KERNELS.md for the layout contract and its measured
-   effect. *)
-
-let default_dense_limit = 1 lsl 22
-
-type table = {
-  mutable cells : float array;
-  mutable used : int;  (** spill layout: the arena's first free cell *)
-}
-
-let grow t need =
-  let cap = ref (Array.length t.cells) in
-  while !cap < need do
-    cap := 2 * !cap
-  done;
-  let cells = Array.make !cap (-1.) in
-  Array.blit t.cells 0 cells 0 t.used;
-  t.cells <- cells
+   Every computed cell, forward and retrace, is one [on_state] call
+   and one [dp_states]. See docs/KERNELS.md. *)
 
 let[@inline] leaf_error x incoming denom = Float.abs (x -. incoming) /. denom
 
-let solve_tree_flat ~split ~cap_budget ~on_state ~dense_limit ~tree ~budget
-    metric =
+(* Row cells are never NaN, so a plain comparison is [Float.max]. *)
+let[@inline] fmax (x : float) y = if x >= y then x else y
+
+(* The split of a node above two leaves with errors [l] and [r]: every
+   candidate has value [Float.max l r], which the strict-[<] fold from
+   [+inf] keeps unless it is NaN. *)
+let[@inline] leaf_split (l : float) r =
+  if l >= r then l else if l < r then r else Float.infinity
+
+let solve_tree_flat ~split ~cap_budget ~on_state ~tree ~budget metric =
   let n = Error_tree.n tree in
-  let coeffs = Error_tree.coeffs tree in
-  let data = Error_tree.data tree in
+  let coeffs = Error_tree.coeffs tree and data = Error_tree.data tree in
   let denoms = Array.map (Metrics.denominator metric) data in
-  (* Row width per node: the budget coordinate is capped at the
-     subtree's coefficient count (default) or runs to the full budget
-     (uncapped ablation). Either way it depends on the depth only. *)
-  let widths =
-    Array.init n (fun j ->
+  let levels = Float_util.floor_log2 n in
+  (* Row width at depth [d]: the budget coordinate runs to the
+     subtree's coefficient count (capped) or to the full budget. *)
+  let width =
+    Array.init (levels + 1) (fun d ->
+        let j = if d = 0 then 0 else 1 lsl (d - 1) in
         (if cap_budget then
            Int.min budget (Error_tree.subtree_coeff_count tree j)
          else budget)
         + 1)
   in
-  let depths = Array.init n (fun j -> Error_tree.depth tree j) in
-  let node_bits =
-    let b = ref 1 in
-    while 1 lsl !b < n do incr b done;
-    !b
-  in
-  (* Predicted dense size in states; [-1] when it overflows the limit
-     and rows must be carved lazily instead. *)
-  let dense_total =
-    let t = ref 0 in
-    (try
-       for j = 0 to n - 1 do
-         t := !t + ((1 lsl depths.(j)) * widths.(j));
-         if !t > dense_limit then raise Exit
-       done
-     with Exit -> t := -1);
-    !t
-  in
-  let dense = dense_total >= 0 in
-  (* Cell 0 is the leaf scratch cell; rows start at cell 1. Depth
-     [D >= 1] holds the [2^(D-1)] nodes from [2^(D-1)]; the root is
-     alone at depth 0. *)
-  let node_off = Array.make (if dense then n else 0) 0 in
-  let stride = Array.make (if dense then n else 0) 0 in
-  if dense then begin
-    let base = ref 1 in
-    for j = 0 to n - 1 do
-      let d = depths.(j) in
-      let first = if j = 0 then 0 else 1 lsl (d - 1) in
-      let count = Int.max 1 first in
-      node_off.(j) <- !base + ((j - first) * widths.(j));
-      stride.(j) <- count * widths.(j);
-      if j = first + count - 1 then
-        base := !base + ((1 lsl d) * count * widths.(j))
+  (* Arena slot [2d + side]: the row of the depth-[d] node that is its
+     parent's left ([side] 0) or right child, mask-major. *)
+  let slot = Array.make (2 * (levels + 1)) 0 in
+  let cells = ref 0 in
+  for d = 1 to levels do
+    for side = 0 to 1 do
+      slot.((2 * d) + side) <- !cells;
+      cells := !cells + ((1 lsl d) * width.(d))
     done
-  end;
-  let t =
-    { cells = Array.make (1 + if dense then dense_total else 4096) (-1.);
-      used = 1 }
-  in
-  let rows : (int, int) Hashtbl.t = Hashtbl.create (if dense then 1 else 4096) in
-  let spill_row j mask =
-    let key = (mask lsl node_bits) lor j in
-    match Hashtbl.find rows key with
-    | base -> base
-    | exception Not_found ->
-        let base = t.used in
-        let need = base + widths.(j) in
-        if need > Array.length t.cells then grow t need;
-        t.used <- need;
-        Hashtbl.add rows key base;
-        base
-  in
-  (* Per recursion depth: the incoming reconstruction, [pair]'s
-     left/right child values and the split's running best. Leaves sit
-     at depth [log2 n + 1]. *)
-  let inc = Array.make (node_bits + 2) 0. in
-  let left_v = Array.make (node_bits + 2) 0. in
-  let right_v = Array.make (node_bits + 2) 0. in
-  let best_v = Array.make (node_bits + 2) 0. in
-  let best_b = Array.make (node_bits + 2) 0 in
-  (* Fold the split at [b'], whose child values [pair] just left at
-     depth [d], into that depth's running best: strict [<], from
-     (+inf, 0). *)
-  let consider d b' =
-    let v = Float.max left_v.(d) right_v.(d) in
-    if v < best_v.(d) then begin
-      best_v.(d) <- v;
-      best_b.(d) <- b'
-    end
-  in
-  let cap j b = if cap_budget then Int.min b (widths.(j) - 1) else b in
+  done;
+  let a = Array.make !cells 0. in
+  (* A cell [(mask, b)] is reachable only if [b] plus the retained
+     ancestors in [mask] fit in the root's budget [b0], so a mask's row
+     stops at [b0 - popcount mask] and is empty past it. A retrace pass
+     counts only its free mask bits: looser, but it keeps the cell
+     count a function of the shape alone. *)
+  let b0 = if cap_budget then Int.min budget n else budget in
+  let pop = Bytes.make (1 lsl levels) '\000' in
+  for f = 1 to (1 lsl levels) - 1 do
+    Bytes.set_uint8 pop f (Bytes.get_uint8 pop (f lsr 1) + (f land 1))
+  done;
+  (* The incoming values of the current depth-[d] node, one per mask,
+     start at [(1 lsl d) - 1]. *)
+  let inc = Array.make ((2 lsl levels) - 1) 0. in
   let states = ref 0 in
-  let rec probe j b mask d =
-    if j >= n then begin
-      let i = j - n in
-      t.cells.(0) <- leaf_error data.(i) inc.(d) denoms.(i);
-      0
-    end
-    else begin
-      let b = cap j b in
-      let at =
-        (if dense then node_off.(j) + (mask * stride.(j))
-         else spill_row j mask)
-        + b
-      in
-      if t.cells.(at) < 0. then begin
-        on_state ();
-        incr states;
-        ignore (decide j b mask d);
-        t.cells.(at) <- best_v.(d)
-      end;
-      at
-    end
-  (* Both children of [j] (at depth [d]) under a split giving [b'] of
-     [total] to the left, [keep] selecting the retained-[c_j] incoming
-     values. The right child is probed first: that is the order the
-     reference kernel's [f mid <= g (total - mid)] evaluates in. *)
-  and pair j ~keep ~total b' mask d =
-    let c = coeffs.(j) and r = (2 * j) + 1 in
-    if r > n then begin
-      (* Leaf children: errors computed in place, whatever the split. *)
-      let i = r - n in
-      right_v.(d) <-
-        leaf_error data.(i) (if keep then inc.(d) -. c else inc.(d)) denoms.(i);
-      left_v.(d) <-
-        leaf_error data.(i - 1)
-          (if keep then inc.(d) +. c else inc.(d))
-          denoms.(i - 1)
-    end
-    else begin
-      let d' = d + 1 in
-      inc.(d') <- (if keep then inc.(d) -. c else inc.(d));
-      let at = probe r (total - b') mask d' in
-      right_v.(d) <- t.cells.(at);
-      inc.(d') <- (if keep then inc.(d) +. c else inc.(d));
-      let at = probe (2 * j) b' mask d' in
-      left_v.(d) <- t.cells.(at)
-    end
-  (* Decide state (j, b, mask), [b] capped: drop [c_j] (split [b]),
-     then keep it (split [b - 1]) when possible, keeping only a
-     strictly better value. Leaves the value in [best_v.(d)] and
-     returns the packed choice [(left_allot lsl 1) lor retained]. *)
-  and decide j b mask d =
-    let c = coeffs.(j) in
-    let can_keep = b > 0 && c <> 0. in
-    let value = ref 0. and packed = ref 0 in
-    if j = 0 then begin
-      inc.(1) <- inc.(0);
-      let i = probe 1 b mask 1 in
-      value := t.cells.(i);
-      packed := b lsl 1;
-      if can_keep then begin
-        inc.(1) <- inc.(0) +. c;
-        let i = probe 1 (b - 1) (mask lor 1) 1 in
-        let v = t.cells.(i) in
-        if v < !value then begin
-          value := v;
-          packed := ((b - 1) lsl 1) lor 1
+  let tick k =
+    states := !states + k;
+    match on_state with
+    | None -> ()
+    | Some f ->
+        for _ = 1 to k do
+          f ()
+        done
+  in
+  (* The incoming values of [x]'s left or right child, from the [m]
+     masks of [x] at depth [d]: masks [f] drop [c_x], masks [m + f]
+     retain it. *)
+  let descend x d m ~left =
+    let src = (1 lsl d) - 1 and dst = (2 lsl d) - 1 and c = coeffs.(x) in
+    for f = 0 to m - 1 do
+      let v = inc.(src + f) in
+      inc.(dst + f) <- v;
+      inc.(dst + m + f) <- (if left then v +. c else v -. c)
+    done
+  in
+  (* The row of node [x] above two leaves: drop and keep each settle
+     on the larger leaf error. *)
+  let bottom_row x d m out =
+    let w = width.(d) and c = coeffs.(x) and i = (2 * x) - n in
+    let src = (1 lsl d) - 1 in
+    let cells = ref 0 in
+    for f = 0 to m - 1 do
+      let top = Int.min (w - 1) (b0 - Bytes.get_uint8 pop f) in
+      if top >= 0 then begin
+        cells := !cells + top + 1;
+        let v = inc.(src + f) and o = out + (f * w) in
+        let drop =
+          leaf_split
+            (leaf_error data.(i) v denoms.(i))
+            (leaf_error data.(i + 1) v denoms.(i + 1))
+        in
+        a.(o) <- drop;
+        if top > 0 then begin
+          let keep =
+            if c = 0. then Float.infinity
+            else
+              leaf_split
+                (leaf_error data.(i) (v +. c) denoms.(i))
+                (leaf_error data.(i + 1) (v -. c) denoms.(i + 1))
+          in
+          for b = 1 to top do
+            a.(o + b) <- (if keep < drop then keep else drop)
+          done
         end
       end
+    done;
+    tick !cells
+  in
+  (* The reference split of [total] between the child rows at [lb] and
+     [rb] (reads clamped to their width [wc]): bisection or linear
+     scan, candidates folded with strict [<] from (+inf, 0). Leaves the
+     value in [sv.(0)] and returns the left allotment. *)
+  let sv = Array.make 1 0. and sb = ref 0 in
+  let consider lb rb top total b' =
+    let v = fmax a.(lb + Int.min b' top) a.(rb + Int.min (total - b') top) in
+    if v < sv.(0) then begin
+      sv.(0) <- v;
+      sb := b'
+    end
+  in
+  let split_cell lb rb wc total =
+    let top = wc - 1 in
+    sv.(0) <- Float.infinity;
+    sb := 0;
+    (match split with
+    | Linear_scan ->
+        for b' = 0 to total do
+          consider lb rb top total b'
+        done
+    | Binary_search ->
+        let lo = ref 0 and hi = ref total in
+        while !lo < !hi do
+          let mid = (!lo + !hi) / 2 in
+          if a.(lb + Int.min mid top) <= a.(rb + Int.min (total - mid) top)
+          then hi := mid
+          else lo := mid + 1
+        done;
+        consider lb rb top total !lo;
+        if !lo > 0 then consider lb rb top total (!lo - 1));
+    !sb
+  in
+  let two_pointer = split = Binary_search && cap_budget in
+  (* Cells [o + shift + t] for [t < count]: the best split of total [t]
+     between the child rows at [lb] and [rb]; with [merge], written
+     only where strictly below the (drop) value already there. *)
+  let split_row lb rb wc o ~shift ~count ~merge =
+    if two_pointer then begin
+      let top = wc - 1 in
+      let lo = ref 0 in
+      for t = 0 to count - 1 do
+        if
+          t > 0
+          && not (a.(lb + Int.min !lo top) <= a.(rb + Int.min (t - !lo) top))
+        then incr lo;
+        let l = !lo in
+        let v = fmax a.(lb + Int.min l top) a.(rb + Int.min (t - l) top) in
+        let v =
+          if l = 0 then v
+          else
+            let u =
+              fmax
+                a.(lb + Int.min (l - 1) top)
+                a.(rb + Int.min (t - l + 1) top)
+            in
+            if u < v then u else v
+        in
+        let cell = o + shift + t in
+        if (not merge) || v < a.(cell) then a.(cell) <- v
+      done
     end
     else
-      for pass = 0 to Bool.to_int can_keep do
-        let keep = pass = 1 in
-        let total = b - pass in
-        let mask = if keep then mask lor (1 lsl depths.(j)) else mask in
-        (* Minimize max (left b', right (total - b')) over b' in
-           [0, total]. *)
-        best_v.(d) <- Float.infinity;
-        best_b.(d) <- 0;
-        (match split with
-        | Linear_scan ->
-            for b' = 0 to total do
-              pair j ~keep ~total b' mask d;
-              consider d b'
-            done
-        | Binary_search ->
-            (* The left child's error is non-increasing in its
-               allotment and the right's non-decreasing in b': bisect
-               for the crossover ([<=] goes left), then compare the
-               candidates [lo] and [lo - 1]. The bisection's last
-               pairs at [hi] and at [lo - 1] are kept, so a candidate
-               it already probed is not probed again. *)
-            let lo = ref 0 and hi = ref total in
-            let hi_seen = ref false and hi_l = ref 0. and hi_r = ref 0. in
-            let lo_seen = ref false and lo_l = ref 0. and lo_r = ref 0. in
-            while !lo < !hi do
-              let mid = (!lo + !hi) / 2 in
-              pair j ~keep ~total mid mask d;
-              if left_v.(d) <= right_v.(d) then begin
-                hi := mid;
-                hi_seen := true;
-                hi_l := left_v.(d);
-                hi_r := right_v.(d)
-              end
-              else begin
-                lo := mid + 1;
-                lo_seen := true;
-                lo_l := left_v.(d);
-                lo_r := right_v.(d)
-              end
-            done;
-            if !hi_seen then begin
-              left_v.(d) <- !hi_l;
-              right_v.(d) <- !hi_r
-            end
-            else pair j ~keep ~total !lo mask d;
-            consider d !lo;
-            if !lo > 0 then begin
-              if !lo_seen then begin
-                left_v.(d) <- !lo_l;
-                right_v.(d) <- !lo_r
-              end
-              else pair j ~keep ~total (!lo - 1) mask d;
-              consider d (!lo - 1)
-            end);
-        if not keep then begin
-          value := best_v.(d);
-          packed := best_b.(d) lsl 1
-        end
-        else if best_v.(d) < !value then begin
-          value := best_v.(d);
-          packed := (best_b.(d) lsl 1) lor 1
-        end
-      done;
-    best_v.(d) <- !value;
-    !packed
+      for t = 0 to count - 1 do
+        ignore (split_cell lb rb wc t);
+        let cell = o + shift + t in
+        if (not merge) || sv.(0) < a.(cell) then a.(cell) <- sv.(0)
+      done
   in
-  let root = probe 0 budget 0 0 in
-  let max_err = t.cells.(root) in
-  (* Retrace the optimal path to materialize the synopsis, re-deciding
-     each state on it (memo hits only) with its incoming value set. *)
-  let rec trace j b mask d acc =
-    if j >= n then acc
-    else begin
-      let b = cap j b in
-      let packed = decide j b mask d in
-      let retained = packed land 1 = 1 and left_allot = packed lsr 1 in
-      let acc = if retained then j :: acc else acc in
-      let mask = if retained then mask lor (1 lsl depths.(j)) else mask in
-      let b = b - Bool.to_int retained in
-      let c = coeffs.(j) and d' = d + 1 in
-      inc.(d') <- (if retained then inc.(d) +. c else inc.(d));
-      if j = 0 then trace 1 b mask d' acc
-      else begin
-        let acc = trace (2 * j) left_allot mask d' acc in
-        inc.(d') <- (if retained then inc.(d) -. c else inc.(d));
-        trace ((2 * j) + 1) (b - left_allot) mask d' acc
+  (* The row of node [x] from its children's rows: per mask, the drop
+     split of every budget, then the keep split where strictly better. *)
+  let internal_row x d m out =
+    let w = width.(d) and wc = width.(d + 1) and c = coeffs.(x) in
+    let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
+    let cells = ref 0 in
+    for f = 0 to m - 1 do
+      let top = Int.min (w - 1) (b0 - Bytes.get_uint8 pop f) in
+      if top >= 0 then begin
+        cells := !cells + top + 1;
+        let o = out + (f * w) in
+        split_row (l0 + (f * wc)) (r0 + (f * wc)) wc o ~shift:0
+          ~count:(top + 1) ~merge:false;
+        if c <> 0. then
+          split_row
+            (l0 + ((m + f) * wc))
+            (r0 + ((m + f) * wc))
+            wc o ~shift:1 ~count:top ~merge:true
       end
+    done;
+    tick !cells
+  in
+  (* The row of node [x] at depth [d] over its [m] masks, whose
+     incoming values are in place, into [x]'s arena slot. *)
+  let rec build x d m =
+    let out = slot.((2 * d) + (x land 1)) in
+    if 2 * x >= n then bottom_row x d m out
+    else begin
+      children x d m;
+      internal_row x d m out
+    end
+  (* The rows of both children of [x], over [2m] masks each. *)
+  and children x d m =
+    descend x d m ~left:true;
+    build (2 * x) (d + 1) (2 * m);
+    descend x d m ~left:false;
+    build ((2 * x) + 1) (d + 1) (2 * m)
+  in
+  (* The root: node 1's row over both root masks, then drop or keep. *)
+  let c0 = coeffs.(0) in
+  inc.(0) <- 0.;
+  let drop, keep =
+    if n = 1 then
+      ( leaf_error data.(0) inc.(0) denoms.(0),
+        leaf_error data.(0) (inc.(0) +. c0) denoms.(0) )
+    else begin
+      descend 0 0 1 ~left:true;
+      build 1 1 2;
+      let row = slot.(3) and top = width.(1) - 1 in
+      ( a.(row + Int.min b0 top),
+        if b0 > 0 then a.(row + top + 1 + Int.min (b0 - 1) top)
+        else Float.infinity )
     end
   in
-  inc.(0) <- 0.;
-  let retained = trace 0 budget 0 0 [] in
+  tick 1;
+  let root_kept = b0 > 0 && c0 <> 0. && keep < drop in
+  let max_err = if root_kept then keep else drop in
+  (* Retrace node [x] at depth [d] under allotment [b], its incoming
+     value at [inc.((1 lsl d) - 1)]. *)
+  let rec trace x d b acc =
+    let b = Int.min b (width.(d) - 1) in
+    let out = slot.((2 * d) + (x land 1)) in
+    if 2 * x >= n then begin
+      (* Row cell [b > 0] is below cell 0 exactly when keeping wins. *)
+      bottom_row x d 1 out;
+      if b > 0 && a.(out + b) < a.(out) then x :: acc else acc
+    end
+    else begin
+      children x d 1;
+      tick 1;
+      let wc = width.(d + 1) and c = coeffs.(x) in
+      let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
+      let drop_allot = split_cell l0 r0 wc b in
+      let drop = sv.(0) in
+      let keep_allot =
+        if b > 0 && c <> 0. then split_cell (l0 + wc) (r0 + wc) wc (b - 1)
+        else -1
+      in
+      let kept = keep_allot >= 0 && sv.(0) < drop in
+      let allot = if kept then keep_allot else drop_allot in
+      let acc = if kept then x :: acc else acc in
+      let here = (1 lsl d) - 1 and below = (2 lsl d) - 1 in
+      let v = inc.(here) in
+      inc.(below) <- (if kept then v +. c else v);
+      let acc = trace (2 * x) (d + 1) allot acc in
+      inc.(below) <- (if kept then v -. c else v);
+      trace ((2 * x) + 1) (d + 1) (b - Bool.to_int kept - allot) acc
+    end
+  in
+  let acc = if root_kept then [ 0 ] else [] in
+  let retained =
+    if n = 1 || b0 = 0 then acc
+    else begin
+      inc.(1) <- (if root_kept then inc.(0) +. c0 else inc.(0));
+      trace 1 1 (b0 - Bool.to_int root_kept) acc
+    end
+  in
   let synopsis =
     Synopsis.make ~n (List.map (fun j -> (j, coeffs.(j))) retained)
   in
   Log.debug (fun m ->
-      m "solved n=%d budget=%d states=%d max_err=%g (flat %s)" n budget !states
-        max_err
-        (if dense then "dense" else "spill"));
-  { max_err; synopsis; dp_states = !states }
+      m "solved n=%d budget=%d cells=%d working=%d max_err=%g" n budget
+        !states (Array.length a) max_err);
+  { max_err; synopsis; dp_states = !states; working_cells = Array.length a }
 
-let solve_tree ?(split = Binary_search) ?(cap_budget = true)
-    ?(on_state = fun () -> ()) ?(impl = Flat)
-    ?(dense_limit = default_dense_limit) ~tree ~budget metric =
+let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state
+    ?(impl = Flat) ~tree ~budget metric =
   if budget < 0 then invalid_arg "Minmax_dp.solve: negative budget";
   match impl with
-  | Reference -> solve_tree_reference ~split ~cap_budget ~on_state ~tree ~budget metric
+  | Reference ->
+      let on_state = Option.value on_state ~default:ignore in
+      solve_tree_reference ~split ~cap_budget ~on_state ~tree ~budget metric
   | Flat ->
-      solve_tree_flat ~split ~cap_budget ~on_state ~dense_limit ~tree ~budget
-        metric
+      solve_tree_flat ~split ~cap_budget ~on_state ~tree ~budget metric
 
 type budget_search = { best : result; feasible : bool }
 
@@ -534,8 +549,8 @@ let budget_for ?pool ?on_state ?impl ~data ~target metric =
   let best = solve_b !hi in
   { best; feasible = best.max_err <= target }
 
-let solve ?split ?cap_budget ?on_state ?impl ?dense_limit ~data ~budget metric =
+let solve ?split ?cap_budget ?on_state ?impl ~data ~budget metric =
   if not (Float_util.is_pow2 (Array.length data)) then
     invalid_arg "Minmax_dp.solve: data length must be a power of two";
-  solve_tree ?split ?cap_budget ?on_state ?impl ?dense_limit
+  solve_tree ?split ?cap_budget ?on_state ?impl
     ~tree:(Error_tree.of_data data) ~budget metric

@@ -10,16 +10,17 @@
     scalar "incoming reconstruction" that is threaded down the
     recursion.
 
-    The split of a node's budget between its two children uses the
-    binary search described in the paper (the child error is monotone
-    in its allotment), so each DP entry costs [O(log B)] lookups. The
-    total running time is [O(N^2 B log B)] and the memo table holds
-    [O(N B)] live entries per level in the worst case (Theorem 3.1).
+    The split of a node's budget between its two children is the
+    paper's crossover search (the child error is monotone in its
+    allotment). The total running time is [O(N^2 B log B)], and the
+    default kernel evaluates it bottom-up in Theorem 3.1's working
+    space: one row of (ancestor mask, budget) cells per node and at
+    most two live rows per depth, so [4 N log2 N] cells with the budget
+    cap. The synopsis is retraced by recomputing rows, not by storing
+    choices.
 
-    The memo's storage layout (contiguous per-(node, ancestor-mask)
-    budget rows, with a dense single-table fast path and a spill path
-    carving rows from an arena) and its allocation profile (none per
-    DP state) are specified in
+    The kernel's evaluation order, working set, cost per cell and
+    allocation profile (none per DP cell) are specified in
     [docs/KERNELS.md]; {!impl} selects the legacy Hashtbl kernel for
     equivalence testing.
 
@@ -28,13 +29,14 @@
 
 type split_strategy =
   | Binary_search
-      (** the paper's O(log B) crossover search (default) *)
+      (** the paper's O(log B) crossover search (default); the {!Flat}
+          kernel sweeps it along a row at one comparison per cell *)
   | Linear_scan  (** O(B) scan over allotments; for ablation (E12) *)
 
 type impl =
   | Flat
-      (** contiguous budget rows, packed choice words (default; see
-          [docs/KERNELS.md]) *)
+      (** bottom-up rows in an arena of two slots per depth, retraced by
+          recomputation (default; see [docs/KERNELS.md]) *)
   | Reference
       (** the original tuple-keyed memo Hashtbl, kept as the
           bit-identical equivalence oracle ([test/test_kernels.ml]) *)
@@ -43,7 +45,13 @@ type result = {
   max_err : float;  (** optimal value [M[0, B, {}]] *)
   synopsis : Wavesyn_synopsis.Synopsis.t;
       (** a synopsis achieving [max_err] (size at most [budget]) *)
-  dp_states : int;  (** number of distinct DP states computed *)
+  dp_states : int;
+      (** DP cells computed: with {!Flat}, every cell of the forward
+          pass and of the retrace; with {!Reference}, the distinct memo
+          states *)
+  working_cells : int;
+      (** cells of DP storage the solve held: the {!Flat} arena, or the
+          {!Reference} memo's entries *)
 }
 
 val solve :
@@ -51,7 +59,6 @@ val solve :
   ?cap_budget:bool ->
   ?on_state:(unit -> unit) ->
   ?impl:impl ->
-  ?dense_limit:int ->
   data:float array ->
   budget:int ->
   Wavesyn_synopsis.Metrics.error_metric ->
@@ -65,23 +72,15 @@ val solve :
     changes neither the optimum nor the synopsis. Both knobs exist for
     the E12 ablation.
 
-    [on_state] is invoked once per freshly computed DP state (a memo
-    miss) and may raise to abort the solve cooperatively — this is how
-    [Wavesyn_robust.Deadline] bounds the DP's runtime. The default does
-    nothing. Aborting mid-solve simply discards the partially filled
-    table, whatever the [impl].
+    [on_state] is invoked once per computed DP cell, counted as
+    [dp_states] (retrace included), and may raise to abort the solve
+    cooperatively — this is how [Wavesyn_robust.Deadline] bounds the
+    DP's runtime. The default does nothing. Aborting mid-solve simply
+    discards the partial rows, whatever the [impl].
 
-    [impl] picks the memo kernel (default {!Flat}); every field of the
-    result — [max_err] bits, the synopsis, [dp_states] — is identical
-    across kernels. [dense_limit] (default {!default_dense_limit}
-    entries) bounds the flat kernel's eagerly allocated dense table;
-    predicted sizes above it switch to lazily allocated rows. Both
-    knobs exist for testing and memory tuning; see [docs/KERNELS.md]. *)
-
-val default_dense_limit : int
-(** Ceiling (in table entries, one float cell each) under which the
-    flat kernel preallocates the whole dense table ([2^22] entries,
-    32 MiB). *)
+    [impl] picks the kernel (default {!Flat}); [max_err] bits and the
+    synopsis are identical across kernels, [dp_states] and
+    [working_cells] are not. See [docs/KERNELS.md]. *)
 
 type budget_search = {
   best : result;
@@ -124,7 +123,6 @@ val solve_tree :
   ?cap_budget:bool ->
   ?on_state:(unit -> unit) ->
   ?impl:impl ->
-  ?dense_limit:int ->
   tree:Wavesyn_haar.Error_tree.t ->
   budget:int ->
   Wavesyn_synopsis.Metrics.error_metric ->

@@ -72,16 +72,20 @@ let corrupt_data t data =
   copy
 
 let deadline_probe t =
-  (* One draw per tier: decided lazily at the first probe so arming the
-     plan costs nothing for tiers that never tick. *)
-  let decided = ref None in
-  fun (_ : Deadline.stats) ->
-    match !decided with
-    | Some d -> d
-    | None ->
-        let d = fires t Expire_deadline in
-        decided := Some d;
-        d
+  match t.rng with
+  | Some _ when List.mem Expire_deadline t.kinds ->
+      (* One draw per tier: decided lazily at the first probe so arming
+         the plan costs nothing for tiers that never tick. *)
+      let decided = ref None in
+      Some
+        (fun (_ : Deadline.stats) ->
+          match !decided with
+          | Some d -> d
+          | None ->
+              let d = fires t Expire_deadline in
+              decided := Some d;
+              d)
+  | _ -> None
 
 let pressure t = if fires t Alloc_pressure then raise (Injected Alloc_pressure)
 

@@ -84,10 +84,13 @@ val corrupt_data : t -> float array -> float array
 (** A copy of the input with a NaN written at a PRNG-chosen index
     (the array itself is never mutated). *)
 
-val deadline_probe : t -> Deadline.stats -> bool
+val deadline_probe : t -> (Deadline.stats -> bool) option
 (** Probe for {!Deadline.create}: forces expiry when [Expire_deadline]
     fires. The draw is made once, at the first probe, so a tier either
-    expires immediately or runs its full slice. *)
+    expires immediately or runs its full slice. [None] when the plan
+    can never fire [Expire_deadline] (no PRNG, or the kind not armed):
+    {!fires} draws nothing there, so a probe would only cost a clock
+    read and a stats record per DP state. *)
 
 val pressure : t -> unit
 (** Fault point for allocation pressure: raises {!Injected}

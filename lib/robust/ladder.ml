@@ -138,19 +138,19 @@ let serve ?obs ?trace ?deadline_ms ?state_cap ?(epsilon = 0.25)
           Fault.corrupt_data fault data
         else data
       in
+      (* No slice, no state cap and no deadline fault: nothing can
+         expire, so each DP state costs nothing here. *)
+      let probe = if faulted then Fault.deadline_probe fault else None in
       let tick =
-        match (slice_ms, state_cap, faulted) with
-        | None, None, false -> fun () -> ()
+        match (slice_ms, state_cap, probe) with
+        | None, None, None -> None
         | _ ->
-            let d =
-              Deadline.create ?ms:slice_ms ?state_cap
-                ~probe:(Fault.deadline_probe fault) ()
-            in
-            fun () -> Deadline.tick d
+            let d = Deadline.create ?ms:slice_ms ?state_cap ?probe () in
+            Some (fun () -> Deadline.tick d)
       in
       (* DP-state counting composes onto the existing [on_state] hook at
          this call site only; the solvers themselves are untouched and
-         the uninstrumented tick closure is exactly the one above. *)
+         the uninstrumented hook is exactly the one above. *)
       let tick =
         match (inst, tier) with
         | None, _ | _, Greedy_maxerr -> tick
@@ -159,18 +159,22 @@ let serve ?obs ?trace ?deadline_ms ?state_cap ?(epsilon = 0.25)
               match tier with Minmax -> "minmax" | _ -> "approx-additive"
             in
             let c = i.dp_states solver in
-            fun () ->
-              Metric.incr c;
-              tick ()
+            Some
+              (match tick with
+              | None -> fun () -> Metric.incr c
+              | Some tick ->
+                  fun () ->
+                    Metric.incr c;
+                    tick ())
       in
       let synopsis =
         match tier with
         | Minmax ->
-            (Minmax_dp.solve ~on_state:tick ~data:adata ~budget metric)
+            (Minmax_dp.solve ?on_state:tick ~data:adata ~budget metric)
               .Minmax_dp.synopsis
         | Approx_additive { epsilon } ->
             snd
-              (Approx_additive.solve_1d ~on_state:tick ~data:adata ~budget
+              (Approx_additive.solve_1d ?on_state:tick ~data:adata ~budget
                  ~epsilon metric)
         | Greedy_maxerr -> Greedy_maxerr.threshold ~data:adata ~budget metric
       in

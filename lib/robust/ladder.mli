@@ -79,7 +79,9 @@ val serve :
     serving layer sheds build cost while keeping the exact degradation
     semantics (skipped tiers are not attempted and record nothing).
     [fault] (default {!Fault.none}) injects faults at this ladder's
-    fault points.
+    fault points. With no [deadline_ms], no [state_cap] and no armed
+    [Expire_deadline] fault nothing can expire, so unless [obs] counts
+    states the solvers get no per-state hook at all.
 
     [obs] enables metrics: the serve records [ladder.serve.ms],
     [ladder.serves{tier}], [ladder.attempts{tier,outcome}],

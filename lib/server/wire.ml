@@ -275,28 +275,29 @@ let put_reply_payload buf = function
       put_str buf role
   | Acked { seq } -> put_i64 buf seq
 
-let frame_of ~kind payload =
-  let buf = Buffer.create (String.length payload + 14) in
-  Buffer.add_string buf magic;
-  let body = Buffer.create (String.length payload + 6) in
-  Buffer.add_uint8 body version;
-  Buffer.add_uint8 body kind;
-  Buffer.add_int32_be body (Int32.of_int (String.length payload));
-  Buffer.add_string body payload;
-  let body = Buffer.contents body in
-  Buffer.add_string buf body;
-  Buffer.add_int32_be buf (Int32.of_int (Crc32.string body));
-  Buffer.contents buf
+(* The frame is laid out once in its final bytes: the payload is
+   blitted in and the CRC is taken in place. *)
+let frame ~kind payload =
+  let plen = Buffer.length payload in
+  let b = Bytes.create (14 + plen) in
+  Bytes.blit_string magic 0 b 0 4;
+  Bytes.set_uint8 b 4 version;
+  Bytes.set_uint8 b 5 kind;
+  Bytes.set_int32_be b 6 (Int32.of_int plen);
+  Buffer.blit payload 0 b 10 plen;
+  let crc = Crc32.update_bytes 0 b ~pos:4 ~len:(6 + plen) in
+  Bytes.set_int32_be b (10 + plen) (Int32.of_int crc);
+  Bytes.unsafe_to_string b
 
 let encode_request r =
   let buf = Buffer.create 32 in
   put_request_payload buf r;
-  frame_of ~kind:(request_kind r) (Buffer.contents buf)
+  frame ~kind:(request_kind r) buf
 
 let encode_reply r =
   let buf = Buffer.create 32 in
   put_reply_payload buf r;
-  frame_of ~kind:(reply_kind r) (Buffer.contents buf)
+  frame ~kind:(reply_kind r) buf
 
 (* --- decoding --- *)
 
@@ -442,10 +443,12 @@ let decode_reply ~kind payload =
   | 0x8A -> exact 8 (Acked { seq = get_i64 payload 0 })
   | k -> raise (Corrupt_payload (Printf.sprintf "unknown reply kind 0x%02x" k))
 
+let magic_word = String.get_int32_be magic 0
+
 let decode buf ~pos ~len : decoded =
   let avail = len - pos in
   if avail < 4 then `Incomplete
-  else if Bytes.sub_string buf pos 4 <> magic then `Corrupt "bad magic"
+  else if Bytes.get_int32_be buf pos <> magic_word then `Corrupt "bad magic"
   else if avail < 14 then `Incomplete
   else begin
     let v = Bytes.get_uint8 buf (pos + 4) in
@@ -456,13 +459,13 @@ let decode buf ~pos ~len : decoded =
       `Corrupt (Printf.sprintf "payload length %d out of bounds" plen)
     else if avail < 14 + plen then `Incomplete
     else begin
-      let body = Bytes.sub_string buf (pos + 4) (6 + plen) in
       let crc =
         Int32.to_int (Bytes.get_int32_be buf (pos + 10 + plen)) land 0xFFFFFFFF
       in
-      if crc <> Crc32.string body then `Corrupt "CRC mismatch"
+      if crc <> Crc32.update_bytes 0 buf ~pos:(pos + 4) ~len:(6 + plen) then
+        `Corrupt "CRC mismatch"
       else begin
-        let payload = String.sub body 6 plen in
+        let payload = Bytes.sub_string buf (pos + 10) plen in
         match
           if kind land 0x80 = 0 then Req (decode_request ~kind payload)
           else Rep (decode_reply ~kind payload)

@@ -9,13 +9,16 @@ let table =
          done;
          !c))
 
-let update crc s =
+let update_bytes crc b ~pos ~len =
   let table = Lazy.force table in
   let c = ref (crc lxor mask) in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Bytes.get_uint8 b i) land 0xff) lxor (!c lsr 8)
+  done;
   !c lxor mask land mask
+
+let update crc s =
+  update_bytes crc (Bytes.unsafe_of_string s) ~pos:0 ~len:(String.length s)
 
 let string s = update 0 s
 

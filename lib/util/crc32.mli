@@ -12,6 +12,10 @@ val update : int -> string -> int
 (** [update crc s] extends a running checksum: [update (string a) b =
     string (a ^ b)]. Start a chain from [string ""] (which is [0]). *)
 
+val update_bytes : int -> Bytes.t -> pos:int -> len:int -> int
+(** [update_bytes crc b ~pos ~len] extends a running checksum with the
+    [len] bytes of [b] from [pos], without copying them out. *)
+
 val to_hex : int -> string
 (** Fixed-width lowercase hex rendering ([%08x]). *)
 

@@ -1,10 +1,11 @@
-(* Flat-vs-reference kernel equivalence: the flat memo layouts of
-   Minmax_dp and Md_dp (docs/KERNELS.md) must return bit-identical
-   results — max_err bits, synopsis, dp_states — to the original
-   tuple-keyed Hashtbl kernels, across random signals, budgets,
-   metrics, split strategies, the dense and spill layouts, and pool
-   sizes 1 and 4; a dense Minmax_dp solve allocates nothing per state.
-   Plus the grain knob of the pool fan-out. *)
+(* Flat-vs-reference kernel equivalence: Minmax_dp's bottom-up kernel
+   and Md_dp's flat memo layout (docs/KERNELS.md) must return
+   bit-identical results to the original tuple-keyed Hashtbl kernels —
+   max_err bits and synopsis, plus dp_states for Md_dp — across random
+   signals, budgets, metrics, split strategies and pool sizes 1 and 4.
+   Minmax_dp's cell count and working set are checked against their
+   closed forms, and it allocates nothing per cell. Plus the grain knob
+   of the pool fan-out. *)
 
 module Pool = Wavesyn_par.Pool
 module Minmax_dp = Wavesyn_core.Minmax_dp
@@ -64,16 +65,61 @@ let minmax_cases rng =
 let check_minmax_pair name (r_flat : Minmax_dp.result) (r_ref : Minmax_dp.result)
     =
   check (name ^ ": max_err bits") true (same_bits r_flat.max_err r_ref.max_err);
-  check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
-  checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states
+  check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis)
 
-(* Every case under both split strategies and cap_budget on and off,
-   for the reference kernel and the flat kernel's dense and spill
-   layouts ([dense_limit:1] forces spill). [on_state] must fire
-   exactly [dp_states] times in each. The uncapped linear scan at
-   n = 128 with a budget of n/2 or more is left out: its ~1.4M states
-   take the reference kernel over ten seconds, and n = 64 covers that
-   combination. *)
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+(* The bottom-up kernel's cell count, a function of the shape alone
+   (docs/KERNELS.md). A node at depth d in 1..L (L = log2 n) has 2^d
+   masks and a row width w(d), its subtree's coefficient count capped
+   at the budget; the row of a mask with k retained ancestors stops at
+   budget b0 - k, the root's. Forward: the root cell plus every node's
+   row. Retrace (none when b0 = 0): every node recomputes its one
+   cell; a node above leaves does so from its one-mask row, any other
+   first rebuilds its subtree for its one ancestor prefix, 2^k nodes
+   of 2^k masks each k levels below it. *)
+let minmax_cells ~n ~budget ~cap_budget =
+  let l = log2 n in
+  let b0 = if cap_budget then Int.min budget n else budget in
+  let w d =
+    (if cap_budget then Int.min budget ((1 lsl (l - d + 1)) - 1) else budget)
+    + 1
+  in
+  let rec popcount f = if f = 0 then 0 else (f land 1) + popcount (f lsr 1) in
+  let row d bits =
+    let cells = ref 0 in
+    for f = 0 to (1 lsl bits) - 1 do
+      cells := !cells + Int.max 0 (Int.min (w d - 1) (b0 - popcount f) + 1)
+    done;
+    !cells
+  in
+  let forward = ref 1 and retrace = ref 0 in
+  for d = 1 to l do
+    let nodes = 1 lsl (d - 1) in
+    forward := !forward + (nodes * row d d);
+    let per_node =
+      if d = l then row d 0
+      else begin
+        let sub = ref 1 in
+        for k = 1 to l - d do
+          sub := !sub + ((1 lsl k) * row (d + k) k)
+        done;
+        !sub
+      end
+    in
+    retrace := !retrace + (nodes * per_node)
+  done;
+  !forward + if b0 = 0 then 0 else !retrace
+
+(* Every case under both split strategies and cap_budget on and off:
+   the flat kernel returns the reference kernel's max_err bits and
+   synopsis, computes exactly [minmax_cells] cells, and fires
+   [on_state] once per cell (the reference once per memo state). The
+   uncapped linear scan at n = 128 with a budget of n/2 or more is
+   left out: its ~1.4M states take the reference kernel over ten
+   seconds, and n = 64 covers that combination. *)
 let test_minmax_flat_vs_reference () =
   let rng = Prng.create ~seed:41 in
   List.iter
@@ -87,10 +133,10 @@ let test_minmax_flat_vs_reference () =
                 cap_budget || split = Minmax_dp.Binary_search || n < 128
                 || budget < n / 2
               then begin
-                let solve impl ?dense_limit () =
+                let solve impl =
                   let fired = ref 0 in
                   let r =
-                    Minmax_dp.solve ~split ~cap_budget ~impl ?dense_limit
+                    Minmax_dp.solve ~split ~cap_budget ~impl
                       ~on_state:(fun () -> incr fired)
                       ~data ~budget metric
                   in
@@ -103,39 +149,112 @@ let test_minmax_flat_vs_reference () =
                     | Minmax_dp.Linear_scan -> "scan")
                     cap_budget
                 in
-                let r_ref, fired_ref = solve Minmax_dp.Reference () in
+                let r_ref, fired_ref = solve Minmax_dp.Reference in
                 checki (name ^ ": reference on_state") r_ref.dp_states
                   fired_ref;
-                List.iter
-                  (fun (layout, dense_limit) ->
-                    let r, fired = solve Minmax_dp.Flat ?dense_limit () in
-                    check_minmax_pair (name ^ layout) r r_ref;
-                    checki (name ^ layout ^ ": on_state") r.dp_states fired)
-                  [ (" dense", None); (" spill", Some 1) ]
+                let r, fired = solve Minmax_dp.Flat in
+                check_minmax_pair name r r_ref;
+                checki (name ^ ": cells")
+                  (minmax_cells ~n ~budget ~cap_budget)
+                  r.dp_states;
+                checki (name ^ ": on_state") r.dp_states fired
               end)
             [ true; false ])
         [ Minmax_dp.Binary_search; Minmax_dp.Linear_scan ])
     (minmax_cases rng)
 
-(* The spill layout (rows allocated lazily above dense_limit) must be
-   indistinguishable from the dense one; dense_limit:1 forces every
-   table into the spill path. *)
-let test_minmax_spill_layout () =
-  let rng = Prng.create ~seed:43 in
+(* Non-finite input, as the ladder's NaN fault injects it: a NaN or an
+   infinite value, and finite values whose reconstructions overflow.
+   Leaf errors are then NaN or infinite, but no cell is NaN, so the
+   kernel still makes the reference kernel's choices. NaN coefficients
+   defeat structural equality, so synopses compare by index. *)
+let test_minmax_non_finite () =
+  let rng = Prng.create ~seed:79 in
+  let poke v data =
+    let data = Array.copy data in
+    data.(Prng.int rng (Array.length data)) <- v;
+    data
+  in
   List.iter
-    (fun (data, budget, metric) ->
-      let dense = Minmax_dp.solve ~impl:Flat ~data ~budget metric in
-      let spill =
-        Minmax_dp.solve ~impl:Flat ~dense_limit:1 ~data ~budget metric
-      in
-      check_minmax_pair "dense vs spill" spill dense)
-    (minmax_cases rng)
+    (fun data ->
+      let n = Array.length data in
+      List.iter
+        (fun (split, cap_budget, metric, budget) ->
+          let solve impl =
+            Minmax_dp.solve ~split ~cap_budget ~impl ~data ~budget metric
+          in
+          let r = solve Minmax_dp.Flat and r_ref = solve Minmax_dp.Reference in
+          let indices (r : Minmax_dp.result) =
+            List.map fst (Synopsis.coeffs r.synopsis)
+          in
+          let name = Printf.sprintf "n=%d b=%d cap=%b" n budget cap_budget in
+          check (name ^ ": max_err bits") true
+            (same_bits r.max_err r_ref.max_err);
+          check (name ^ ": synopsis") true (indices r = indices r_ref))
+        [
+          (Minmax_dp.Binary_search, true, Metrics.Abs, n / 4);
+          (Minmax_dp.Binary_search, true, Metrics.Rel { sanity = 5. }, n / 2);
+          (Minmax_dp.Binary_search, false, Metrics.Abs, 3);
+          (Minmax_dp.Linear_scan, true, Metrics.Abs, n / 4);
+        ])
+    [
+      poke Float.nan (signal rng 1);
+      poke Float.nan (signal rng 32);
+      poke Float.nan (coarse_signal rng 64);
+      poke Float.infinity (signal rng 32);
+      poke Float.neg_infinity (signal rng 16);
+      Array.init 32 (fun i -> if i mod 3 = 0 then 1e308 else -1e308);
+    ]
 
-(* A dense flat solve allocates its table (straight into the major
-   heap at these sizes) and O(n) bookkeeping, but nothing per DP
-   state: minor allocation stays under a bound linear in n that the
-   state count (tens of thousands here) would blow through at even one
-   word per state. *)
+(* The benchmark's datasets: the Zipf vectors its servers cut (alpha
+   1.2, scale 100, data seed 42) — live-write's n=256 at B=32, the read
+   workloads' n=1024 at B=128, and read-sharded's two n=512 halves of
+   it at B=128. *)
+let test_minmax_benchmark_data () =
+  let zipf n =
+    Wavesyn_datagen.Signal.zipf ~rng:(Prng.create ~seed:42) ~n ~alpha:1.2
+      ~scale:100.
+  in
+  let read = zipf 1024 in
+  List.iter
+    (fun (name, data, budget) ->
+      let solve impl = Minmax_dp.solve ~impl ~data ~budget Metrics.Abs in
+      check_minmax_pair name (solve Minmax_dp.Flat) (solve Minmax_dp.Reference))
+    [
+      ("live-write", zipf 256, 32);
+      ("shard 0", Array.sub read 0 512, 128);
+      ("shard 1", Array.sub read 512 512, 128);
+      ("read", read, 128);
+    ]
+
+(* Theorem 3.1's working space: two rows per depth, each at most 2n
+   cells with the budget cap, so at most 4 n log2 n cells — at the
+   larger sizes a small fraction of the O(n^2 B) cells the solve
+   computes. *)
+let test_minmax_working_set () =
+  let rng = Prng.create ~seed:71 in
+  List.iter
+    (fun (n, budget) ->
+      let r = Minmax_dp.solve ~data:(signal rng n) ~budget Metrics.Abs in
+      let bound = 4 * n * log2 n in
+      check
+        (Printf.sprintf "n=%d b=%d: %d working cells <= %d" n budget
+           r.working_cells bound)
+        true
+        (r.working_cells <= bound);
+      if n >= 256 then
+        check
+          (Printf.sprintf "n=%d b=%d: %d cells computed > 8x working" n budget
+             r.dp_states)
+          true
+          (r.dp_states > 8 * r.working_cells))
+    [ (2, 2); (16, 20); (256, 32); (1024, 128); (1024, 1024) ]
+
+(* A flat solve allocates its arena (straight into the major heap at
+   these sizes) and O(n) bookkeeping, but nothing per DP cell: minor
+   allocation stays under a bound linear in n that the cell count
+   (tens of thousands here) would blow through at even one word per
+   cell. *)
 let test_minmax_flat_allocation () =
   let rng = Prng.create ~seed:73 in
   List.iter
@@ -309,8 +428,12 @@ let () =
         [
           Alcotest.test_case "flat = reference (bit-identical)" `Quick
             test_minmax_flat_vs_reference;
-          Alcotest.test_case "dense = spill layout" `Quick
-            test_minmax_spill_layout;
+          Alcotest.test_case "flat = reference on non-finite data" `Quick
+            test_minmax_non_finite;
+          Alcotest.test_case "flat = reference on benchmark data" `Quick
+            test_minmax_benchmark_data;
+          Alcotest.test_case "working set at most 4 n log2 n cells" `Quick
+            test_minmax_working_set;
           Alcotest.test_case "flat solve allocates O(n), not per state" `Quick
             test_minmax_flat_allocation;
           Alcotest.test_case "budget_for flat = reference, pooled" `Quick

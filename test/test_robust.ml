@@ -861,6 +861,25 @@ let test_ladder_no_deadline_is_exact () =
       check "max_err equals Minmax_dp.solve's" true
         (Float_util.approx_equal ~eps:1e-12 s.Ladder.max_err exact)
 
+(* With no slice, no state cap and no deadline fault nothing can
+   expire, so the ladder passes no per-state hook: an exact serve
+   allocates O(n) minor words (the solve's bookkeeping, the synopsis
+   and its re-measure), not a deadline check per DP state. *)
+let test_ladder_unbounded_allocation () =
+  let n = 256 in
+  let data = sample_data n in
+  let serve () = Ladder.serve ~data ~budget:32 Metrics.Abs in
+  ignore (serve ());
+  let w0 = Gc.minor_words () in
+  let served = serve () in
+  let words = Gc.minor_words () -. w0 in
+  check "served by the exact tier" true
+    (match served with Ok s -> s.Ladder.tier = Ladder.Minmax | Error _ -> false);
+  check
+    (Printf.sprintf "%.0f minor words < 64 n = %d" words (64 * n))
+    true
+    (words < float_of_int (64 * n))
+
 let test_ladder_rejects_bad_input () =
   (match Ladder.serve ~data:[||] ~budget:4 Metrics.Abs with
   | Error (Validate.Bad_shape _) -> ()
@@ -1257,6 +1276,8 @@ let () =
             test_ladder_tiny_deadline_degrades;
           Alcotest.test_case "no deadline serves the exact optimum" `Quick
             test_ladder_no_deadline_is_exact;
+          Alcotest.test_case "unbounded serve allocates O(n) words" `Quick
+            test_ladder_unbounded_allocation;
           Alcotest.test_case "invalid input is a structured error" `Quick
             test_ladder_rejects_bad_input;
           Alcotest.test_case "corner inputs" `Quick test_ladder_corners;

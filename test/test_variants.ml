@@ -1,12 +1,11 @@
 (* Cross-validation of the algorithm variants:
    - Minmax_dp ablation knobs (split strategy, budget capping) must not
      change results;
-   - the bottom-up O(NB)-workspace evaluation must compute the same
-     optimal value as the top-down solver;
+   - the bottom-up O(NB)-workspace kernel (the default) must compute
+     the same optimal value as the top-down memo kernel;
    - the standard multi-dimensional decomposition. *)
 
 module Minmax_dp = Wavesyn_core.Minmax_dp
-module Minmax_bottomup = Wavesyn_core.Minmax_bottomup
 module Haar1d = Wavesyn_haar.Haar1d
 module Haar_std = Wavesyn_haar.Haar_std
 module Haar_md = Wavesyn_haar.Haar_md
@@ -62,7 +61,10 @@ let test_cap_budget_agrees () =
       metrics
   done
 
-(* --- bottom-up variant --- *)
+(* --- bottom-up kernel vs the top-down memo kernel --- *)
+
+let top_down ~data ~budget metric =
+  Minmax_dp.solve ~impl:Minmax_dp.Reference ~data ~budget metric
 
 let test_bottomup_matches_topdown () =
   for seed = 1 to 10 do
@@ -71,11 +73,11 @@ let test_bottomup_matches_topdown () =
       (fun metric ->
         List.iter
           (fun budget ->
-            let top = Minmax_dp.solve ~data ~budget metric in
-            let bottom = Minmax_bottomup.solve ~data ~budget metric in
+            let top = top_down ~data ~budget metric in
+            let bottom = Minmax_dp.solve ~data ~budget metric in
             checkf
               (Printf.sprintf "seed %d B=%d" seed budget)
-              top.Minmax_dp.max_err bottom.Minmax_bottomup.max_err)
+              top.Minmax_dp.max_err bottom.Minmax_dp.max_err)
           [ 0; 1; 3; 8 ])
       metrics
   done
@@ -84,29 +86,29 @@ let test_bottomup_paper_example () =
   let data = [| 2.; 2.; 0.; 2.; 3.; 5.; 4.; 4. |] in
   List.iter
     (fun budget ->
-      let top = Minmax_dp.solve ~data ~budget Metrics.Abs in
-      let bottom = Minmax_bottomup.solve ~data ~budget Metrics.Abs in
+      let top = top_down ~data ~budget Metrics.Abs in
+      let bottom = Minmax_dp.solve ~data ~budget Metrics.Abs in
       checkf
         (Printf.sprintf "paper B=%d" budget)
-        top.Minmax_dp.max_err bottom.Minmax_bottomup.max_err)
+        top.Minmax_dp.max_err bottom.Minmax_dp.max_err)
     [ 0; 1; 2; 3; 4; 5; 6 ]
 
 let test_bottomup_workspace_shrinks () =
-  (* Theorem 3.1's space story: the peak live working set must be well
-     below the total number of table cells computed. *)
+  (* Theorem 3.1's space story: the working set must be well below the
+     total number of cells computed. *)
   let data = random_data ~seed:300 256 in
-  let s = Minmax_bottomup.solve ~data ~budget:8 Metrics.Abs in
+  let s = Minmax_dp.solve ~data ~budget:8 Metrics.Abs in
   check
-    (Printf.sprintf "peak %d << total %d" s.Minmax_bottomup.peak_live_cells
-       s.Minmax_bottomup.total_cells)
+    (Printf.sprintf "working %d << total %d" s.Minmax_dp.working_cells
+       s.Minmax_dp.dp_states)
     true
-    (s.Minmax_bottomup.peak_live_cells * 4 < s.Minmax_bottomup.total_cells)
+    (s.Minmax_dp.working_cells * 4 < s.Minmax_dp.dp_states)
 
 let test_bottomup_singleton () =
-  let s = Minmax_bottomup.solve ~data:[| 42. |] ~budget:1 Metrics.Abs in
-  checkf "N=1 B=1" 0. s.Minmax_bottomup.max_err;
-  let s0 = Minmax_bottomup.solve ~data:[| 42. |] ~budget:0 Metrics.Abs in
-  checkf "N=1 B=0" 42. s0.Minmax_bottomup.max_err
+  let s = Minmax_dp.solve ~data:[| 42. |] ~budget:1 Metrics.Abs in
+  checkf "N=1 B=1" 0. s.Minmax_dp.max_err;
+  let s0 = Minmax_dp.solve ~data:[| 42. |] ~budget:0 Metrics.Abs in
+  checkf "N=1 B=0" 42. s0.Minmax_dp.max_err
 
 (* --- standard multi-dimensional decomposition --- *)
 
@@ -192,11 +194,8 @@ let prop_bottomup_equals_topdown =
         (array_of_size (Gen.oneofl [ 4; 8; 16 ]) (float_range (-20.) 20.))
         (int_bound 5))
     (fun (data, budget) ->
-      let top = (Minmax_dp.solve ~data ~budget Metrics.Abs).Minmax_dp.max_err in
-      let bottom =
-        (Minmax_bottomup.solve ~data ~budget Metrics.Abs)
-          .Minmax_bottomup.max_err
-      in
+      let top = (top_down ~data ~budget Metrics.Abs).Minmax_dp.max_err in
+      let bottom = (Minmax_dp.solve ~data ~budget Metrics.Abs).Minmax_dp.max_err in
       Float_util.approx_equal ~eps:1e-9 top bottom)
 
 let test_soak_large_1d () =
@@ -205,14 +204,15 @@ let test_soak_large_1d () =
   let rng = Prng.create ~seed:500 in
   let data = Signal.random_walk ~rng ~n:1024 ~step:2. in
   let budget = 16 in
-  let top = Minmax_dp.solve ~data ~budget Metrics.Abs in
-  let bottom = Minmax_bottomup.solve ~data ~budget Metrics.Abs in
+  let top = top_down ~data ~budget Metrics.Abs in
+  let bottom = Minmax_dp.solve ~data ~budget Metrics.Abs in
   checkf "1024 top-down = bottom-up" top.Minmax_dp.max_err
-    bottom.Minmax_bottomup.max_err;
+    bottom.Minmax_dp.max_err;
   let measured =
-    Wavesyn_synopsis.Metrics.of_synopsis Metrics.Abs ~data top.Minmax_dp.synopsis
+    Wavesyn_synopsis.Metrics.of_synopsis Metrics.Abs ~data
+      bottom.Minmax_dp.synopsis
   in
-  checkf "1024 synopsis achieves optimum" top.Minmax_dp.max_err measured
+  checkf "1024 synopsis achieves optimum" bottom.Minmax_dp.max_err measured
 
 let test_soak_additive_32x32 () =
   (* 32x32 2-D run of the additive scheme: bounded by the L2-greedy
