@@ -158,8 +158,11 @@ let gen_arg =
   Term.(const (Option.map parse) $ Arg.(value & opt (some string) None flag_info))
 
 let n_arg ~doc =
-  checked ~flag:"-n" ~reason:"must be at least 1" (fun n -> n >= 1)
-    Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc)
+  let cap = Validate.default_max_values in
+  checked ~flag:"-n" ~reason:(Printf.sprintf "must be at most %d" cap)
+    (fun n -> n <= cap)
+    (checked ~flag:"-n" ~reason:"must be at least 1" (fun n -> n >= 1)
+       Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc))
 
 let gen_n_arg = n_arg ~doc:"Generated dataset size."
 
@@ -219,7 +222,9 @@ let epsilon_arg ~doc =
     Arg.(value & opt float 0.25 & info [ "epsilon" ] ~docv:"EPS" ~doc)
 
 let deadline_arg ~doc =
-  Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
+  checked ~flag:"--deadline-ms" ~reason:"must be positive"
+    (Option.fold ~none:true ~some:(fun ms -> ms > 0.))
+    Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS" ~doc)
 
 let out_arg ~names ~doc =
   Arg.(value & opt (some string) None & info names ~docv:"PATH" ~doc)
@@ -334,10 +339,12 @@ let decompose_cmd =
 
 let threshold_cmd =
   let target_arg =
-    Arg.(value & opt (some float) None
-         & info [ "target" ] ~docv:"ERR"
-             ~doc:"Instead of a fixed budget, find the smallest budget whose \
-                   optimal maximum error is at most $(docv) (minmax algorithms only).")
+    checked ~flag:"--target" ~reason:"must not be NaN"
+      (Option.fold ~none:true ~some:(fun t -> not (Float.is_nan t)))
+      Arg.(value & opt (some float) None
+           & info [ "target" ] ~docv:"ERR"
+               ~doc:"Instead of a fixed budget, find the smallest budget whose \
+                     optimal maximum error is at most $(docv) (minmax algorithms only).")
   in
   let ladder_arg =
     Arg.(value & flag
@@ -817,10 +824,12 @@ let serve_cmd =
              ~doc:"Snapshot generations retained in the store.")
   in
   let metrics_every_arg =
-    Arg.(value & opt int 0
-         & info [ "metrics-every" ] ~docv:"K"
-             ~doc:"Also dump the exposition every $(docv) ingested updates \
-                   (0, the default, dumps only the final state).")
+    checked ~flag:"--metrics-every" ~reason:"must be non-negative"
+      (fun k -> k >= 0)
+      Arg.(value & opt int 0
+           & info [ "metrics-every" ] ~docv:"K"
+               ~doc:"Also dump the exposition every $(docv) ingested updates \
+                     (0, the default, dumps only the final state).")
   in
   let trace_arg =
     Arg.(value & flag

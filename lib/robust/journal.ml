@@ -1,4 +1,4 @@
-module Crc32 = Wavesyn_util.Crc32
+module Sealed = Wavesyn_util.Sealed
 
 let log_src = Logs.Src.create "wavesyn.journal" ~doc:"Write-ahead update journal"
 
@@ -9,32 +9,22 @@ let path ~dir = Filename.concat dir wal_name
 
 type record = { seq : int; i : int; delta : float }
 
-let encode_body { seq; i; delta } = Printf.sprintf "%d %d %h" seq i delta
-let encode r =
-  let body = encode_body r in
-  body ^ " " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
+let record_body { seq; i; delta } = Printf.sprintf "%d %d %h" seq i delta
+let encode r = Sealed.line (record_body r)
 
-let decode_line line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some cut -> (
-      let body = String.sub line 0 cut in
-      let hex = String.sub line (cut + 1) (String.length line - cut - 1) in
-      match Crc32.of_hex hex with
-      | Some crc when crc = Crc32.string body -> (
-          match String.split_on_char ' ' body with
-          | [ seq; i; delta ] -> (
-              match
-                ( int_of_string_opt seq,
-                  int_of_string_opt i,
-                  float_of_string_opt delta )
-              with
-              | Some seq, Some i, Some delta
-                when seq > 0 && i >= 0 && Float.is_finite delta ->
-                  Some { seq; i; delta }
-              | _ -> None)
-          | _ -> None)
+let parse_record body =
+  match String.split_on_char ' ' body with
+  | [ seq; i; delta ] -> (
+      match
+        (int_of_string_opt seq, int_of_string_opt i, float_of_string_opt delta)
+      with
+      | Some seq, Some i, Some delta
+        when seq > 0 && i >= 0 && Float.is_finite delta ->
+          Some { seq; i; delta }
       | _ -> None)
+  | _ -> None
+
+let decode_line line = Option.bind (Sealed.open_line line) parse_record
 
 type replay = { records : record list; truncated : bool; valid_bytes : int }
 
@@ -109,96 +99,47 @@ type batch = {
 let batch_error reason = Validate.Bad_shape { what = "ship batch"; reason }
 
 let encode_batch b =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "ship %d %d %d %d\n" b.b_since (List.length b.b_records)
-       b.b_last_seq
-       (if b.b_complete then 1 else 0));
-  List.iter (fun r -> Buffer.add_string buf (encode r)) b.b_records;
-  let body = Buffer.contents buf in
-  body ^ "end " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
+  Sealed.counted ~trailer:"end"
+    ~header:(fun count ->
+      Printf.sprintf "ship %d %d %d %d" b.b_since count b.b_last_seq
+        (if b.b_complete then 1 else 0))
+    (List.map record_body b.b_records)
+
+let parse_header header =
+  match String.split_on_char ' ' header with
+  | [ "ship"; since; count; last_seq; (("0" | "1") as complete) ] -> (
+      match
+        (int_of_string_opt since, int_of_string_opt count,
+         int_of_string_opt last_seq)
+      with
+      | Some since, Some count, Some last_seq
+        when since >= 0 && count >= 0 && last_seq >= 0 ->
+          Some ((since, last_seq, complete = "1"), count)
+      | _ -> None)
+  | _ -> None
 
 let decode_batch s =
   let err reason = Error (batch_error reason) in
-  let len = String.length s in
-  if len < 2 || s.[len - 1] <> '\n' then err "missing trailer"
-  else
-    let tstart =
-      match String.rindex_from_opt s (len - 2) '\n' with
-      | Some i -> i + 1
-      | None -> 0
-    in
-    let trailer = String.sub s tstart (len - tstart - 1) in
-    let body = String.sub s 0 tstart in
-    match String.split_on_char ' ' trailer with
-    | [ "end"; hex ] -> (
-        match Crc32.of_hex hex with
-        | Some crc when crc = Crc32.string body -> (
-            (* The batch CRC held; now parse the header and re-verify
-               each record line (its own CRC plus strict contiguity
-               from the cursor). *)
-            match String.split_on_char '\n' body with
-            | header :: rest -> (
-                let record_lines =
-                  List.filter (fun l -> l <> "") rest
-                in
-                match String.split_on_char ' ' header with
-                | [ "ship"; since; count; last_seq; complete ] -> (
-                    match
-                      ( int_of_string_opt since,
-                        int_of_string_opt count,
-                        int_of_string_opt last_seq,
-                        complete )
-                    with
-                    | Some since, Some count, Some last_seq, ("0" | "1")
-                      when since >= 0 && count >= 0 && last_seq >= 0 ->
-                        let complete = complete = "1" in
-                        if List.length record_lines <> count then
-                          err "record count mismatch"
-                        else begin
-                          let records = ref [] in
-                          let bad = ref None in
-                          let expect = ref (since + 1) in
-                          List.iter
-                            (fun line ->
-                              if !bad = None then
-                                match decode_line line with
-                                | None -> bad := Some "corrupt record in batch"
-                                | Some r when r.seq <> !expect ->
-                                    bad := Some "batch records not contiguous"
-                                | Some r ->
-                                    incr expect;
-                                    records := r :: !records)
-                            record_lines;
-                          match !bad with
-                          | Some reason -> err reason
-                          | None ->
-                              let records = List.rev !records in
-                              let last_shipped =
-                                match List.rev records with
-                                | r :: _ -> r.seq
-                                | [] -> since
-                              in
-                              if complete && last_shipped <> last_seq then
-                                err "complete batch stops short of last_seq"
-                              else if last_shipped > last_seq then
-                                err "batch overruns last_seq"
-                              else
-                                Ok
-                                  {
-                                    b_since = since;
-                                    b_last_seq = last_seq;
-                                    b_complete = complete;
-                                    b_records = records;
-                                  }
-                        end
-                    | _ -> err "bad batch header"
-                  )
-                | _ -> err "bad batch header")
-            | [] -> err "empty batch body")
-        | Some _ -> err "batch CRC mismatch"
-        | None -> err "bad batch CRC field")
-    | _ -> err "bad trailer"
+  match
+    Sealed.open_counted ~trailer:"end" ~header:parse_header ~line:parse_record
+      s
+  with
+  | Error reason -> err reason
+  | Ok ((since, last_seq, complete), records) ->
+      let last_shipped = since + List.length records in
+      if List.filteri (fun k r -> r.seq <> since + 1 + k) records <> [] then
+        err "batch records not contiguous"
+      else if complete && last_shipped <> last_seq then
+        err "complete batch stops short of last_seq"
+      else if last_shipped > last_seq then err "batch overruns last_seq"
+      else
+        Ok
+          {
+            b_since = since;
+            b_last_seq = last_seq;
+            b_complete = complete;
+            b_records = records;
+          }
 
 let ship ~dir ~since ~seq ~max () =
   if since < 0 then invalid_arg "Journal.ship: since must be >= 0";

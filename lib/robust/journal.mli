@@ -1,10 +1,11 @@
 (** Append-only write-ahead journal of point updates.
 
-    Each accepted update [d_i += delta] becomes one line
+    Each accepted update [d_i += delta] becomes one sealed line
+    ({!Wavesyn_util.Sealed}) with the body
 
-    {v <seq> <i> <delta as %h> <CRC-32 of the three fields, %08x> v}
+    {v <seq> <i> <delta as %h> v}
 
-    with strictly consecutive sequence numbers. An update is
+    and strictly consecutive sequence numbers. An update is
     acknowledged only after its record (newline included) is flushed —
     and, unless [sync:false], fsynced — so the journal plus the latest
     {!Snapshot} always reconstructs every acknowledged update.
@@ -18,10 +19,10 @@
 type record = { seq : int; i : int; delta : float }
 
 val encode : record -> string
-(** One journal line, newline-terminated. *)
+(** One sealed journal line, newline-terminated. *)
 
 val decode_line : string -> record option
-(** Parse and CRC-check one line (without its newline). *)
+(** Open and parse one sealed line (without its newline). *)
 
 val path : dir:string -> string
 (** The WAL file inside a store directory ([journal.wal]). *)
@@ -49,9 +50,10 @@ val repair : dir:string -> (replay, Validate.error) result
     The replication cursor: a follower holds a sequence number [since]
     (the last record it has applied) and asks the primary for the range
     [(since, since + max]]. The primary answers with a {!batch} — a
-    self-verifying text artifact whose trailer CRC covers the header
-    and every record line, on top of each record's own CRC — so a
-    flipped bit anywhere in flight is rejected as a unit. *)
+    counted sealed block ({!Wavesyn_util.Sealed}) whose trailer CRC
+    covers the header and every record line, on top of each record's
+    own CRC — so a flipped bit anywhere in flight is rejected as a
+    unit. *)
 
 type batch = {
   b_since : int;  (** the cursor this batch continues from *)
@@ -66,15 +68,15 @@ type batch = {
 }
 
 val encode_batch : batch -> string
-(** Wire form: a [ship <since> <count> <last_seq> <complete>] header,
-    the record lines, and an [end <CRC-32>] trailer over everything
-    above. *)
+(** Wire form: the counted sealed block of a [ship <since> <count>
+    <last_seq> <complete>] header and the record lines under an [end]
+    trailer. *)
 
 val decode_batch : string -> (batch, Validate.error) result
-(** Verify the trailer CRC, the header, every record CRC, and strict
-    contiguity from [b_since + 1]; any failure is a [Bad_shape] and the
-    whole batch is rejected (a follower never applies a prefix of a
-    corrupt batch). *)
+(** Open the block byte-exact (trailer CRC, header, count, every record
+    CRC), then check strict contiguity from [b_since + 1]; any failure
+    is a [Bad_shape] on ["ship batch"] and the whole batch is rejected
+    (a follower never applies a prefix of a corrupt batch). *)
 
 val ship :
   dir:string ->

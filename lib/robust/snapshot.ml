@@ -1,4 +1,4 @@
-module Crc32 = Wavesyn_util.Crc32
+module Sealed = Wavesyn_util.Sealed
 module Float_util = Wavesyn_util.Float_util
 module Stream_synopsis = Wavesyn_stream.Stream_synopsis
 
@@ -39,75 +39,50 @@ let encode state =
     state.coeffs;
   Buffer.contents buf
 
-let seal body = body ^ "crc " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
-
-let corrupt what reason =
-  Error (Validate.Bad_shape { what; reason })
+let seal body = Sealed.block ~trailer:"crc" body
 
 let decode ?(what = "snapshot") text =
-  let fail reason = corrupt what reason in
-  match String.rindex_opt (String.trim text) '\n' with
-  | None -> fail "truncated (no checksum line)"
-  | Some split -> (
-      let text = String.trim text ^ "\n" in
-      let body = String.sub text 0 (split + 1) in
-      let crc_line = String.sub text (split + 1) (String.length text - split - 1) in
-      match String.split_on_char ' ' (String.trim crc_line) with
-      | [ "crc"; hex ] -> (
-          match Crc32.of_hex hex with
-          | None -> fail "malformed checksum"
-          | Some crc when crc <> Crc32.string body ->
-              fail "checksum mismatch (torn or corrupt snapshot)"
-          | Some _ -> (
-              match String.split_on_char '\n' (String.trim body) with
-              | m :: rest when m = magic -> (
-                  let int_field name line =
-                    match String.split_on_char ' ' line with
-                    | [ k; v ] when k = name -> int_of_string_opt v
-                    | _ -> None
-                  in
-                  match rest with
-                  | seq_l :: n_l :: upd_l :: count_l :: coeff_lines -> (
-                      match
-                        ( int_field "seq" seq_l,
-                          int_field "n" n_l,
-                          int_field "updates" upd_l,
-                          int_field "coeffs" count_l )
-                      with
-                      | Some seq, Some n, Some updates, Some count -> (
-                          if List.length coeff_lines <> count then
-                            fail "coefficient count mismatch"
-                          else if
-                            seq < 0 || updates < 0 || not (Float_util.is_pow2 n)
-                          then fail "malformed header fields"
-                          else
-                            let parse line =
-                              match String.split_on_char ' ' line with
-                              | [ j; c ] -> (
-                                  match
-                                    (int_of_string_opt j, float_of_string_opt c)
-                                  with
-                                  | Some j, Some c
-                                    when j >= 0 && j < n && Float.is_finite c ->
-                                      Some (j, c)
-                                  | _ -> None)
-                              | _ -> None
-                            in
-                            let coeffs =
-                              List.filter_map parse coeff_lines
-                            in
-                            if List.length coeffs <> count then
-                              fail "malformed coefficient line"
-                            else
-                              match
-                                Stream_synopsis.restore ~n ~updates coeffs
-                              with
-                              | _ -> Ok { seq; n; updates; coeffs }
-                              | exception Invalid_argument r -> fail r)
-                      | _ -> fail "malformed header fields")
-                  | _ -> fail "truncated header")
-              | _ -> fail "bad magic (not a wavesyn snapshot)"))
-      | _ -> fail "truncated (no checksum line)")
+  let fail reason = Error (Validate.Bad_shape { what; reason }) in
+  let int_field name line =
+    match String.split_on_char ' ' line with
+    | [ k; v ] when k = name -> int_of_string_opt v
+    | _ -> None
+  in
+  match Sealed.open_block ~trailer:"crc" text with
+  | Error reason -> fail reason
+  | Ok (m :: seq_l :: n_l :: upd_l :: count_l :: coeff_lines) when m = magic
+    -> (
+      match
+        ( int_field "seq" seq_l,
+          int_field "n" n_l,
+          int_field "updates" upd_l,
+          int_field "coeffs" count_l )
+      with
+      | Some seq, Some n, Some updates, Some count -> (
+          if List.length coeff_lines <> count then
+            fail "coefficient count mismatch"
+          else if seq < 0 || updates < 0 || not (Float_util.is_pow2 n) then
+            fail "malformed header fields"
+          else
+            let parse line =
+              match String.split_on_char ' ' line with
+              | [ j; c ] -> (
+                  match (int_of_string_opt j, float_of_string_opt c) with
+                  | Some j, Some c when j >= 0 && j < n && Float.is_finite c ->
+                      Some (j, c)
+                  | _ -> None)
+              | _ -> None
+            in
+            let coeffs = List.filter_map parse coeff_lines in
+            if List.length coeffs <> count then
+              fail "malformed coefficient line"
+            else
+              match Stream_synopsis.restore ~n ~updates coeffs with
+              | _ -> Ok { seq; n; updates; coeffs }
+              | exception Invalid_argument r -> fail r)
+      | _ -> fail "malformed header fields")
+  | Ok (m :: _) when m = magic -> fail "truncated header"
+  | Ok _ -> fail "bad magic (not a wavesyn snapshot)"
 
 (* --- store layout --- *)
 
@@ -134,22 +109,8 @@ let list ~dir =
         |> List.filter_map generation_of_file
         |> List.sort (fun a b -> compare b a))
 
-let read_exact path =
-  match open_in_bin path with
-  | exception Sys_error reason -> Error (Validate.Io_error { path; reason })
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | text -> Ok text
-          | exception _ ->
-              Error (Validate.Io_error { path; reason = "short read" }))
-
 let decode_file path =
-  match read_exact path with
-  | Error _ as e -> e
-  | Ok text -> decode ~what:path text
+  Result.bind (Validate.read_whole path) (decode ~what:path)
 
 let fsync_dir dir =
   (* Persist the rename itself. Best-effort: not every platform lets a

@@ -2,7 +2,8 @@
 
     A snapshot captures the exact sparse Haar-coefficient state a
     {!Wavesyn_stream.Stream_synopsis} maintains, together with the
-    journal sequence number it covers, as a small text artifact:
+    journal sequence number it covers, as a small text artifact sealed
+    as a block under a [crc] trailer ({!Wavesyn_util.Sealed}):
 
     {v
 wavesyn-snapshot v1
@@ -11,7 +12,7 @@ n <domain size>
 updates <updates folded into the state>
 coeffs <count>
 <index> <float as %h>         (count lines, sorted by index)
-crc <CRC-32 of everything above, %08x>
+crc <crc>
     v}
 
     Floats are serialized as hex ([%h]) so recovery is {e bit}-exact.
@@ -47,9 +48,10 @@ val seal : string -> string
     to disk. *)
 
 val decode : ?what:string -> string -> (state, Validate.error) result
-(** Parse and verify sealed snapshot bytes. Torn, truncated, bit-flipped
-    or otherwise malformed input is a [Bad_shape] naming [what]
-    (default ["snapshot"]); it never raises. *)
+(** Parse and verify sealed snapshot bytes, byte-exact (nothing is
+    trimmed). Torn, truncated, bit-flipped or otherwise malformed input
+    is a [Bad_shape] naming [what] (default ["snapshot"]); it never
+    raises. *)
 
 val file_of_generation : string -> int -> string
 (** [file_of_generation dir g] is the path of generation [g]. *)

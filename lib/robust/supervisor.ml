@@ -1,4 +1,4 @@
-module Crc32 = Wavesyn_util.Crc32
+module Sealed = Wavesyn_util.Sealed
 module Float_util = Wavesyn_util.Float_util
 module Metrics = Wavesyn_synopsis.Metrics
 module Stream_synopsis = Wavesyn_stream.Stream_synopsis
@@ -61,55 +61,40 @@ let decode_metric = function
       | _ -> None)
   | _ -> None
 
-let encode_manifest cfg =
-  let body =
-    String.concat "\n"
-      [
-        manifest_magic;
-        Printf.sprintf "n %d" cfg.n;
-        Printf.sprintf "budget %d" cfg.budget;
-        "metric " ^ encode_metric cfg.metric;
-        Printf.sprintf "epsilon %h" cfg.epsilon;
-      ]
-    ^ "\n"
-  in
-  body ^ "crc " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
+let manifest_text cfg =
+  Sealed.block ~trailer:"crc"
+    (String.concat "\n"
+       [
+         manifest_magic;
+         Printf.sprintf "n %d" cfg.n;
+         Printf.sprintf "budget %d" cfg.budget;
+         "metric " ^ encode_metric cfg.metric;
+         Printf.sprintf "epsilon %h" cfg.epsilon;
+       ]
+    ^ "\n")
 
 let decode_manifest ~path text =
   let fail reason = Error (Validate.Bad_shape { what = path; reason }) in
-  match String.split_on_char '\n' (String.trim text) with
-  | [ m; n_l; b_l; metric_l; eps_l; crc_l ] when m = manifest_magic -> (
-      let body =
-        String.concat "\n" [ m; n_l; b_l; metric_l; eps_l ] ^ "\n"
-      in
-      match String.split_on_char ' ' crc_l with
-      | [ "crc"; hex ]
-        when Crc32.of_hex hex = Some (Crc32.string body) -> (
-          let field name line =
-            match String.split_on_char ' ' line with
-            | k :: rest when k = name -> Some rest
-            | _ -> None
-          in
-          match
-            ( Option.bind (field "n" n_l) (function
-                | [ v ] -> int_of_string_opt v
-                | _ -> None),
-              Option.bind (field "budget" b_l) (function
-                | [ v ] -> int_of_string_opt v
-                | _ -> None),
-              Option.bind (field "metric" metric_l) decode_metric,
-              Option.bind (field "epsilon" eps_l) (function
-                | [ v ] -> float_of_string_opt v
-                | _ -> None) )
-          with
-          | Some n, Some budget, Some metric, Some epsilon
-            when Float_util.is_pow2 n && budget >= 0 ->
-              Ok (n, budget, metric, epsilon)
-          | _ -> fail "malformed manifest fields")
-      | _ -> fail "manifest checksum mismatch")
-  | _ -> fail "not a wavesyn store manifest"
-
-let manifest_text cfg = encode_manifest cfg
+  let field name line =
+    match String.split_on_char ' ' line with
+    | k :: rest when k = name -> Some rest
+    | _ -> None
+  in
+  let one parse = function [ v ] -> parse v | _ -> None in
+  match Sealed.open_block ~trailer:"crc" text with
+  | Error reason -> fail reason
+  | Ok [ m; n_l; b_l; metric_l; eps_l ] when m = manifest_magic -> (
+      match
+        ( Option.bind (field "n" n_l) (one int_of_string_opt),
+          Option.bind (field "budget" b_l) (one int_of_string_opt),
+          Option.bind (field "metric" metric_l) decode_metric,
+          Option.bind (field "epsilon" eps_l) (one float_of_string_opt) )
+      with
+      | Some n, Some budget, Some metric, Some epsilon
+        when Float_util.is_pow2 n && budget >= 0 ->
+          Ok (n, budget, metric, epsilon)
+      | _ -> fail "malformed manifest fields")
+  | Ok _ -> fail "not a wavesyn store manifest"
 
 let config_of_manifest ~dir text =
   match decode_manifest ~path:"<shipped manifest>" text with
@@ -119,16 +104,7 @@ let config_of_manifest ~dir text =
 
 let read_manifest dir =
   let path = manifest_path dir in
-  match open_in_bin path with
-  | exception Sys_error reason -> Error (Validate.Io_error { path; reason })
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match really_input_string ic (in_channel_length ic) with
-          | text -> decode_manifest ~path text
-          | exception _ ->
-              Error (Validate.Io_error { path; reason = "short read" }))
+  Result.bind (Validate.read_whole path) (decode_manifest ~path)
 
 let write_manifest cfg =
   let path = manifest_path cfg.dir in
@@ -138,7 +114,7 @@ let write_manifest cfg =
     Fun.protect
       ~finally:(fun () -> close_out_noerr oc)
       (fun () ->
-        output_string oc (encode_manifest cfg);
+        output_string oc (manifest_text cfg);
         flush oc;
         if cfg.sync then Unix.fsync (Unix.descr_of_out_channel oc));
     Sys.rename tmp path

@@ -198,14 +198,16 @@ val install_snapshot :
     snapshot older than the store's current sequence. *)
 
 val manifest_text : config -> string
-(** The store manifest as its sealed on-disk text — shipped to
-    followers so they reproduce the primary's domain, budget, metric
-    and epsilon exactly. *)
+(** The store manifest as its on-disk text, sealed as a block under a
+    [crc] trailer ({!Wavesyn_util.Sealed}) — shipped to followers so
+    they reproduce the primary's domain, budget, metric and epsilon
+    exactly. *)
 
 val config_of_manifest :
   dir:string -> string -> (config, Validate.error) result
-(** Parse a shipped {!manifest_text} into a config rooted at the
-    (local) directory [dir]; cadence knobs take their defaults. *)
+(** Parse a shipped {!manifest_text}, byte-exact, into a config rooted
+    at the (local) directory [dir]; cadence knobs take their defaults.
+    Malformed bytes are a [Bad_shape] on ["<shipped manifest>"]. *)
 
 (** {1 Read-only recovery} *)
 

@@ -156,6 +156,17 @@ let read_lines ~max_bytes ~max_line_bytes ~max_values path ~parse =
                      { what = path; reason = "no data values (empty input)" })
               else Ok (Array.of_list (List.rev !values)))
 
+let read_whole path =
+  match open_in_bin path with
+  | exception Sys_error reason -> Error (Io_error { path; reason })
+  | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in_noerr ic)
+        (fun () ->
+          match really_input_string ic (in_channel_length ic) with
+          | text -> Ok text
+          | exception _ -> Error (Io_error { path; reason = "short read" }))
+
 let read_file ?(max_bytes = default_max_bytes)
     ?(max_line_bytes = default_max_line_bytes)
     ?(max_values = default_max_values) path =

@@ -43,6 +43,15 @@ val parse_float :
 (** Parse one float token, rejecting non-numeric input {e and} NaN or
     infinite literals (which [float_of_string] happily accepts). *)
 
+val read_whole : string -> (string, error) result
+(** A whole file's bytes, unparsed — how the sealed store artifacts
+    (snapshots, the manifest) are read before decoding. An unreadable
+    path or a short read is an [Io_error]. *)
+
+val default_max_values : int
+(** The most values one dataset may hold (2^22): {!read_file}'s default
+    cap, and the CLI's cap on a generated [-n]. *)
+
 val read_file :
   ?max_bytes:int ->
   ?max_line_bytes:int ->

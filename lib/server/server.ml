@@ -760,6 +760,66 @@ let apply_writes t writes =
   | Live l -> live_writes t l writes
   | Static _ -> ()
 
+(* The one per-request dispatch: a top-level frame and each BATCH entry
+   take the same branch, and only [Wire.batchable] entries reach it
+   from a batch. *)
+let rec dispatch t ~push ~admit ~stage_write conn request =
+  match request with
+  | Wire.Ping -> push Wire.Pong
+  | Wire.Stats -> push (Wire.Stats_text (stats_text t))
+  | Wire.Shutdown ->
+      t.running <- false;
+      push Wire.Bye;
+      Conn.mark_closing conn
+  | Wire.Sync { since; max } -> push (sync_reply t ~since ~max)
+  | Wire.Handoff ->
+      (* Promotion: flip to primary and acknowledge with the store's
+         authoritative sequence, so the client can check it lost no
+         acked write across the failover. *)
+      let seq =
+        match (t.on_handoff, t.backend) with
+        | Some f, _ -> f ()
+        | None, Live l ->
+            (* Idempotent on an already-primary store. *)
+            Supervisor.promote l.sup;
+            Supervisor.seq l.sup
+        | None, (Static _ | Router _) -> (
+            match t.cfg.ship with Some s -> s.ship_seq | None -> 0)
+      in
+      t.role <- Primary;
+      (* A live standby's store may have been caught up — journal
+         records shipped straight into the supervisor — behind the
+         incremental solver's back while it was a read-only follower.
+         Promotion re-cuts from the store's current stream, so the
+         sequence this ack carries is exactly the state the promoted
+         server serves. *)
+      (match t.backend with Live _ -> recut t | Static _ | Router _ -> ());
+      (match t.repl with
+      | Some r ->
+          Metric.set r.g_role (role_gauge_value t.role);
+          Metric.incr r.c_handoffs
+      | None -> ());
+      push (Wire.Handoff_ack { seq; role = role_name t.role })
+  | Wire.Batch reqs ->
+      List.iter
+        (fun r ->
+          if Wire.batchable r then dispatch t ~push ~admit ~stage_write conn r
+          else
+            let message = "illegal BATCH entry" in
+            push (Wire.Error { code = Wire.Bad_request; message }))
+        reqs
+  | Wire.Retier level ->
+      (* Shard control plane: a sharded front-end forwards its own
+         pressure here so every shard re-cuts to the tier the
+         front-end's OVERLOAD replies advertise. The floor composes
+         with local pressure by max, so a shard under its own direct
+         overload never serves {e above} what its own admission allows. *)
+      t.tier_floor <- max 0 level;
+      recut t;
+      push Wire.Pong
+  | Wire.Update _ | Wire.Ingest _ -> stage_write request
+  | Wire.Point _ | Wire.Range _ | Wire.Quantile _ -> admit request
+
 let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
   t.total_requests <- t.total_requests + 1;
   Metric.incr (t.c_kind request);
@@ -806,70 +866,7 @@ let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
         slots := slot :: !slots;
         writes := (slot, request) :: !writes
   in
-  match request with
-  | Wire.Ping -> push Wire.Pong
-  | Wire.Stats -> push (Wire.Stats_text (stats_text t))
-  | Wire.Shutdown ->
-      t.running <- false;
-      push Wire.Bye;
-      Conn.mark_closing conn
-  | Wire.Sync { since; max } -> push (sync_reply t ~since ~max)
-  | Wire.Handoff ->
-      (* Promotion: flip to primary and acknowledge with the store's
-         authoritative sequence, so the client can check it lost no
-         acked write across the failover. *)
-      let seq =
-        match (t.on_handoff, t.backend) with
-        | Some f, _ -> f ()
-        | None, Live l ->
-            (* Idempotent on an already-primary store. *)
-            Supervisor.promote l.sup;
-            Supervisor.seq l.sup
-        | None, (Static _ | Router _) -> (
-            match t.cfg.ship with Some s -> s.ship_seq | None -> 0)
-      in
-      t.role <- Primary;
-      (* A live standby's store may have been caught up — journal
-         records shipped straight into the supervisor — behind the
-         incremental solver's back while it was a read-only follower.
-         Promotion re-cuts from the store's current stream, so the
-         sequence this ack carries is exactly the state the promoted
-         server serves. *)
-      (match t.backend with Live _ -> recut t | Static _ | Router _ -> ());
-      (match t.repl with
-      | Some r ->
-          Metric.set r.g_role (role_gauge_value t.role);
-          Metric.incr r.c_handoffs
-      | None -> ());
-      push (Wire.Handoff_ack { seq; role = role_name t.role })
-  | Wire.Batch reqs ->
-      List.iter
-        (fun r ->
-          match r with
-          | Wire.Ping -> push Wire.Pong
-          | Wire.Stats -> push (Wire.Stats_text (stats_text t))
-          | Wire.Point _ | Wire.Range _ | Wire.Quantile _ -> admit r
-          | Wire.Update _ -> stage_write r
-          | Wire.Batch _ | Wire.Shutdown | Wire.Sync _ | Wire.Handoff
-          | Wire.Ingest _ | Wire.Retier _ ->
-              push
-                (Wire.Error
-                   {
-                     code = Wire.Bad_request;
-                     message = "illegal BATCH entry";
-                   }))
-        reqs
-  | Wire.Retier level ->
-      (* Shard control plane: a sharded front-end forwards its own
-         pressure here so every shard re-cuts to the tier the
-         front-end's OVERLOAD replies advertise. The floor composes
-         with local pressure by max, so a shard under its own direct
-         overload never serves {e above} what its own admission allows. *)
-      t.tier_floor <- max 0 level;
-      recut t;
-      push Wire.Pong
-  | Wire.Update _ | Wire.Ingest _ -> stage_write request
-  | Wire.Point _ | Wire.Range _ | Wire.Quantile _ -> admit request
+  dispatch t ~push ~admit ~stage_write conn request
 
 (* Evaluate the round's admitted requests, batched by query kind, each
    kind fanned out positionally over the pool — results land back in

@@ -17,6 +17,7 @@
    oversized length or CRC mismatch is [`Corrupt], never a guess. *)
 
 module Crc32 = Wavesyn_util.Crc32
+module Sealed = Wavesyn_util.Sealed
 module Quantiles = Wavesyn_aqp.Quantiles
 
 type error_code =
@@ -102,88 +103,50 @@ let put_str buf s =
   Buffer.add_int32_be buf (Int32.of_int (String.length s));
   Buffer.add_string buf s
 
-let get_i64 s pos = Int64.to_int (String.get_int64_be s pos)
+exception Corrupt_payload of string
+
+(* A word outside OCaml's 63-bit [int] range is refused rather than
+   wrapped, so every decoded integer re-encodes to the bytes it came
+   from. *)
+let get_i64 s pos =
+  let v = String.get_int64_be s pos in
+  if not (Int64.equal (Int64.of_int (Int64.to_int v)) v) then
+    raise (Corrupt_payload "integer out of range");
+  Int64.to_int v
+
 let get_f64 s pos = Int64.float_of_bits (String.get_int64_be s pos)
 
 (* --- update storms ---
 
-   An INGEST payload is a self-verifying text artifact mirroring the
-   journal's SHIP batches: a [storm <count>] header, one
-   [<cell> <delta> <crc>] line per delta (the CRC over the line body),
-   and an [end <crc>] trailer sealing everything above it. The same
-   bytes could be journaled or forwarded verbatim, and a flipped bit
-   anywhere is caught twice (frame CRC and artifact CRC). *)
-
-let storm_line_body i delta = Printf.sprintf "%d %h" i delta
+   An INGEST payload is a counted sealed block (Wavesyn_util.Sealed)
+   with the journal's SHIP layout: a [storm <count>] header, one sealed
+   [<cell> <delta>] line per delta and an [end] trailer. The same bytes
+   could be journaled or forwarded verbatim, and a flipped bit anywhere
+   is caught twice (frame CRC and artifact CRC). *)
 
 let encode_storm deltas =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (Printf.sprintf "storm %d\n" (List.length deltas));
-  List.iter
-    (fun (i, delta) ->
-      let body = storm_line_body i delta in
-      Buffer.add_string buf
-        (body ^ " " ^ Crc32.to_hex (Crc32.string body) ^ "\n"))
-    deltas;
-  let body = Buffer.contents buf in
-  body ^ "end " ^ Crc32.to_hex (Crc32.string body) ^ "\n"
+  Sealed.counted ~trailer:"end"
+    ~header:(Printf.sprintf "storm %d")
+    (List.map (fun (i, delta) -> Printf.sprintf "%d %h" i delta) deltas)
 
-let decode_storm_line line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some cut -> (
-      let body = String.sub line 0 cut in
-      let hex = String.sub line (cut + 1) (String.length line - cut - 1) in
-      match Crc32.of_hex hex with
-      | Some crc when crc = Crc32.string body -> (
-          match String.split_on_char ' ' body with
-          | [ i; delta ] -> (
-              match (int_of_string_opt i, float_of_string_opt delta) with
-              | Some i, Some delta when i >= 0 -> Some (i, delta)
-              | _ -> None)
-          | _ -> None)
+let parse_delta body =
+  match String.split_on_char ' ' body with
+  | [ i; delta ] -> (
+      match (int_of_string_opt i, float_of_string_opt delta) with
+      | Some i, Some delta when i >= 0 -> Some (i, delta)
       | _ -> None)
+  | _ -> None
 
 let decode_storm s =
-  let len = String.length s in
-  if len < 2 || s.[len - 1] <> '\n' then Stdlib.Error "missing storm trailer"
-  else
-    let tstart =
-      match String.rindex_from_opt s (len - 2) '\n' with
-      | Some i -> i + 1
-      | None -> 0
-    in
-    let trailer = String.sub s tstart (len - tstart - 1) in
-    let body = String.sub s 0 tstart in
-    match String.split_on_char ' ' trailer with
-    | [ "end"; hex ] -> (
-        match Crc32.of_hex hex with
-        | Some crc when crc = Crc32.string body -> (
-            match String.split_on_char '\n' body with
-            | header :: rest -> (
-                let lines = List.filter (fun l -> l <> "") rest in
-                match String.split_on_char ' ' header with
-                | [ "storm"; count ] -> (
-                    match int_of_string_opt count with
-                    | Some count
-                      when count >= 0 && List.length lines = count -> (
-                        let deltas = ref [] in
-                        let bad = ref false in
-                        List.iter
-                          (fun line ->
-                            if not !bad then
-                              match decode_storm_line line with
-                              | None -> bad := true
-                              | Some d -> deltas := d :: !deltas)
-                          lines;
-                        if !bad then Stdlib.Error "corrupt storm delta"
-                        else Ok (List.rev !deltas))
-                    | _ -> Stdlib.Error "storm count mismatch")
-                | _ -> Stdlib.Error "bad storm header")
-            | [] -> Stdlib.Error "empty storm body")
-        | Some _ -> Stdlib.Error "storm CRC mismatch"
-        | None -> Stdlib.Error "bad storm CRC field")
-    | _ -> Stdlib.Error "bad storm trailer"
+  let header h =
+    match String.split_on_char ' ' h with
+    | [ "storm"; count ] ->
+        Option.map (fun c -> ((), c)) (int_of_string_opt count)
+    | _ -> None
+  in
+  match Sealed.open_counted ~trailer:"end" ~header ~line:parse_delta s with
+  | Ok ((), deltas) -> Ok deltas
+  | Stdlib.Error reason -> Stdlib.Error ("storm: " ^ reason)
 
 (* --- request encoding --- *)
 
@@ -213,8 +176,35 @@ let reply_kind = function
   | Handoff_ack _ -> 0x89
   | Acked _ -> 0x8A
 
-(* Batch entries are a kind byte plus that kind's fixed-size payload;
-   nesting is rejected at encode time so the decoder never recurses. *)
+let describe_request r =
+  let rec go = function
+    | Ping -> "PING"
+    | Point i -> Printf.sprintf "POINT %d" i
+    | Range { lo; hi } -> Printf.sprintf "RANGE %d %d" lo hi
+    | Quantile q -> Printf.sprintf "QUANTILE %g" q
+    | Stats -> "STATS"
+    | Batch reqs ->
+        Printf.sprintf "BATCH[%s]" (String.concat "; " (List.map go reqs))
+    | Shutdown -> "SHUTDOWN"
+    | Sync { since; max } -> Printf.sprintf "SYNC since=%d max=%d" since max
+    | Handoff -> "HANDOFF"
+    | Update { i; delta } -> Printf.sprintf "UPDATE %d %g" i delta
+    | Ingest deltas ->
+        (* Storm bodies are deliberately not rendered: transcripts must
+           stay stable however the sealed artifact is laid out. *)
+        Printf.sprintf "INGEST n=%d" (List.length deltas)
+    | Retier level -> Printf.sprintf "RETIER %d" level
+  in
+  go r
+
+(* The requests that may ride inside a BATCH: reads, STATS and point
+   writes. The encoder refuses, the decoder rejects and the server
+   answers as illegal every other entry. *)
+let batchable = function
+  | Ping | Point _ | Range _ | Quantile _ | Stats | Update _ -> true
+  | Batch _ | Shutdown | Sync _ | Handoff | Ingest _ | Retier _ -> false
+
+(* Batch entries are a kind byte plus that kind's fixed-size payload. *)
 let rec put_request_payload buf = function
   | Ping | Stats | Shutdown | Handoff -> ()
   | Point i -> put_i64 buf i
@@ -234,14 +224,13 @@ let rec put_request_payload buf = function
       put_i64 buf (List.length reqs);
       List.iter
         (fun r ->
-          (match r with
-          | Batch _ -> invalid_arg "Wire: nested BATCH"
-          | Shutdown -> invalid_arg "Wire: SHUTDOWN inside BATCH"
-          | Sync _ -> invalid_arg "Wire: SYNC inside BATCH"
-          | Handoff -> invalid_arg "Wire: HANDOFF inside BATCH"
-          | Ingest _ -> invalid_arg "Wire: INGEST inside BATCH"
-          | Retier _ -> invalid_arg "Wire: RETIER inside BATCH"
-          | _ -> ());
+          if not (batchable r) then
+            invalid_arg
+              (match r with
+              | Batch _ -> "Wire: nested BATCH"
+              | r ->
+                  let verb = String.split_on_char ' ' (describe_request r) in
+                  "Wire: " ^ List.hd verb ^ " inside BATCH");
           Buffer.add_uint8 buf (request_kind r);
           put_request_payload buf r)
         reqs
@@ -301,146 +290,125 @@ let encode_reply r =
 
 (* --- decoding --- *)
 
-exception Corrupt_payload of string
-
+(* Lengths are checked before any field is read, so a short payload is
+   [`Corrupt], never an out-of-bounds read. *)
 let need payload pos k =
   if pos + k > String.length payload then
     raise (Corrupt_payload "truncated payload")
 
-let decode_batch_entry payload pos =
-  need payload pos 1;
-  let kind = Char.code payload.[pos] in
-  let pos = pos + 1 in
-  match kind with
-  | 0x01 -> (Ping, pos)
-  | 0x02 ->
-      need payload pos 8;
-      (Point (get_i64 payload pos), pos + 8)
+let exact payload k =
+  if String.length payload <> k then
+    raise (Corrupt_payload "payload length mismatch")
+
+(* Claim the next [k] payload bytes: their offset, leaving [at] past
+   them. *)
+let advance payload at k =
+  let pos = !at in
+  need payload pos k;
+  at := pos + k;
+  pos
+
+(* The payload decoder of every fixed-size request kind, shared by
+   top-level frames and BATCH entries: the request whose payload starts
+   at [!at], leaving [at] just past it. *)
+let fixed_request payload at = function
+  | 0x01 -> Ping
+  | 0x02 -> Point (get_i64 payload (advance payload at 8))
   | 0x03 ->
-      need payload pos 16;
-      (Range { lo = get_i64 payload pos; hi = get_i64 payload (pos + 8) },
-       pos + 16)
-  | 0x04 ->
-      need payload pos 8;
-      (Quantile (get_f64 payload pos), pos + 8)
-  | 0x05 -> (Stats, pos)
+      let pos = advance payload at 16 in
+      Range { lo = get_i64 payload pos; hi = get_i64 payload (pos + 8) }
+  | 0x04 -> Quantile (get_f64 payload (advance payload at 8))
+  | 0x05 -> Stats
+  | 0x07 -> Shutdown
+  | 0x08 ->
+      let pos = advance payload at 16 in
+      Sync { since = get_i64 payload pos; max = get_i64 payload (pos + 8) }
+  | 0x09 -> Handoff
   | 0x0A ->
-      need payload pos 16;
-      ( Update { i = get_i64 payload pos; delta = get_f64 payload (pos + 8) },
-        pos + 16 )
-  | k -> raise (Corrupt_payload (Printf.sprintf "bad batch entry kind 0x%02x" k))
+      let pos = advance payload at 16 in
+      Update { i = get_i64 payload pos; delta = get_f64 payload (pos + 8) }
+  | 0x0C -> Retier (get_i64 payload (advance payload at 8))
+  | k -> raise (Corrupt_payload (Printf.sprintf "bad request kind 0x%02x" k))
 
 let decode_request ~kind payload =
-  let exact k v =
-    if String.length payload <> k then
-      raise (Corrupt_payload "payload length mismatch")
-    else v
+  let at = ref 0 in
+  let r =
+    match kind with
+    | 0x06 ->
+        let count = get_i64 payload (advance payload at 8) in
+        if count < 0 || count > max_payload then
+          raise (Corrupt_payload "bad batch count");
+        Batch
+          (List.init count (fun _ ->
+               let kind = Char.code payload.[advance payload at 1] in
+               let r = fixed_request payload at kind in
+               if batchable r then r
+               else
+                 raise
+                   (Corrupt_payload
+                      (Printf.sprintf "bad batch entry kind 0x%02x" kind))))
+    | 0x0B -> (
+        match decode_storm payload with
+        | Ok deltas ->
+            at := String.length payload;
+            Ingest deltas
+        | Stdlib.Error reason -> raise (Corrupt_payload reason))
+    | kind -> fixed_request payload at kind
   in
-  match kind with
-  | 0x01 -> exact 0 Ping
-  | 0x02 -> exact 8 (Point (get_i64 payload 0))
-  | 0x03 ->
-      exact 16 (Range { lo = get_i64 payload 0; hi = get_i64 payload 8 })
-  | 0x04 -> exact 8 (Quantile (get_f64 payload 0))
-  | 0x05 -> exact 0 Stats
-  | 0x06 ->
-      need payload 0 8;
-      let count = get_i64 payload 0 in
-      if count < 0 || count > max_payload then
-        raise (Corrupt_payload "bad batch count");
-      let pos = ref 8 in
-      let reqs =
-        List.init count (fun _ ->
-            let r, pos' = decode_batch_entry payload !pos in
-            pos := pos';
-            r)
-      in
-      if !pos <> String.length payload then
-        raise (Corrupt_payload "trailing bytes after batch");
-      Batch reqs
-  | 0x07 -> exact 0 Shutdown
-  | 0x08 ->
-      exact 16 (Sync { since = get_i64 payload 0; max = get_i64 payload 8 })
-  | 0x09 -> exact 0 Handoff
-  | 0x0A ->
-      exact 16 (Update { i = get_i64 payload 0; delta = get_f64 payload 8 })
-  | 0x0B -> (
-      match decode_storm payload with
-      | Ok deltas -> Ingest deltas
-      | Stdlib.Error reason -> raise (Corrupt_payload reason))
-  | 0x0C -> exact 8 (Retier (get_i64 payload 0))
-  | k -> raise (Corrupt_payload (Printf.sprintf "unknown request kind 0x%02x" k))
+  exact payload !at;
+  r
 
+(* A [put_str] field at [!at]. *)
+let get_str payload at =
+  let len = Int32.to_int (String.get_int32_be payload (advance payload at 4)) in
+  if len < 0 then raise (Corrupt_payload "bad string length");
+  String.sub payload (advance payload at len) len
+
+(* Fixed-size replies are read in place; the string-carrying ones walk
+   a cursor. *)
 let decode_reply ~kind payload =
-  let exact k v =
-    if String.length payload <> k then
-      raise (Corrupt_payload "payload length mismatch")
-    else v
-  in
   match kind with
-  | 0x81 -> exact 0 Pong
-  | 0x82 -> exact 8 (Value (get_f64 payload 0))
-  | 0x83 -> exact 8 (Quantile_pos (get_i64 payload 0))
+  | 0x81 -> exact payload 0; Pong
+  | 0x82 -> exact payload 8; Value (get_f64 payload 0)
+  | 0x83 -> exact payload 8; Quantile_pos (get_i64 payload 0)
   | 0x84 -> Stats_text payload
   | 0x85 ->
-      need payload 0 20;
-      let bound = get_i64 payload 0 and depth = get_i64 payload 8 in
-      let tlen = Int32.to_int (String.get_int32_be payload 16) in
-      if tlen < 0 || 20 + tlen <> String.length payload then
-        raise (Corrupt_payload "bad overload tier length");
-      Overload { bound; depth; tier = String.sub payload 20 tlen }
-  | 0x86 -> exact 0 Bye
-  | 0x87 ->
+      let at = ref 16 in
+      need payload 0 16;
+      let tier = get_str payload at in
+      exact payload !at;
+      Overload { bound = get_i64 payload 0; depth = get_i64 payload 8; tier }
+  | 0x86 -> exact payload 0; Bye
+  | 0x87 -> (
       need payload 0 1;
-      let code =
-        match error_code_of_byte (Char.code payload.[0]) with
-        | Some c -> c
-        | None -> raise (Corrupt_payload "unknown error code")
-      in
-      Error
-        { code; message = String.sub payload 1 (String.length payload - 1) }
+      match error_code_of_byte (Char.code payload.[0]) with
+      | Some code ->
+          let message = String.sub payload 1 (String.length payload - 1) in
+          Error { code; message }
+      | None -> raise (Corrupt_payload "unknown error code"))
   | 0x88 ->
       need payload 0 10;
-      let last_seq = get_i64 payload 0 in
-      let complete =
-        match Char.code payload.[8] with
-        | 0 -> false
-        | 1 -> true
-        | _ -> raise (Corrupt_payload "bad ship complete flag")
-      in
-      let body_kind = Char.code payload.[9] in
-      let get_lstr pos =
-        need payload pos 4;
-        let len = Int32.to_int (String.get_int32_be payload pos) in
-        if len < 0 || pos + 4 + len > String.length payload then
-          raise (Corrupt_payload "bad ship string length");
-        (String.sub payload (pos + 4) len, pos + 4 + len)
-      in
-      let manifest, pos = get_lstr 10 in
-      let body_str, pos = get_lstr pos in
-      if pos <> String.length payload then
-        raise (Corrupt_payload "trailing bytes after ship");
+      if Char.code payload.[8] > 1 then
+        raise (Corrupt_payload "bad ship complete flag");
+      let at = ref 10 in
+      let manifest = get_str payload at in
       let body =
-        match body_kind with
-        | 0 ->
-            if body_str <> "" then
-              raise (Corrupt_payload "ship body on empty body kind");
-            Ship_none
-        | 1 -> Ship_records body_str
-        | 2 -> Ship_snapshot body_str
-        | k ->
-            raise
-              (Corrupt_payload (Printf.sprintf "bad ship body kind %d" k))
+        match (Char.code payload.[9], get_str payload at) with
+        | 0, "" -> Ship_none
+        | 1, s -> Ship_records s
+        | 2, s -> Ship_snapshot s
+        | _ -> raise (Corrupt_payload "bad ship body kind")
       in
-      Ship { last_seq; complete; manifest; body }
+      exact payload !at;
+      let complete = payload.[8] = '\001' in
+      Ship { last_seq = get_i64 payload 0; complete; manifest; body }
   | 0x89 ->
-      need payload 0 12;
-      let seq = get_i64 payload 0 in
-      let rlen = Int32.to_int (String.get_int32_be payload 8) in
-      if rlen < 0 || 12 + rlen <> String.length payload then
-        raise (Corrupt_payload "bad handoff role length");
-      Handoff_ack { seq; role = String.sub payload 12 rlen }
-  | 0x8A -> exact 8 (Acked { seq = get_i64 payload 0 })
+      let at = ref 8 in
+      need payload 0 8;
+      let role = get_str payload at in
+      exact payload !at;
+      Handoff_ack { seq = get_i64 payload 0; role }
+  | 0x8A -> exact payload 8; Acked { seq = get_i64 payload 0 }
   | k -> raise (Corrupt_payload (Printf.sprintf "unknown reply kind 0x%02x" k))
 
 let magic_word = String.get_int32_be magic 0
@@ -477,27 +445,6 @@ let decode buf ~pos ~len : decoded =
   end
 
 (* --- text mode --- *)
-
-let describe_request r =
-  let rec go = function
-    | Ping -> "PING"
-    | Point i -> Printf.sprintf "POINT %d" i
-    | Range { lo; hi } -> Printf.sprintf "RANGE %d %d" lo hi
-    | Quantile q -> Printf.sprintf "QUANTILE %g" q
-    | Stats -> "STATS"
-    | Batch reqs ->
-        Printf.sprintf "BATCH[%s]" (String.concat "; " (List.map go reqs))
-    | Shutdown -> "SHUTDOWN"
-    | Sync { since; max } -> Printf.sprintf "SYNC since=%d max=%d" since max
-    | Handoff -> "HANDOFF"
-    | Update { i; delta } -> Printf.sprintf "UPDATE %d %g" i delta
-    | Ingest deltas ->
-        (* Storm bodies are deliberately not rendered: transcripts must
-           stay stable however the sealed artifact is laid out. *)
-        Printf.sprintf "INGEST n=%d" (List.length deltas)
-    | Retier level -> Printf.sprintf "RETIER %d" level
-  in
-  go r
 
 let describe_reply = function
   | Pong -> "PONG"

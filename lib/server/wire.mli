@@ -7,8 +7,10 @@
     covering every byte after the magic. Integers travel as 8-byte
     big-endian words, floats as their IEEE-754 bit patterns, so a reply
     decodes to the exact value the server computed. Decoding is strict:
-    unknown versions or kinds, out-of-bounds lengths and checksum
-    mismatches are [`Corrupt], never silently skipped. The text mode
+    unknown versions or kinds, out-of-bounds lengths, payloads shorter
+    or longer than their kind, words outside OCaml's [int] range and
+    checksum mismatches are [`Corrupt], never silently skipped or
+    wrapped. The text mode
     ([docs/SERVING.md]) exists for humans with netcat; the first byte
     of a connection picks the mode, since no text verb starts with the
     magic's ['W']. *)
@@ -30,9 +32,8 @@ type request =
   | Stats  (** metrics table of the serving registry *)
   | Batch of request list
       (** sub-requests answered by one reply frame each, in order;
-          nesting and [Shutdown] / [Sync] / [Handoff] / [Ingest]
-          entries are rejected at encode time ([Update] entries are
-          legal — a batch may mix reads and point writes) *)
+          only {!batchable} entries are legal — a batch may mix reads
+          and point writes *)
   | Shutdown  (** drain and stop the server *)
   | Sync of { since : int; max : int }
       (** replication cursor pull: ship journal records
@@ -49,10 +50,10 @@ type request =
           sequence. Legal inside a [Batch]. *)
   | Ingest of (int * float) list
       (** an update storm: the deltas travel as a CRC-sealed text
-          artifact (see {!encode_storm}) exactly like a SHIP batch, so
-          a flipped bit is caught at the artifact layer as well as the
-          frame layer. Applied in order under one {!reply.Acked} naming
-          the last assigned sequence. Rejected inside a [Batch]. *)
+          artifact (see {!encode_storm}), so a flipped bit is caught at
+          the artifact layer as well as the frame layer. Applied in
+          order under one {!reply.Acked} naming the last assigned
+          sequence. Rejected inside a [Batch]. *)
   | Retier of int
       (** shard control plane: serve at the ladder tier pressure level
           [level] commands (0 minmax, 1 approx, 2+ greedy) until told
@@ -124,21 +125,25 @@ val error_code_of_byte : int -> error_code option
 (** Inverse of {!error_code_byte}. *)
 
 val encode_storm : (int * float) list -> string
-(** The sealed update-storm artifact of an [Ingest] payload: a
-    [storm <count>] header, one [<cell> <delta> <crc>] line per delta
-    (CRC-32 over the line body), and an [end <crc>] trailer over
-    everything above it — the same self-verifying layout as
-    [Journal.encode_batch]. *)
+(** The update-storm artifact of an [Ingest] payload: a counted sealed
+    block ({!Wavesyn_util.Sealed}) of a [storm <count>] header and one
+    [<cell> <delta as %h>] line per delta, under an [end] trailer. *)
 
 val decode_storm : string -> ((int * float) list, string) result
-(** Verify and parse a sealed storm artifact. The error is a
-    human-readable reason (trailer/header damage, CRC mismatch, a
-    corrupt delta line, or a count mismatch); negative cell indices are
-    rejected here, domain bounds are the server's business. *)
+(** Verify and parse a storm artifact, byte-exact. The error is a
+    human-readable reason starting ["storm: "]; negative cell indices
+    are rejected here, domain bounds are the server's business. *)
+
+val batchable : request -> bool
+(** Whether a request may ride inside a [Batch]: [Ping], [Point],
+    [Range], [Quantile], [Stats] and [Update]. The one rule behind
+    {!encode_request}'s refusal, {!decode}'s rejection and the server's
+    answer to an illegal entry. *)
 
 val encode_request : request -> string
-(** Complete binary frame for a request. Raises [Invalid_argument] on
-    a nested [Batch] or a [Shutdown] inside a [Batch]. *)
+(** Complete binary frame for a request. Raises [Invalid_argument] on a
+    [Batch] entry that is not {!batchable} (["Wire: nested BATCH"],
+    ["Wire: SHUTDOWN inside BATCH"], ...). *)
 
 val encode_reply : reply -> string
 (** Complete binary frame for a reply. *)

@@ -24,9 +24,12 @@ let string s = update 0 s
 
 let to_hex c = Printf.sprintf "%08x" (c land mask)
 
+(* Canonical fields only: exactly the 8 lowercase hex digits [to_hex]
+   writes, so no other spelling (uppercase, [_] separators) of a CRC
+   is accepted. *)
 let of_hex s =
-  if String.length s <> 8 then None
-  else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some v when v >= 0 && v <= mask -> Some v
-    | _ -> None
+  if
+    String.length s = 8
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+  then int_of_string_opt ("0x" ^ s)
+  else None

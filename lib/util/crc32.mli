@@ -20,4 +20,5 @@ val to_hex : int -> string
 (** Fixed-width lowercase hex rendering ([%08x]). *)
 
 val of_hex : string -> int option
-(** Parse {!to_hex} output; [None] on malformed input. *)
+(** Parse {!to_hex} output: exactly 8 lowercase hex digits, so every
+    value has one accepted spelling; [None] on anything else. *)
