@@ -125,6 +125,12 @@ let query_tests =
   let n = 4096 in
   let data = signal n in
   let syn = Greedy_l2.threshold ~data ~budget:32 in
+  (* A quantile needs a positive total: the same walk, shifted to a
+     floor of 1. *)
+  let quantile_syn =
+    let floor = Array.fold_left Float.min Float.infinity data in
+    Greedy_l2.threshold ~data:(Array.map (fun x -> x -. floor +. 1.) data) ~budget:32
+  in
   [
     Test.make ~name:"E10/range-sum-from-synopsis:4096"
       (Staged.stage (fun () ->
@@ -135,6 +141,9 @@ let query_tests =
     Test.make ~name:"E10/point-from-synopsis:4096"
       (Staged.stage (fun () ->
            ignore (Wavesyn_synopsis.Synopsis.reconstruct_point syn 1234)));
+    Test.make ~name:"E10/quantile-from-synopsis:4096"
+      (Staged.stage (fun () ->
+           ignore (Wavesyn_aqp.Quantiles.search_synopsis quantile_syn ~q:0.37)));
   ]
 
 (* E12: ablation variants (top-down vs bottom-up, split strategies). *)

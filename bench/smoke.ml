@@ -18,6 +18,7 @@ module Prng = Wavesyn_util.Prng
 module Signal = Wavesyn_datagen.Signal
 module Metrics = Wavesyn_synopsis.Metrics
 module Range_query = Wavesyn_synopsis.Range_query
+module Quantiles = Wavesyn_aqp.Quantiles
 module Minmax_dp = Wavesyn_core.Minmax_dp
 module Approx_additive = Wavesyn_core.Approx_additive
 module Greedy_l2 = Wavesyn_baselines.Greedy_l2
@@ -43,6 +44,14 @@ let cases =
   let data128 = signal 128 in
   let data4096 = signal 4096 in
   let syn = Greedy_l2.threshold ~data:data4096 ~budget:32 in
+  (* A quantile needs a positive total: the same walk, shifted to a
+     floor of 1. *)
+  let quantile_syn =
+    let floor = Array.fold_left Float.min Float.infinity data4096 in
+    Greedy_l2.threshold
+      ~data:(Array.map (fun x -> x -. floor +. 1.) data4096)
+      ~budget:32
+  in
   let stream = Stream_synopsis.create ~n:4096 in
   let i = ref 0 in
   (* The observability overhead pair: the very same ladder request with
@@ -62,6 +71,8 @@ let cases =
            ignore (Approx_additive.solve_1d ~data:data64 ~budget:6 ~epsilon:0.25 rel1)));
     Test.make ~name:"E10/range-sum-from-synopsis:4096"
       (Staged.stage (fun () -> ignore (Range_query.range_sum syn ~lo:100 ~hi:3000)));
+    Test.make ~name:"E10/quantile-from-synopsis:4096"
+      (Staged.stage (fun () -> ignore (Quantiles.search_synopsis quantile_syn ~q:0.37)));
     Test.make ~name:"E11/stream-update:4096"
       (Staged.stage (fun () ->
            i := (!i + 797) land 4095;

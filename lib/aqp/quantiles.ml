@@ -32,8 +32,15 @@ let search ~n ~q cumulative =
     end
   end
 
+let search_synopsis syn ~q =
+  if not (valid_q q) then Error Q_outside
+  else
+    match Range_query.prefix_crossing syn ~q with
+    | -1 -> Error Total_not_positive
+    | pos -> Ok pos
+
 let estimate syn ~q =
-  match search ~n:(Synopsis.n syn) ~q (cumulative syn) with
+  match search_synopsis syn ~q with
   | Ok pos -> pos
   | Error r -> invalid_arg (refusal_message r)
 

@@ -4,8 +4,9 @@
     For a relation summarized as a frequency vector, the [q]-quantile
     is the smallest domain value whose cumulative frequency reaches a
     [q] fraction of the total. Cumulative frequencies are prefix range
-    sums, which the synopsis answers in O(B), so a quantile costs
-    O(B log N) via binary search — no data access. *)
+    sums, which the synopsis answers from the error-tree path of one
+    cell in O(log N log B), so a quantile costs O(log² N log B) via
+    binary search — no data access. *)
 
 val cumulative : Wavesyn_synopsis.Synopsis.t -> int -> float
 (** Estimated cumulative frequency of domain values [0 .. i]. *)
@@ -26,12 +27,18 @@ val search : n:int -> q:float -> (int -> float) -> (int, refusal) result
     bisects for the smallest [i] with [cumulative i >= q * total]
     (one valid crossing if the prefix sums dip). O(log n) probes. *)
 
+val search_synopsis :
+  Wavesyn_synopsis.Synopsis.t -> q:float -> (int, refusal) result
+(** {!search} over {!cumulative} of the synopsis, with the same result,
+    computed by {!Wavesyn_synopsis.Range_query.prefix_crossing}: no
+    closure, and nothing allocated but the result. *)
+
 val estimate : Wavesyn_synopsis.Synopsis.t -> q:float -> int
 (** [estimate syn ~q] with [q] in [[0, 1]]: smallest domain value whose
     estimated cumulative frequency is [>= q * total]. Negative
     reconstructed frequencies are tolerated (estimates are monotonized
-    by the binary search on the prefix sums). {!search} over
-    {!cumulative}; raises [Invalid_argument] with the
+    by the binary search on the prefix sums). {!search_synopsis};
+    raises [Invalid_argument] with the
     {!refusal_message} when it refuses. *)
 
 val median : Wavesyn_synopsis.Synopsis.t -> int

@@ -239,11 +239,9 @@ let support_of_coeff w pos =
           (q * width, (q * width) + width))
         pos
 
-let sign_at w ~coeff ~cell =
-  let n = side w in
-  let d = Ndarray.ndim w in
-  if Array.length coeff <> d || Array.length cell <> d then
-    invalid_arg "Haar_md.sign_at: rank mismatch";
+let sign ~side:n ~coeff ~cell =
+  let d = Array.length coeff in
+  if Array.length cell <> d then invalid_arg "Haar_md.sign_at: rank mismatch";
   Array.iter
     (fun x ->
       if x < 0 || x >= n then invalid_arg "Haar_md.sign_at: cell out of range")
@@ -266,6 +264,11 @@ let sign_at w ~coeff ~cell =
         end
       in
       go 0 1
+
+let sign_at w ~coeff ~cell =
+  if Array.length coeff <> Ndarray.ndim w then
+    invalid_arg "Haar_md.sign_at: rank mismatch";
+  sign ~side:(side w) ~coeff ~cell
 
 let point ~wavelet cell =
   let n = side wavelet in

@@ -46,3 +46,7 @@ val sign_at : Wavesyn_util.Ndarray.t -> coeff:int array -> cell:int array -> int
 (** Contribution sign ([+1]/[-1]) of the coefficient at position
     [coeff] to the reconstruction of [cell]; [0] outside its support.
     Generalizes {!Haar1d.sign} and reproduces Figure 1(b). *)
+
+val sign : side:int -> coeff:int array -> cell:int array -> int
+(** {!sign_at} for a cube of side [side] and rank [Array.length coeff],
+    without the array. *)

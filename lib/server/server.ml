@@ -515,8 +515,7 @@ let eval_one t req =
       | Some refusal -> refusal
       | None -> Wire.Value (Range_query.range_sum t.synopsis ~lo ~hi))
   | Wire.Quantile q ->
-      Wire.of_quantile
-        (Quantiles.search ~n ~q (Quantiles.cumulative t.synopsis))
+      Wire.of_quantile (Quantiles.search_synopsis t.synopsis ~q)
   | Wire.Ping | Wire.Stats | Wire.Batch _ | Wire.Shutdown | Wire.Sync _
   | Wire.Handoff | Wire.Update _ | Wire.Ingest _ | Wire.Retier _ ->
       Wire.Error { code = Wire.Internal; message = "not an admitted kind" }

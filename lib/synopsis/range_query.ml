@@ -14,21 +14,69 @@ let range_sum_exact data ~lo ~hi =
   !acc
 
 (* Length of the intersection of half-open intervals [a, b) and [c, d). *)
-let overlap a b c d = Stdlib.max 0 (Stdlib.min b d - Stdlib.max a c)
+let overlap (a : int) b c d =
+  let lo = if a > c then a else c and hi = if b < d then b else d in
+  if hi > lo then hi - lo else 0
 
-(* One pass over the precomputed supports: each coefficient adds
-   [c * (overlap with its positive half - overlap with its negative
-   half)]. *)
-let range_sum syn ~lo ~hi =
-  check_range ~n:(Synopsis.n syn) ~lo ~hi;
-  let { Synopsis.value; start; mid; stop } = Synopsis.supports syn in
+(* Slot [t]'s term in the sum over [lo, hi]: its value times (overlap
+   with its positive half - overlap with its negative half). *)
+let[@inline] term s t ~lo ~hi =
+  let { Synopsis.value; start; mid; stop; _ } = s in
+  let left = overlap lo (hi + 1) start.(t) mid.(t) in
+  let right = overlap lo (hi + 1) mid.(t) stop.(t) in
+  value.(t) *. float_of_int (left - right)
+
+(* The sum over [lo, hi] from the error-tree paths of its two ends
+   (Section 2.2): c0, then at each level the ancestor of [lo] and, when
+   it differs, the ancestor of [hi], each looked up among the level's
+   slots, the second from the first's position on. Any other
+   coefficient's support lies inside or outside [lo, hi], so its term
+   is [c * 0]; adding that to a sum that starts at [+0.] never changes
+   it. Path indices grow level by level, and [anc lo <= anc hi] within
+   a level, so the remaining terms come in the ascending order of the
+   full O(B) loop: the same bits whenever the retained values are
+   finite. Inlined (no closure, no boxed float) into {!range_sum} and
+   into each probe of {!prefix_crossing}. *)
+let[@inline] path_sum syn ~lo ~hi =
+  let n = Synopsis.n syn in
+  let s = Synopsis.supports syn in
+  let { Synopsis.index; level; _ } = s in
+  let levels = Array.length level - 1 in
   let acc = ref 0. in
-  for t = 0 to Array.length value - 1 do
-    let left = overlap lo (hi + 1) start.(t) mid.(t) in
-    let right = overlap lo (hi + 1) mid.(t) stop.(t) in
-    acc := !acc +. (value.(t) *. float_of_int (left - right))
+  if level.(0) > 0 then acc := !acc +. term s 0 ~lo ~hi;
+  for l = 0 to levels - 1 do
+    let shift = levels - l and until = level.(l + 1) in
+    let a = (n + lo) lsr shift and b = (n + hi) lsr shift in
+    let from = ref level.(l) in
+    for e = 0 to if b = a then 0 else 1 do
+      let j = if e = 0 then a else b in
+      let slot = Synopsis.seek index ~from:!from ~until j in
+      if slot < until && index.(slot) = j then acc := !acc +. term s slot ~lo ~hi;
+      from := slot
+    done
   done;
   !acc
+
+let range_sum syn ~lo ~hi =
+  check_range ~n:(Synopsis.n syn) ~lo ~hi;
+  path_sum syn ~lo ~hi
+
+(* [Wavesyn_aqp.Quantiles.search]'s total and bisection, with each
+   prefix sum walked in place rather than through a float-returning
+   call, so a probe allocates nothing. *)
+let prefix_crossing syn ~q =
+  let n = Synopsis.n syn in
+  let total = path_sum syn ~lo:0 ~hi:(n - 1) in
+  if total <= 0. then -1
+  else begin
+    let target = q *. total in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if path_sum syn ~lo:0 ~hi:mid >= target then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
 
 let range_avg syn ~lo ~hi = range_sum syn ~lo ~hi /. float_of_int (hi - lo + 1)
 
@@ -68,9 +116,8 @@ let range_sum_md syn ~ranges =
     invalid_arg "Range_query: range rank mismatch";
   Array.iteri (fun k (lo, hi) -> check_range ~n:dims.(k) ~lo ~hi) ranges;
   let n = dims.(0) in
-  let probe = Ndarray.create ~dims 0. in
   let contribution (flat, c) =
-    let pos = Ndarray.index_of_flat probe flat in
+    let pos = Ndarray.unflatten ~dims flat in
     (* Scale of the coefficient: the largest coordinate determines the
        level; the origin is the overall average. *)
     let m = Array.fold_left Stdlib.max 0 pos in

@@ -4,16 +4,32 @@
     Vitter & Wang [15] and Vitter & Wang [21]: a retained coefficient
     contributes to the sum over a range in closed form, so a range-SUM
     over any rectangle costs O(B) (times D for multi-dimensional data)
-    instead of touching the data. *)
+    instead of touching the data. In one dimension only the retained
+    coefficients on the error-tree paths of the range's two ends
+    contribute, so a range sum reads O(log N) of them, each found by
+    an O(log B) binary search. *)
 
 val range_sum_exact : float array -> lo:int -> hi:int -> float
 (** Exact sum of [data.(lo .. hi)] (inclusive bounds). *)
 
 val range_sum : Synopsis.t -> lo:int -> hi:int -> float
 (** Approximate sum of the reconstructed values over [lo .. hi]
-    (inclusive), in O(B) — each coefficient contributes
-    [c * (overlap with its positive half - overlap with its negative
-    half)]. *)
+    (inclusive), in O(log N log B), allocating only the boxed result.
+    Each retained coefficient on the error-tree path of [lo] or [hi]
+    contributes [c * (overlap with its positive half - overlap with
+    its negative half)]; every other one would contribute [c * 0].
+    With finite retained values the result equals, bit for bit, the
+    sum of all B such terms in ascending index order. An infinite
+    retained value makes that full sum NaN for every range ([inf * 0]);
+    here it reaches only the ranges whose end paths hold it. *)
+
+val prefix_crossing : Synopsis.t -> q:float -> int
+(** [prefix_crossing syn ~q], for [q] in [[0, 1]]: with [total] the
+    full-domain {!range_sum}, [-1] when [total <= 0.], else the
+    bisection of {!Wavesyn_aqp.Quantiles.search} for the smallest [i]
+    with [range_sum ~lo:0 ~hi:i >= q *. total] (one valid crossing if
+    the prefix sums dip), with the same probes and comparisons.
+    O(log N) probes of O(log N log B) each; allocation-free. *)
 
 val range_avg : Synopsis.t -> lo:int -> hi:int -> float
 (** Approximate average over the range. *)

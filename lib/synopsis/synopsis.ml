@@ -5,48 +5,91 @@ module Ndarray = Wavesyn_util.Ndarray
 module Float_util = Wavesyn_util.Float_util
 
 type supports = {
+  index : int array;
   value : float array;
   start : int array;
   mid : int array;
   stop : int array;
+  level : int array;
 }
 
 type t = { n : int; coeffs : (int * float) list; supports : supports }
 
+let rec fill s ~n t = function
+  | [] -> ()
+  | (j, c) :: rest ->
+      s.index.(t) <- j;
+      s.value.(t) <- c;
+      (* [Haar1d.support] without its tuple: detail [j] at level [l]
+         spans [n / 2^l] cells from [(j - 2^l) * n / 2^l]. *)
+      if j = 0 then begin
+        s.mid.(t) <- n;
+        s.stop.(t) <- n
+      end
+      else begin
+        let l = Float_util.floor_log2 j in
+        let width = n lsr l in
+        let a = (j - (1 lsl l)) * width in
+        s.start.(t) <- a;
+        s.mid.(t) <- a + (width / 2);
+        s.stop.(t) <- a + width
+      end;
+      fill s ~n (t + 1) rest
+
 (* Each retained coefficient's value and Haar support, hoisted out of
-   the range-sum loop: computed once here instead of once per query.
+   the evaluation walks: computed once here instead of once per query.
    The average c0 gets [0, n) with its midpoint at n, so the detail
-   formula gives it exactly [c * width]. *)
+   formula gives it exactly [c * width]. [level.(l)] is the first slot
+   whose index is at least [2^l], so detail level [l] (indices
+   [2^l .. 2^(l+1) - 1]) holds slots [level.(l) .. level.(l+1) - 1]. *)
 let supports_of ~n coeffs =
   let k = List.length coeffs in
   let s =
     {
+      index = Array.make k 0;
       value = Array.make k 0.;
       start = Array.make k 0;
       mid = Array.make k 0;
       stop = Array.make k 0;
+      level = Array.make (Float_util.log2i n + 1) k;
     }
   in
-  List.iteri
-    (fun t (j, c) ->
-      let a, b = Haar1d.support ~n j in
-      s.value.(t) <- c;
-      s.start.(t) <- a;
-      s.mid.(t) <- (if j = 0 then b else (a + b) / 2);
-      s.stop.(t) <- b)
-    coeffs;
+  fill s ~n 0 coeffs;
+  for l = Array.length s.level - 2 downto 0 do
+    let first = ref s.level.(l + 1) in
+    while !first > 0 && s.index.(!first - 1) >= 1 lsl l do
+      decr first
+    done;
+    s.level.(l) <- !first
+  done;
   s
 
+let rec check_indices ~n = function
+  | [] -> ()
+  | (i, _) :: rest ->
+      if i < 0 || i >= n then
+        invalid_arg "Synopsis.make: coefficient index out of range";
+      check_indices ~n rest
+
+let rec ascending = function
+  | ((i : int), _) :: ((j, _) :: _ as rest) -> i < j && ascending rest
+  | _ -> true
+
+(* No closure is allocated, and lists that callers already give
+   without zeros, in ascending order, are kept as they are. *)
 let make ~n coeffs =
   if not (Float_util.is_pow2 n) then
     invalid_arg "Synopsis.make: domain size must be a power of two";
-  let coeffs = List.filter (fun (_, c) -> c <> 0.) coeffs in
-  List.iter
-    (fun (i, _) ->
-      if i < 0 || i >= n then
-        invalid_arg "Synopsis.make: coefficient index out of range")
-    coeffs;
-  let sorted = List.sort (fun (i, _) (j, _) -> compare i j) coeffs in
+  let coeffs =
+    if List.exists (fun (_, c) -> c = 0.) coeffs then
+      List.filter (fun (_, c) -> c <> 0.) coeffs
+    else coeffs
+  in
+  check_indices ~n coeffs;
+  let sorted =
+    if ascending coeffs then coeffs
+    else List.sort (fun (i, _) (j, _) -> compare i j) coeffs
+  in
   let rec check_dups = function
     | (i, _) :: ((j, _) :: _ as rest) ->
         if i = j then invalid_arg "Synopsis.make: duplicate coefficient index";
@@ -64,9 +107,46 @@ let n t = t.n
 let size t = List.length t.coeffs
 let coeffs t = t.coeffs
 let supports t = t.supports
-let mem t i = List.exists (fun (j, _) -> j = i) t.coeffs
 
-let reconstruct_point t i = Haar1d.point_from_set ~n:t.n t.coeffs i
+(* Binary search over [index.(from) .. index.(until - 1)]: the first
+   slot whose index is at least [j], or [until] when there is none. *)
+let seek index ~from ~until j =
+  let lo = ref from and hi = ref until in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if index.(mid) < j then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem t i =
+  let index = t.supports.index in
+  let k = Array.length index in
+  let slot = seek index ~from:0 ~until:k i in
+  slot < k && index.(slot) = i
+
+(* The error-tree path of cell [i] (Section 2.2): c0, then at level l
+   the ancestor [(n + i) lsr (levels - l)] of leaf [n + i], looked up
+   among level l's slots only. Every other coefficient has sign 0 at
+   [i], and adding its [0 * c] to the sum leaves it unchanged; the
+   path's indices grow level by level, so its terms come in the
+   ascending order of [Haar1d.point_from_set]'s fold. The two agree bit
+   for bit when the retained values are finite. *)
+let reconstruct_point t i =
+  let { index; value; mid; level; _ } = t.supports in
+  let levels = Array.length level - 1 in
+  if (i < 0 || i >= t.n) && Array.length index > 0 then
+    invalid_arg "Synopsis.reconstruct_point: cell out of range";
+  let acc = ref 0. in
+  if level.(0) > 0 then acc := value.(0);
+  for l = 0 to levels - 1 do
+    let j = (t.n + i) lsr (levels - l) and until = level.(l + 1) in
+    let slot = seek index ~from:level.(l) ~until j in
+    if slot < until && index.(slot) = j then begin
+      let sign = if i < mid.(slot) then 1 else -1 in
+      acc := !acc +. (float_of_int sign *. value.(slot))
+    end
+  done;
+  !acc
 
 let reconstruct t =
   let w = Array.make t.n 0. in
@@ -152,11 +232,11 @@ module Md = struct
     w
 
   let reconstruct_cell t cell =
-    let w = Ndarray.create ~dims:t.dims 0. in
+    let side = t.dims.(0) in
     List.fold_left
       (fun acc (flat, c) ->
-        let coeff = Ndarray.index_of_flat w flat in
-        acc +. (float_of_int (Haar_md.sign_at w ~coeff ~cell) *. c))
+        let coeff = Ndarray.unflatten ~dims:t.dims flat in
+        acc +. (float_of_int (Haar_md.sign ~side ~coeff ~cell) *. c))
       0. t.coeffs
 
   let reconstruct t = Haar_md.reconstruct (sparse_wavelet t)

@@ -28,25 +28,45 @@ val coeffs : t -> (int * float) list
 (** Retained coefficients, sorted by index. *)
 
 type supports = {
+  index : int array;  (** coefficient index, ascending *)
   value : float array;  (** coefficient value *)
   start : int array;  (** first cell of the support *)
   mid : int array;  (** first cell of the negative half *)
   stop : int array;  (** one past the last cell of the support *)
+  level : int array;
+      (** [log2 n + 1] entries: [level.(l)] is the first slot whose
+          index is at least [2^l], so detail level [l] occupies slots
+          [[level.(l), level.(l+1))], c0 (when retained) is slot 0
+          below [level.(0)], and [level.(log2 n)] is B. *)
 }
 (** The retained coefficients as parallel arrays in ascending index
     order, each with its {!Wavesyn_haar.Haar1d.support} [[start, stop)]
-    and midpoint, computed once by {!make}. The average [c0] has no
-    negative half: its midpoint is [stop = n]. Read-only: the arrays
-    are shared with the synopsis. *)
+    and midpoint, computed once by {!make}: O(B + log N) words. The
+    average [c0] has no negative half: its midpoint is [stop = n].
+    Read-only: the arrays are shared with the synopsis. *)
 
 val supports : t -> supports
 (** Flat per-coefficient view that {!Range_query.range_sum} walks. O(1). *)
 
+val seek : int array -> from:int -> until:int -> int -> int
+(** [seek index ~from ~until j]: the first slot [s] in [[from, until)]
+    of the ascending [index] with [index.(s) >= j], or [until] when
+    there is none; [j] is retained there iff [s < until] and
+    [index.(s) = j]. Binary search, allocation-free. *)
+
 val mem : t -> int -> bool
-(** Is this coefficient index retained? *)
+(** Is this coefficient index retained? O(log B). *)
 
 val reconstruct_point : t -> int -> float
-(** Approximate data value [d_i] in O(B). *)
+(** Approximate data value [d_i] from the retained coefficients on
+    cell [i]'s error-tree path only, each found by a binary search
+    among its level's slots: O(log N log B), allocating only the boxed
+    result. Equal bit for bit to
+    {!Wavesyn_haar.Haar1d.point_from_set} over {!coeffs} when every
+    retained value is finite. With an infinite value retained, cells
+    outside its support stay finite (the full fold adds [0 * inf =
+    nan] to each of them). Raises [Invalid_argument] on a cell outside
+    [[0, n)] of a non-empty synopsis. *)
 
 val reconstruct : t -> float array
 (** All approximate data values: scatter the retained coefficients into

@@ -36,15 +36,21 @@ let flat_of_index t idx =
   done;
   !flat
 
-let index_of_flat t flat =
-  let d = Array.length t.dims in
+(* Mixed-radix digits of [flat], last dimension fastest; the first
+   coordinate takes whatever is left, as a division by its stride
+   would. *)
+let unflatten ~dims flat =
+  let d = Array.length dims in
   let idx = Array.make d 0 in
   let rem = ref flat in
-  for i = 0 to d - 1 do
-    idx.(i) <- !rem / t.strides.(i);
-    rem := !rem mod t.strides.(i)
+  for i = d - 1 downto 1 do
+    idx.(i) <- !rem mod dims.(i);
+    rem := !rem / dims.(i)
   done;
+  if d > 0 then idx.(0) <- !rem;
   idx
+
+let index_of_flat t flat = unflatten ~dims:t.dims flat
 
 let get t idx = t.data.(flat_of_index t idx)
 let set t idx x = t.data.(flat_of_index t idx) <- x

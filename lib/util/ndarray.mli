@@ -38,6 +38,10 @@ val flat_of_index : t -> int array -> int
 val index_of_flat : t -> int -> int array
 (** Inverse of {!flat_of_index} (fresh array). *)
 
+val unflatten : dims:int array -> int -> int array
+(** {!index_of_flat} from the shape alone, for callers that hold dims
+    but no array: a fresh array of [Array.length dims] ints. *)
+
 val of_flat_array : dims:int array -> float array -> t
 (** Wrap a row-major flat array (no copy). Length must equal the product
     of [dims]. *)

@@ -4,6 +4,7 @@ module Haar1d = Wavesyn_haar.Haar1d
 module Synopsis = Wavesyn_synopsis.Synopsis
 module Metrics = Wavesyn_synopsis.Metrics
 module Range_query = Wavesyn_synopsis.Range_query
+module Quantiles = Wavesyn_aqp.Quantiles
 module Ndarray = Wavesyn_util.Ndarray
 module Prng = Wavesyn_util.Prng
 module Float_util = Wavesyn_util.Float_util
@@ -194,55 +195,205 @@ let test_range_server_hot_path_corners () =
   checkf "empty synopsis sums to zero" 0.
     (Range_query.range_sum empty ~lo:0 ~hi:7)
 
-(* The supports a synopsis carries are each coefficient's Haar
-   support, and the range sum walking them is bit-identical to the
-   closed form recomputed from scratch per coefficient. *)
-let test_range_sum_supports () =
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Synopses for the path-walk identities: random thresholdings of
+   positive data (seed 42), the same over signed data so that
+   reconstructions go negative and the prefix sums dip, n = 1, an
+   empty synopsis, synopses without c0, one whose zero second half
+   makes prefix sums meet a quantile target exactly, and the synopsis
+   the benchmark's read workloads serve (MinMaxErr, absolute error,
+   B = 128 over the n = 1024 Zipf vector of data seed 42). *)
+let walk_cases () =
   let rng = Prng.create ~seed:42 in
+  let random ?(low = 0.25) ?(drop_c0 = false) (n, budget) =
+    let wavelet =
+      Haar1d.decompose (Array.init n (fun _ -> Prng.float rng 8. +. low))
+    in
+    List.init budget (fun _ -> Prng.int rng n)
+    |> List.sort_uniq compare
+    |> List.filter (fun j -> not (drop_c0 && j = 0))
+    |> Synopsis.of_wavelet ~wavelet
+  in
+  List.map random [ (1, 1); (16, 4); (16, 16); (64, 7); (64, 64); (128, 13) ]
+  @ List.map (random ~low:(-4.)) [ (64, 12); (128, 40) ]
+  @ [
+      Synopsis.make ~n:16 [];
+      Synopsis.of_wavelet ~wavelet:paper_wavelet [ 1; 5; 6 ];
+      random ~drop_c0:true ~low:(-4.) (64, 20);
+      Synopsis.make ~n:16 [ (0, 1.); (1, 1.) ];
+      (Wavesyn_core.Minmax_dp.solve ~budget:128 Metrics.Abs
+         ~data:
+           (Wavesyn_datagen.Signal.zipf ~rng:(Prng.create ~seed:42) ~n:1024
+              ~alpha:1.2 ~scale:100.))
+        .synopsis;
+    ]
+
+(* The O(B) closed form: every retained coefficient's term, recomputed
+   from its Haar support, summed in ascending index order. *)
+let reference_range_sum syn ~lo ~hi =
+  let n = Synopsis.n syn in
+  let overlap a b c d = max 0 (min b d - max a c) in
+  List.fold_left
+    (fun acc (j, c) ->
+      acc
+      +.
+      if j = 0 then c *. float_of_int (hi - lo + 1)
+      else begin
+        let a, b = Haar1d.support ~n j in
+        let mid = (a + b) / 2 in
+        c *. float_of_int (overlap lo (hi + 1) a mid - overlap lo (hi + 1) mid b)
+      end)
+    0. (Synopsis.coeffs syn)
+
+(* Every range up to n = 128; beyond, every prefix and single cell plus
+   5000 seeded ranges. *)
+let ranges_of rng n =
+  if n <= 128 then
+    List.concat
+      (List.init n (fun lo -> List.init (n - lo) (fun d -> (lo, lo + d))))
+  else
+    List.init n (fun i -> (0, i))
+    @ List.init n (fun i -> (i, i))
+    @ List.init 5000 (fun _ ->
+          let a = Prng.int rng n and b = Prng.int rng n in
+          (min a b, max a b))
+
+(* The supports a synopsis carries are each coefficient's Haar
+   support, and the range sum walking the error-tree paths of the
+   range's ends is bit-identical to the closed form over all B
+   coefficients. *)
+let test_range_sum_supports () =
+  let rng = Prng.create ~seed:43 in
   List.iter
-    (fun (n, budget) ->
-      let wavelet =
-        Haar1d.decompose (Array.init n (fun _ -> Prng.float rng 8. +. 0.25))
-      in
-      let syn =
-        Synopsis.of_wavelet ~wavelet
-          (List.init budget (fun _ -> Prng.int rng n) |> List.sort_uniq compare)
-      in
+    (fun syn ->
+      let n = Synopsis.n syn and budget = Synopsis.size syn in
       let s = Synopsis.supports syn in
       List.iteri
         (fun t (j, c) ->
           let a, b = Haar1d.support ~n j in
           check "support entry" true
-            (Float.equal s.Synopsis.value.(t) c
+            (s.Synopsis.index.(t) = j
+            && Float.equal s.Synopsis.value.(t) c
             && s.Synopsis.start.(t) = a
             && s.Synopsis.mid.(t) = (if j = 0 then b else (a + b) / 2)
             && s.Synopsis.stop.(t) = b))
         (Synopsis.coeffs syn);
-      let overlap a b c d = max 0 (min b d - max a c) in
-      let reference ~lo ~hi =
-        List.fold_left
-          (fun acc (j, c) ->
-            acc
-            +.
-            if j = 0 then c *. float_of_int (hi - lo + 1)
-            else begin
-              let a, b = Haar1d.support ~n j in
-              let mid = (a + b) / 2 in
-              c
-              *. float_of_int
-                   (overlap lo (hi + 1) a mid - overlap lo (hi + 1) mid b)
-            end)
-          0. (Synopsis.coeffs syn)
-      in
-      for lo = 0 to n - 1 do
-        for hi = lo to n - 1 do
-          let a = reference ~lo ~hi and b = Range_query.range_sum syn ~lo ~hi in
-          if Int64.bits_of_float a <> Int64.bits_of_float b then
+      Array.iteri
+        (fun l first ->
+          let below = List.filter (fun (j, _) -> j < 1 lsl l) (Synopsis.coeffs syn) in
+          checki (Printf.sprintf "first slot of level %d (n=%d)" l n)
+            (List.length below) first)
+        s.Synopsis.level;
+      checki "one level bound per level, plus B" (Float_util.log2i n + 1)
+        (Array.length s.Synopsis.level);
+      List.iter
+        (fun (lo, hi) ->
+          let a = reference_range_sum syn ~lo ~hi
+          and b = Range_query.range_sum syn ~lo ~hi in
+          if not (same_bits a b) then
             Alcotest.failf "range [%d, %d]: %h <> %h (n=%d b=%d)" lo hi a b n
-              budget
-        done
+              budget)
+        (ranges_of rng n))
+    (walk_cases ())
+
+(* A point walks one root-to-leaf path; the full fold of
+   [Haar1d.point_from_set] stays the reference. *)
+let test_point_path_bit_identity () =
+  List.iter
+    (fun syn ->
+      let n = Synopsis.n syn in
+      for i = 0 to n - 1 do
+        let a = Haar1d.point_from_set ~n (Synopsis.coeffs syn) i
+        and b = Synopsis.reconstruct_point syn i in
+        if not (same_bits a b) then
+          Alcotest.failf "cell %d: %h <> %h (n=%d b=%d)" i a b n
+            (Synopsis.size syn)
       done)
-    [ (1, 1); (16, 4); (16, 16); (64, 7); (64, 64); (128, 13) ]
+    (walk_cases ())
+
+(* The quantile search over the path-walk prefix sums, and the
+   closure-free search over the synopsis, both return what the search
+   over the O(B) closed form returns, for q = 0, 1/2, 1 and seeded q —
+   also where the prefix sums dip, which some case must show. *)
+let test_quantile_path_bit_identity () =
+  let rng = Prng.create ~seed:44 in
+  let dips = ref false in
+  List.iter
+    (fun syn ->
+      let n = Synopsis.n syn in
+      let reference i = reference_range_sum syn ~lo:0 ~hi:i in
+      for i = 1 to n - 1 do
+        if reference i < reference (i - 1) then dips := true
+      done;
+      List.iter
+        (fun q ->
+          let want = Quantiles.search ~n ~q reference in
+          if Quantiles.search ~n ~q (Quantiles.cumulative syn) <> want then
+            Alcotest.failf "search over cumulative, q=%h (n=%d b=%d)" q n
+              (Synopsis.size syn);
+          if Quantiles.search_synopsis syn ~q <> want then
+            Alcotest.failf "search_synopsis, q=%h (n=%d b=%d)" q n
+              (Synopsis.size syn))
+        (0. :: 0.5 :: 1. :: List.init 8 (fun _ -> Prng.float rng 1.)))
+    (walk_cases ());
+  check "some prefix sums dip" true !dips
+
+(* An infinite retained value reaches only the cells and ranges whose
+   end paths hold it; the full O(B) sums add [0 * inf = nan] to every
+   answer. MinMaxErr does not retain one on the non-finite datasets of
+   test_kernels.ml, and served data is finite, so this is a hand-made
+   synopsis. *)
+let test_non_finite_coefficient_stays_on_its_paths () =
+  let syn = Synopsis.make ~n:8 [ (0, 1.); (1, 0.5); (5, Float.infinity) ] in
+  checkf "point outside its support" 1.5 (Synopsis.reconstruct_point syn 0);
+  check "point under it" true (Synopsis.reconstruct_point syn 2 = Float.infinity);
+  checkf "range outside its support" 3. (Range_query.range_sum syn ~lo:0 ~hi:1);
+  checkf "range covering its support" 6.5 (Range_query.range_sum syn ~lo:0 ~hi:4);
+  check "range ending inside it" true
+    (Range_query.range_sum syn ~lo:0 ~hi:2 = Float.infinity);
+  check "the full fold is nan" true
+    (Float.is_nan (reference_range_sum syn ~lo:0 ~hi:1)
+    && Float.is_nan (Haar1d.point_from_set ~n:8 (Synopsis.coeffs syn) 0))
+
+(* Evaluation allocates nothing on the walk: a range sum, a point and a
+   quantile search each allocate only their boxed result (a float, or
+   the [Ok] block), the same number of words at n = 64, B = 8 as at
+   n = 4096, B = 512. *)
+let test_eval_allocation () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> ()) in
+  let rng = Prng.create ~seed:45 in
+  let per_call (n, budget) =
+    let wavelet =
+      Haar1d.decompose (Array.init n (fun _ -> Prng.float rng 8. +. 0.25))
+    in
+    let syn =
+      Synopsis.of_wavelet ~wavelet
+        (0 :: List.init budget (fun _ -> 1 + Prng.int rng (n - 1))
+        |> List.sort_uniq compare)
+    in
+    List.map
+      (fun (name, f) ->
+        ignore (f ());
+        (name, words f -. base))
+      [
+        ("range_sum", fun () -> Obj.repr (Range_query.range_sum syn ~lo:(n / 8) ~hi:(n - 3)));
+        ("reconstruct_point", fun () -> Obj.repr (Synopsis.reconstruct_point syn (n / 3)));
+        ("search_synopsis", fun () -> Obj.repr (Quantiles.search_synopsis syn ~q:0.37));
+      ]
+  in
+  let small = per_call (64, 8) and large = per_call (4096, 512) in
+  List.iter2
+    (fun (name, a) (_, b) ->
+      check (Printf.sprintf "%s: %.0f words at n=64, %.0f at n=4096" name a b)
+        true
+        (a = b && a <= 2.))
+    small large
 
 let test_selectivity_zero_total () =
   let s = Synopsis.make ~n:8 [] in
@@ -407,6 +558,14 @@ let () =
           Alcotest.test_case "zero total" `Quick test_selectivity_zero_total;
           Alcotest.test_case "supports bit identity" `Quick
             test_range_sum_supports;
+          Alcotest.test_case "point path bit identity" `Quick
+            test_point_path_bit_identity;
+          Alcotest.test_case "quantile path bit identity" `Quick
+            test_quantile_path_bit_identity;
+          Alcotest.test_case "evaluation allocates only its result" `Quick
+            test_eval_allocation;
+          Alcotest.test_case "non-finite coefficient stays on its paths"
+            `Quick test_non_finite_coefficient_stays_on_its_paths;
           Alcotest.test_case "md full synopsis" `Quick test_md_range_sum_full_synopsis;
           QCheck_alcotest.to_alcotest prop_range_sum_matches_reconstruction;
           QCheck_alcotest.to_alcotest prop_md_range_matches_reconstruction;
