@@ -153,7 +153,7 @@ let ablation_tests =
     Test.make ~name:"E12/minmax-topdown:128"
       (Staged.stage (fun () ->
            ignore
-             (Minmax_dp.solve ~impl:Minmax_dp.Reference ~data ~budget:12
+             (Wavesyn_oracle.Minmax_reference.solve ~data ~budget:12
                 Metrics.Abs)));
     Test.make ~name:"E12/minmax-linear-split:128"
       (Staged.stage (fun () ->

@@ -26,6 +26,8 @@ module Stream_synopsis = Wavesyn_stream.Stream_synopsis
 module Ladder = Wavesyn_robust.Ladder
 module Registry = Wavesyn_obs.Registry
 module Approx_abs = Wavesyn_core.Approx_abs
+module Minmax_reference = Wavesyn_oracle.Minmax_reference
+module Md_reference = Wavesyn_oracle.Md_reference
 module Multi_measure = Wavesyn_core.Multi_measure
 module Ndarray = Wavesyn_util.Ndarray
 module Pool = Wavesyn_par.Pool
@@ -112,36 +114,36 @@ let kernel_cases =
   [
     Test.make ~name:"KERNEL/minmax-flat:128"
       (Staged.stage (fun () ->
-           ignore
-             (Minmax_dp.solve ~impl:Minmax_dp.Flat ~data:data128 ~budget:8 rel1)));
+           ignore (Minmax_dp.solve ~data:data128 ~budget:8 rel1)));
     Test.make ~name:"KERNEL/minmax-flat:256-b32"
       (Staged.stage (fun () ->
            ignore
-             (Minmax_dp.solve ~impl:Minmax_dp.Flat ~data:kernel_data256
-                ~budget:32 Metrics.Abs)));
+             (Minmax_dp.solve ~data:kernel_data256 ~budget:32 Metrics.Abs)));
     Test.make ~name:"KERNEL/minmax-reference:128"
       (Staged.stage (fun () ->
-           ignore
-             (Minmax_dp.solve ~impl:Minmax_dp.Reference ~data:data128 ~budget:8
-                rel1)));
+           ignore (Minmax_reference.solve ~data:data128 ~budget:8 rel1)));
     Test.make ~name:"KERNEL/md-flat:64"
       (Staged.stage (fun () ->
-           ignore
-             (Approx_abs.solve_1d ~impl:Wavesyn_core.Md_dp.Flat ~data:data64
-                ~budget:8 ~epsilon:0.25 ())));
+           ignore (Approx_abs.solve_1d ~data:data64 ~budget:8 ~epsilon:0.25 ())));
     Test.make ~name:"KERNEL/md-reference:64"
       (Staged.stage (fun () ->
            ignore
-             (Approx_abs.solve_1d ~impl:Wavesyn_core.Md_dp.Reference
-                ~data:data64 ~budget:8 ~epsilon:0.25 ())));
+             (Md_reference.approx_abs
+                ~tree:
+                  (Wavesyn_haar.Md_tree.of_data
+                     (Ndarray.of_flat_array ~dims:[| 64 |] data64))
+                ~budget:8 ~epsilon:0.25)));
   ]
 
 (* dp_states per run of the state-counted cases above (deterministic,
    so one extra solve per case suffices); keyed by the grouped case
    name for the ns_per_state column. *)
 let kernel_states () =
-  let minmax impl =
-    (Minmax_dp.solve ~impl ~data:kernel_data128 ~budget:8 rel1)
+  let minmax =
+    (Minmax_dp.solve ~data:kernel_data128 ~budget:8 rel1).Minmax_dp.dp_states
+  in
+  let minmax_reference =
+    (Minmax_reference.solve ~data:kernel_data128 ~budget:8 rel1)
       .Minmax_dp.dp_states
   in
   let minmax256 =
@@ -153,9 +155,9 @@ let kernel_states () =
     (Approx_abs.solve ~data:nd ~budget:8 ~epsilon:0.25 ()).Approx_abs.dp_states
   in
   [
-    ("smoke/KERNEL/minmax-flat:128", minmax Minmax_dp.Flat);
+    ("smoke/KERNEL/minmax-flat:128", minmax);
     ("smoke/KERNEL/minmax-flat:256-b32", minmax256);
-    ("smoke/KERNEL/minmax-reference:128", minmax Minmax_dp.Reference);
+    ("smoke/KERNEL/minmax-reference:128", minmax_reference);
     ("smoke/KERNEL/md-flat:64", md);
     ("smoke/KERNEL/md-reference:64", md);
   ]

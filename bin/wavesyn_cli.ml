@@ -389,12 +389,14 @@ let threshold_cmd =
         syn
       end
       else begin
-        let syn, stats =
+        let syn, budget, stats =
           match target with
-          | None -> build ?pool ~epsilon ~sanity ~budget solver data
+          | None ->
+              let syn, stats = build ?pool ~epsilon ~sanity ~budget solver data in
+              (syn, budget, stats)
           | Some t ->
               let metric = minmax_metric ~flag:"--target" ~sanity algo in
-              let { Minmax_dp.best; feasible } =
+              let { Minmax_dp.best; budget; feasible } =
                 Minmax_dp.budget_for ?pool ~data ~target:t metric
               in
               if not feasible then
@@ -404,7 +406,9 @@ let threshold_cmd =
                       (budget %d) the maximum error is %g"
                      (Synopsis.size best.Minmax_dp.synopsis)
                      best.Minmax_dp.max_err);
-              (best.Minmax_dp.synopsis, Some (best.Minmax_dp.dp_states, None))
+              ( best.Minmax_dp.synopsis,
+                budget,
+                Some (best.Minmax_dp.dp_states, None) )
         in
         Printf.printf "algorithm: %s  budget: %d  retained: %d  N: %d\n" name
           budget (Synopsis.size syn) (Array.length data);

@@ -22,7 +22,6 @@ type result = {
 
 val solve_tree :
   ?pool:Wavesyn_par.Pool.t ->
-  ?impl:Md_dp.impl ->
   tree:Wavesyn_haar.Md_tree.t ->
   budget:int ->
   epsilon:float ->
@@ -31,24 +30,16 @@ val solve_tree :
 (** [epsilon] in (0, 1]. Guarantee:
     [max_err <= (1 + 4 epsilon) * OPT].
 
-    With [pool], the independent per-τ DPs run across the pool's
-    domains and the per-τ candidates are merged in ascending-τ order
-    with the sequential sweep's strict-less "first best wins"
-    tie-break, so the result (synopsis, winning τ, state counts) is
-    bit-for-bit identical for every pool size. τ candidates whose
-    scaled coefficient magnitude [R / K_τ] would exceed the safe
-    [2^62] integer-key range are skipped (they cannot be keyed
-    exactly); {!result.sweeps} counts only the τ values actually
-    run.
-
-    The wavelet values, their magnitudes and the DP skeleton of the
-    tree are computed once and shared by every τ candidate (and every
-    pool domain); see [docs/KERNELS.md]. [impl] picks the [Md_dp] memo
-    kernel (default flat) — results are bit-identical either way. *)
+    Runs [Md_dp.run] on every {!candidates} config and {!merge}s the
+    outcomes. With [pool], the independent per-τ DPs run across the
+    pool's domains; the merge is the sequential sweep's, so the result
+    (synopsis, winning τ, state counts) is bit-for-bit identical for
+    every pool size. The DP skeleton of the tree is built once and
+    shared by every τ candidate (and every pool domain); see
+    [docs/KERNELS.md]. *)
 
 val solve :
   ?pool:Wavesyn_par.Pool.t ->
-  ?impl:Md_dp.impl ->
   data:Wavesyn_util.Ndarray.t ->
   budget:int ->
   epsilon:float ->
@@ -58,13 +49,38 @@ val solve :
 
 val solve_1d :
   ?pool:Wavesyn_par.Pool.t ->
-  ?impl:Md_dp.impl ->
   data:float array ->
   budget:int ->
   epsilon:float ->
   unit ->
   float * Wavesyn_synopsis.Synopsis.t
 (** One-dimensional convenience wrapper around {!solve}. *)
+
+type candidate = {
+  tau : float;  (** the threshold: coefficients above it are forced *)
+  config : Md_dp.config;  (** the truncated integer DP at this τ *)
+}
+(** One run of the τ sweep. *)
+
+val candidates :
+  tree:Wavesyn_haar.Md_tree.t -> budget:int -> epsilon:float -> candidate array
+(** The τ sweep's runnable candidates in ascending τ, the configs
+    {!solve_tree} runs. τ ranges over the powers of two covering the
+    non-zero coefficient magnitudes. A τ whose forced set exceeds
+    [budget] is skipped, and so is a τ whose scaled coefficient
+    magnitude [R / K_τ] would exceed the safe [2^62] integer-key range
+    (it cannot be keyed exactly). Raises [Invalid_argument] unless
+    [epsilon] is in (0, 1]. *)
+
+val merge :
+  tree:Wavesyn_haar.Md_tree.t ->
+  (candidate * Md_dp.outcome option) array ->
+  result
+(** [merge ~tree outcomes] measures each candidate's synopsis with its
+    true maximum absolute error and keeps the best in array order
+    (ascending τ) with a strict [<], so the first best wins; the empty
+    synopsis seeds the fold. {!result.dp_states} and {!result.sweeps}
+    count the [Some] outcomes only. *)
 
 val theorem_epsilon : float -> float
 (** [theorem_epsilon eps = eps / 4]: the internal ε that yields a

@@ -63,29 +63,19 @@ let make_rounding ~epsilon ~vmin ~vmax =
   in
   { round; key }
 
-let solve_tree ?on_state ?impl ~tree ~budget ~epsilon metric =
+let config ~tree ~epsilon metric =
   if epsilon <= 0. || epsilon > 1. then
     invalid_arg "Approx_additive: epsilon must be in (0, 1]";
-  let data = Md_tree.data tree in
-  let dims = Ndarray.dims data in
   let r = Md_tree.max_abs_coeff tree in
-  let empty_result () =
-    let synopsis = Synopsis.Md.make ~dims [] in
-    {
-      bound = 0.;
-      synopsis;
-      measured = Metrics.of_md_synopsis metric ~data synopsis;
-      dp_states = 0;
-    }
-  in
-  if r = 0. then empty_result ()
+  if r = 0. then None
   else begin
+    let data = Md_tree.data tree in
     let span = path_bound tree in
     let vmax = 2. *. r *. span in
     let vmin = epsilon *. r /. (span *. 8.) in
     let rounding = make_rounding ~epsilon ~vmin ~vmax in
     let wavelet = Md_tree.wavelet tree in
-    let cfg =
+    Some
       {
         Md_dp.coeff_value = (fun pos -> Ndarray.get_flat wavelet pos);
         round_error = rounding.round;
@@ -94,25 +84,38 @@ let solve_tree ?on_state ?impl ~tree ~budget ~epsilon metric =
         leaf_denominator =
           (fun cell -> Metrics.denominator metric (Ndarray.get data cell));
       }
-    in
-    match Md_dp.run ?on_state ?impl ~tree ~budget cfg with
-    | None -> assert false (* nothing is forced, so always feasible *)
-    | Some { Md_dp.value; retained; dp_states } ->
-        let coeffs =
-          List.map (fun pos -> (pos, Ndarray.get_flat wavelet pos)) retained
-        in
-        let synopsis = Synopsis.Md.make ~dims coeffs in
-        let measured = Metrics.of_md_synopsis metric ~data synopsis in
-        { bound = value; synopsis; measured; dp_states }
   end
 
-let solve ?on_state ?impl ~data ~budget ~epsilon metric =
-  solve_tree ?on_state ?impl ~tree:(Md_tree.of_data data) ~budget ~epsilon
-    metric
+let result_of ~tree metric outcome =
+  let data = Md_tree.data tree in
+  let dims = Ndarray.dims data in
+  let wavelet = Md_tree.wavelet tree in
+  let bound, retained, dp_states =
+    match outcome with
+    | None -> (0., [], 0)
+    | Some { Md_dp.value; retained; dp_states } -> (value, retained, dp_states)
+  in
+  let coeffs =
+    List.map (fun pos -> (pos, Ndarray.get_flat wavelet pos)) retained
+  in
+  let synopsis = Synopsis.Md.make ~dims coeffs in
+  let measured = Metrics.of_md_synopsis metric ~data synopsis in
+  { bound; synopsis; measured; dp_states }
 
-let solve_1d ?on_state ?impl ~data ~budget ~epsilon metric =
+let solve_tree ?on_state ~tree ~budget ~epsilon metric =
+  config ~tree ~epsilon metric
+  |> Option.map (fun cfg ->
+         match Md_dp.run ?on_state (Md_dp.skeleton ~tree) ~budget cfg with
+         | Some outcome -> outcome
+         | None -> assert false (* nothing is forced, so always feasible *))
+  |> result_of ~tree metric
+
+let solve ?on_state ~data ~budget ~epsilon metric =
+  solve_tree ?on_state ~tree:(Md_tree.of_data data) ~budget ~epsilon metric
+
+let solve_1d ?on_state ~data ~budget ~epsilon metric =
   let nd = Ndarray.of_flat_array ~dims:[| Array.length data |] data in
-  let r = solve ?on_state ?impl ~data:nd ~budget ~epsilon metric in
+  let r = solve ?on_state ~data:nd ~budget ~epsilon metric in
   (* D = 1 flat wavelet positions coincide with Haar1d indices. *)
   let syn =
     Synopsis.make ~n:(Array.length data) (Synopsis.Md.coeffs r.synopsis)

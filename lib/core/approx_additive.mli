@@ -26,21 +26,18 @@ type result = {
 
 val solve_tree :
   ?on_state:(unit -> unit) ->
-  ?impl:Md_dp.impl ->
   tree:Wavesyn_haar.Md_tree.t ->
   budget:int ->
   epsilon:float ->
   Wavesyn_synopsis.Metrics.error_metric ->
   result
-(** [epsilon] must be in (0, 1]. [on_state] is forwarded to
+(** [epsilon] must be in (0, 1]. Runs {!Md_dp.run} on {!config} and
+    finishes with {!result_of}. [on_state] is forwarded to
     {!Md_dp.run}: called once per fresh DP state, may raise to abort
-    (see [Wavesyn_robust.Deadline]). [impl] picks the [Md_dp] memo
-    kernel (default flat; bit-identical results, see
-    [docs/KERNELS.md]). *)
+    (see [Wavesyn_robust.Deadline]). *)
 
 val solve :
   ?on_state:(unit -> unit) ->
-  ?impl:Md_dp.impl ->
   data:Wavesyn_util.Ndarray.t ->
   budget:int ->
   epsilon:float ->
@@ -49,7 +46,6 @@ val solve :
 
 val solve_1d :
   ?on_state:(unit -> unit) ->
-  ?impl:Md_dp.impl ->
   data:float array ->
   budget:int ->
   epsilon:float ->
@@ -58,6 +54,25 @@ val solve_1d :
 (** One-dimensional convenience instantiation: returns the measured
     maximum error and the synopsis (indices in {!Wavesyn_haar.Haar1d}
     numbering). *)
+
+val config :
+  tree:Wavesyn_haar.Md_tree.t ->
+  epsilon:float ->
+  Wavesyn_synopsis.Metrics.error_metric ->
+  Md_dp.config option
+(** The DP {!solve_tree} runs: wavelet values as they are, incoming
+    errors rounded to the breakpoints, nothing forced. [None] when
+    every coefficient is zero, so no DP is needed. Raises
+    [Invalid_argument] unless [epsilon] is in (0, 1]. *)
+
+val result_of :
+  tree:Wavesyn_haar.Md_tree.t ->
+  Wavesyn_synopsis.Metrics.error_metric ->
+  Md_dp.outcome option ->
+  result
+(** The result of the DP's outcome: its retained coefficients as the
+    synopsis, measured with their true maximum error. [None] (no DP
+    ran) gives the empty synopsis with [bound = 0]. *)
 
 val guarantee_bound :
   tree:Wavesyn_haar.Md_tree.t ->

@@ -20,11 +20,11 @@
     generalization described in the paper. States are memoized top-down,
     so only reachable incoming-error values are ever tabulated.
 
-    Two memo kernels implement the recurrence ({!impl}): the default
-    flat kernel stores per-node budget rows keyed by the rounded-error
-    key and reuses per-depth scratch buffers, the reference kernel is
-    the original tuple-keyed Hashtbl. Their outcomes are bit-identical;
-    [docs/KERNELS.md] states the layout and allocation contract. *)
+    The kernel stores per-node budget rows keyed by the rounded-error
+    key and reuses per-depth scratch buffers; [docs/KERNELS.md] states
+    the layout and allocation contract. The test suite checks its
+    outcomes bit for bit against the original tuple-keyed Hashtbl
+    kernel, which lives in [test/oracle], not in this library. *)
 
 type config = {
   coeff_value : int -> float;
@@ -51,41 +51,21 @@ type outcome = {
   dp_states : int;
 }
 
-type impl =
-  | Flat
-      (** per-node budget rows keyed by rounded-error key, per-depth
-          scratch buffers (default; see [docs/KERNELS.md]) *)
-  | Reference
-      (** the original tuple-keyed memo Hashtbl, kept as the
-          bit-identical equivalence oracle ([test/test_kernels.ml]) *)
-
 type skeleton
 (** The tau-independent static structure of one error tree: dense node
     ids, per-node coefficient positions, per-child sign columns,
     children and subtree caps. Building it walks the whole tree once;
-    sharing one skeleton across the many {!run} calls of a tau sweep
-    (and across pool domains — it is immutable after construction)
-    removes that walk from every candidate. *)
+    one skeleton serves the many {!run} calls of a tau sweep (and every
+    pool domain — it is immutable after construction). *)
 
 val skeleton : tree:Wavesyn_haar.Md_tree.t -> skeleton
-(** Precompute the static structure of [tree] for {!run}'s flat
-    kernel. *)
+(** Precompute the static structure of [tree] for {!run}. *)
 
 val run :
-  ?on_state:(unit -> unit) ->
-  ?impl:impl ->
-  ?skeleton:skeleton ->
-  tree:Wavesyn_haar.Md_tree.t ->
-  budget:int ->
-  config ->
-  outcome option
-(** [None] when the forced coefficients alone exceed the budget.
+  ?on_state:(unit -> unit) -> skeleton -> budget:int -> config -> outcome option
+(** [run sk ~budget cfg] solves the DP over the tree [sk] was built
+    from. [None] when the forced coefficients alone exceed the budget.
 
     [on_state] is invoked once per freshly computed DP state (a memo
     miss) and may raise to abort the run cooperatively — this is how
-    [Wavesyn_robust.Deadline] bounds the DP's runtime.
-
-    [impl] picks the memo kernel (default {!Flat}); every field of the
-    outcome is identical across kernels. [skeleton], when given, must
-    have been built from [tree] and saves the flat kernel its static
-    tree walk; it is ignored by the reference kernel. *)
+    [Wavesyn_robust.Deadline] bounds the DP's runtime. *)

@@ -21,44 +21,30 @@
 
     The kernel's evaluation order, working set, cost per cell and
     allocation profile (none per DP cell) are specified in
-    [docs/KERNELS.md]; {!impl} selects the legacy Hashtbl kernel for
-    equivalence testing.
-
-    Optimality is validated against {!Brute_force.optimal_1d} in the
-    test suite. *)
+    [docs/KERNELS.md]. The test suite checks it bit for bit against the
+    paper's top-down memo kernel, and its optimality against exhaustive
+    search; both oracles live in [test/oracle], not in this library. *)
 
 type split_strategy =
   | Binary_search
-      (** the paper's O(log B) crossover search (default); the {!Flat}
-          kernel sweeps it along a row at one comparison per cell *)
+      (** the paper's O(log B) crossover search (default), swept along
+          a row at one comparison per cell *)
   | Linear_scan  (** O(B) scan over allotments; for ablation (E12) *)
-
-type impl =
-  | Flat
-      (** bottom-up rows in an arena of two slots per depth, retraced by
-          recomputation (default; see [docs/KERNELS.md]) *)
-  | Reference
-      (** the original tuple-keyed memo Hashtbl, kept as the
-          bit-identical equivalence oracle ([test/test_kernels.ml]) *)
 
 type result = {
   max_err : float;  (** optimal value [M[0, B, {}]] *)
   synopsis : Wavesyn_synopsis.Synopsis.t;
       (** a synopsis achieving [max_err] (size at most [budget]) *)
   dp_states : int;
-      (** DP cells computed: with {!Flat}, every cell of the forward
-          pass and of the retrace; with {!Reference}, the distinct memo
-          states *)
-  working_cells : int;
-      (** cells of DP storage the solve held: the {!Flat} arena, or the
-          {!Reference} memo's entries *)
+      (** DP cells computed: every cell of the forward pass and of the
+          retrace *)
+  working_cells : int;  (** cells of DP storage the solve held: the arena *)
 }
 
 val solve :
   ?split:split_strategy ->
   ?cap_budget:bool ->
   ?on_state:(unit -> unit) ->
-  ?impl:impl ->
   data:float array ->
   budget:int ->
   Wavesyn_synopsis.Metrics.error_metric ->
@@ -76,16 +62,13 @@ val solve :
     [dp_states] (retrace included), and may raise to abort the solve
     cooperatively — this is how [Wavesyn_robust.Deadline] bounds the
     DP's runtime. The default does nothing. Aborting mid-solve simply
-    discards the partial rows, whatever the [impl].
-
-    [impl] picks the kernel (default {!Flat}); [max_err] bits and the
-    synopsis are identical across kernels, [dp_states] and
-    [working_cells] are not. See [docs/KERNELS.md]. *)
+    discards the partial rows. *)
 
 type budget_search = {
   best : result;
       (** the solution at the smallest feasible budget (or at the full
           nonzero-coefficient budget when the target is infeasible) *)
+  budget : int;  (** the budget [best] was solved at *)
   feasible : bool;
       (** whether [best.max_err <= target]; [false] means the target
           cannot be reached even retaining every nonzero coefficient
@@ -99,7 +82,6 @@ type budget_search = {
 val budget_for :
   ?pool:Wavesyn_par.Pool.t ->
   ?on_state:(unit -> unit) ->
-  ?impl:impl ->
   data:float array ->
   target:float ->
   Wavesyn_synopsis.Metrics.error_metric ->
@@ -122,7 +104,6 @@ val solve_tree :
   ?split:split_strategy ->
   ?cap_budget:bool ->
   ?on_state:(unit -> unit) ->
-  ?impl:impl ->
   tree:Wavesyn_haar.Error_tree.t ->
   budget:int ->
   Wavesyn_synopsis.Metrics.error_metric ->

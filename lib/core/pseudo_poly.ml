@@ -34,7 +34,7 @@ let solve_scaled ~tree ~budget ~scale metric =
           Metrics.denominator metric (Ndarray.get data cell));
     }
   in
-  match Md_dp.run ~tree ~budget cfg with
+  match Md_dp.run (Md_dp.skeleton ~tree) ~budget cfg with
   | None -> assert false (* no forced coefficients *)
   | Some { Md_dp.value; retained; dp_states } ->
       let coeffs =

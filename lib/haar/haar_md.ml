@@ -5,8 +5,8 @@ let pow_int_ b e =
   let rec go acc e = if e = 0 then acc else go (acc * b) (e - 1) in
   go 1 e
 
-let side a =
-  let dims = Ndarray.dims a in
+let side_of_dims dims =
+  Ndarray.check_dims dims;
   let n = dims.(0) in
   Array.iter
     (fun d ->
@@ -15,6 +15,8 @@ let side a =
   if not (Float_util.is_pow2 n) then
     invalid_arg "Haar_md: dimensions must be powers of two";
   n
+
+let side a = side_of_dims (Ndarray.dims a)
 
 let levels a = Float_util.log2i (side a)
 

@@ -32,8 +32,14 @@ val reconstruct : Wavesyn_util.Ndarray.t -> Wavesyn_util.Ndarray.t
 val point : wavelet:Wavesyn_util.Ndarray.t -> int array -> float
 (** Reconstruct a single cell in O(2^D log N). *)
 
+val side_of_dims : int array -> int
+(** The common dimension size [n] of a cube of shape [dims], checked
+    from the shape alone: raises [Invalid_argument] unless [dims] is a
+    valid {!Wavesyn_util.Ndarray} shape whose dimensions are equal
+    powers of two. *)
+
 val side : Wavesyn_util.Ndarray.t -> int
-(** The common dimension size [n]; validates the shape. *)
+(** {!side_of_dims} of the array's shape. *)
 
 val levels : Wavesyn_util.Ndarray.t -> int
 (** [L = log2 n]. *)

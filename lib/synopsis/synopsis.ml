@@ -199,9 +199,8 @@ module Md = struct
   type md = { dims : int array; coeffs : (int * float) list; total : int }
 
   let make ~dims coeffs =
-    let probe = Ndarray.create ~dims 0. in
-    ignore (Haar_md.side probe);
-    let total = Ndarray.size probe in
+    let side = Haar_md.side_of_dims dims in
+    let total = Array.fold_left (fun acc _ -> acc * side) 1 dims in
     let coeffs = List.filter (fun (_, c) -> c <> 0.) coeffs in
     List.iter
       (fun (i, _) ->

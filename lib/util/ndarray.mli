@@ -11,6 +11,10 @@ val create : dims:int array -> float -> t
 (** [create ~dims x] is a new array of shape [dims] filled with [x].
     Every dimension must be [>= 1]. *)
 
+val check_dims : int array -> unit
+(** Raises [Invalid_argument] unless [dims] is a shape {!create}
+    accepts: non-empty, every dimension [>= 1]. *)
+
 val init : dims:int array -> (int array -> float) -> t
 (** [init ~dims f] fills each cell [idx] with [f idx]. The index array
     passed to [f] is reused; copy it if you keep it. *)

@@ -4,7 +4,7 @@
 
 module Md_exhaustive = Wavesyn_core.Md_exhaustive
 module Pseudo_poly = Wavesyn_core.Pseudo_poly
-module Brute_force = Wavesyn_core.Brute_force
+module Brute_force = Wavesyn_oracle.Brute_force
 module Approx_additive = Wavesyn_core.Approx_additive
 module Minmax_dp = Wavesyn_core.Minmax_dp
 module Value_fitting = Wavesyn_core.Value_fitting

@@ -1,17 +1,22 @@
-(* Flat-vs-reference kernel equivalence: Minmax_dp's bottom-up kernel
+(* Library-vs-oracle kernel equivalence: Minmax_dp's bottom-up kernel
    and Md_dp's flat memo layout (docs/KERNELS.md) must return
-   bit-identical results to the original tuple-keyed Hashtbl kernels —
-   max_err bits and synopsis, plus dp_states for Md_dp — across random
-   signals, budgets, metrics, split strategies and pool sizes 1 and 4.
-   Minmax_dp's cell count and working set are checked against their
-   closed forms, and it allocates nothing per cell. Plus the grain knob
-   of the pool fan-out. *)
+   bit-identical results to the original tuple-keyed Hashtbl kernels
+   kept in the wavesyn_oracle library (test/oracle) — max_err bits and
+   synopsis, plus dp_states for Md_dp — across random signals, budgets,
+   metrics, split strategies and pool sizes 1 and 4. Minmax_dp's cell
+   count and working set are checked against their closed forms, and
+   it allocates nothing per cell. Plus the grain knob of the pool
+   fan-out. *)
 
 module Pool = Wavesyn_par.Pool
 module Minmax_dp = Wavesyn_core.Minmax_dp
 module Md_dp = Wavesyn_core.Md_dp
 module Approx_abs = Wavesyn_core.Approx_abs
 module Approx_additive = Wavesyn_core.Approx_additive
+module Minmax_reference = Wavesyn_oracle.Minmax_reference
+module Md_reference = Wavesyn_oracle.Md_reference
+module Error_tree = Wavesyn_haar.Error_tree
+module Md_tree = Wavesyn_haar.Md_tree
 module Metrics = Wavesyn_synopsis.Metrics
 module Synopsis = Wavesyn_synopsis.Synopsis
 module Ndarray = Wavesyn_util.Ndarray
@@ -37,7 +42,7 @@ let signal rng n =
          caps and the forced-set edge cases *)
       if Prng.float rng 1. < 0.15 then 0. else v)
 
-(* --- Minmax_dp: Flat vs Reference --- *)
+(* --- Minmax_dp vs the reference kernel --- *)
 
 (* Few distinct levels: many equal and zero coefficients, so the DP
    meets exact ties between splits and between keeping and dropping a
@@ -133,15 +138,6 @@ let test_minmax_flat_vs_reference () =
                 cap_budget || split = Minmax_dp.Binary_search || n < 128
                 || budget < n / 2
               then begin
-                let solve impl =
-                  let fired = ref 0 in
-                  let r =
-                    Minmax_dp.solve ~split ~cap_budget ~impl
-                      ~on_state:(fun () -> incr fired)
-                      ~data ~budget metric
-                  in
-                  (r, !fired)
-                in
                 let name =
                   Printf.sprintf "n=%d b=%d %s cap=%b" n budget
                     (match split with
@@ -149,15 +145,24 @@ let test_minmax_flat_vs_reference () =
                     | Minmax_dp.Linear_scan -> "scan")
                     cap_budget
                 in
-                let r_ref, fired_ref = solve Minmax_dp.Reference in
+                let fired_ref = ref 0 and fired = ref 0 in
+                let r_ref =
+                  Minmax_reference.solve ~split ~cap_budget
+                    ~on_state:(fun () -> incr fired_ref)
+                    ~data ~budget metric
+                in
                 checki (name ^ ": reference on_state") r_ref.dp_states
-                  fired_ref;
-                let r, fired = solve Minmax_dp.Flat in
+                  !fired_ref;
+                let r =
+                  Minmax_dp.solve ~split ~cap_budget
+                    ~on_state:(fun () -> incr fired)
+                    ~data ~budget metric
+                in
                 check_minmax_pair name r r_ref;
                 checki (name ^ ": cells")
                   (minmax_cells ~n ~budget ~cap_budget)
                   r.dp_states;
-                checki (name ^ ": on_state") r.dp_states fired
+                checki (name ^ ": on_state") r.dp_states !fired
               end)
             [ true; false ])
         [ Minmax_dp.Binary_search; Minmax_dp.Linear_scan ])
@@ -166,45 +171,52 @@ let test_minmax_flat_vs_reference () =
 (* Non-finite input, as the ladder's NaN fault injects it: a NaN or an
    infinite value, and finite values whose reconstructions overflow.
    Leaf errors are then NaN or infinite, but no cell is NaN, so the
-   kernel still makes the reference kernel's choices. NaN coefficients
-   defeat structural equality, so synopses compare by index. *)
-let test_minmax_non_finite () =
-  let rng = Prng.create ~seed:79 in
+   kernel still makes the reference kernel's choices. *)
+let non_finite_signals rng =
   let poke v data =
     let data = Array.copy data in
     data.(Prng.int rng (Array.length data)) <- v;
     data
   in
+  [
+    poke Float.nan (signal rng 1);
+    poke Float.nan (signal rng 32);
+    poke Float.nan (coarse_signal rng 64);
+    poke Float.infinity (signal rng 32);
+    poke Float.neg_infinity (signal rng 16);
+    Array.init 32 (fun i -> if i mod 3 = 0 then 1e308 else -1e308);
+  ]
+
+(* NaN coefficients defeat structural equality, so synopses compare by
+   index and coefficient bits. *)
+let same_coeffs (a : Minmax_dp.result) (b : Minmax_dp.result) =
+  let coeffs (r : Minmax_dp.result) = Synopsis.coeffs r.synopsis in
+  List.equal
+    (fun (i, c) (j, d) -> i = j && same_bits c d)
+    (coeffs a) (coeffs b)
+
+let test_minmax_non_finite () =
+  let rng = Prng.create ~seed:79 in
   List.iter
     (fun data ->
       let n = Array.length data in
       List.iter
         (fun (split, cap_budget, metric, budget) ->
-          let solve impl =
-            Minmax_dp.solve ~split ~cap_budget ~impl ~data ~budget metric
-          in
-          let r = solve Minmax_dp.Flat and r_ref = solve Minmax_dp.Reference in
-          let indices (r : Minmax_dp.result) =
-            List.map fst (Synopsis.coeffs r.synopsis)
+          let r = Minmax_dp.solve ~split ~cap_budget ~data ~budget metric in
+          let r_ref =
+            Minmax_reference.solve ~split ~cap_budget ~data ~budget metric
           in
           let name = Printf.sprintf "n=%d b=%d cap=%b" n budget cap_budget in
           check (name ^ ": max_err bits") true
             (same_bits r.max_err r_ref.max_err);
-          check (name ^ ": synopsis") true (indices r = indices r_ref))
+          check (name ^ ": synopsis") true (same_coeffs r r_ref))
         [
           (Minmax_dp.Binary_search, true, Metrics.Abs, n / 4);
           (Minmax_dp.Binary_search, true, Metrics.Rel { sanity = 5. }, n / 2);
           (Minmax_dp.Binary_search, false, Metrics.Abs, 3);
           (Minmax_dp.Linear_scan, true, Metrics.Abs, n / 4);
         ])
-    [
-      poke Float.nan (signal rng 1);
-      poke Float.nan (signal rng 32);
-      poke Float.nan (coarse_signal rng 64);
-      poke Float.infinity (signal rng 32);
-      poke Float.neg_infinity (signal rng 16);
-      Array.init 32 (fun i -> if i mod 3 = 0 then 1e308 else -1e308);
-    ]
+    (non_finite_signals rng)
 
 (* The benchmark's datasets: the Zipf vectors its servers cut (alpha
    1.2, scale 100, data seed 42) — live-write's n=256 at B=32, the read
@@ -218,8 +230,9 @@ let test_minmax_benchmark_data () =
   let read = zipf 1024 in
   List.iter
     (fun (name, data, budget) ->
-      let solve impl = Minmax_dp.solve ~impl ~data ~budget Metrics.Abs in
-      check_minmax_pair name (solve Minmax_dp.Flat) (solve Minmax_dp.Reference))
+      check_minmax_pair name
+        (Minmax_dp.solve ~data ~budget Metrics.Abs)
+        (Minmax_reference.solve ~data ~budget Metrics.Abs))
     [
       ("live-write", zipf 256, 32);
       ("shard 0", Array.sub read 0 512, 128);
@@ -260,7 +273,7 @@ let test_minmax_flat_allocation () =
   List.iter
     (fun (n, budget, metric) ->
       let data = signal rng n in
-      let solve () = Minmax_dp.solve ~impl:Minmax_dp.Flat ~data ~budget metric in
+      let solve () = Minmax_dp.solve ~data ~budget metric in
       ignore (solve ());
       let w0 = Gc.minor_words () in
       let r = solve () in
@@ -276,26 +289,65 @@ let test_minmax_flat_allocation () =
         true (r.dp_states > bound))
     [ (256, 32, Metrics.Abs); (64, 8, Metrics.Rel { sanity = 5. }) ]
 
-let test_budget_for_flat_vs_reference () =
-  let rng = Prng.create ~seed:47 in
-  List.iter
-    (fun domains ->
-      with_pool ~domains (fun p ->
-          for _ = 1 to 10 do
-            let data = signal rng 32 in
-            let target = Prng.float rng 30. in
-            let run impl =
-              Minmax_dp.budget_for ~pool:p ~impl ~data ~target Metrics.Abs
-            in
-            let s_ref = run Minmax_dp.Reference in
-            let s_flat = run Minmax_dp.Flat in
-            let name = Printf.sprintf "budget_for domains=%d" domains in
-            check (name ^ ": feasible") true (s_flat.feasible = s_ref.feasible);
-            check_minmax_pair name s_flat.best s_ref.best
-          done))
-    [ 1; 4 ]
+(* The dual search against its definition: the smallest budget whose
+   reference-kernel optimum is at most the target, found by a linear
+   scan (the full nonzero-coefficient budget, infeasible, when none
+   is), and [best] is the reference solve at that budget. Targets are
+   drawn at random and taken exactly from an optimum, where only the
+   comparison's tie decides. *)
+let scan_budget ~data ~target metric =
+  let nonzero =
+    Array.fold_left
+      (fun acc c -> if c <> 0. then acc + 1 else acc)
+      0
+      (Error_tree.coeffs (Error_tree.of_data data))
+  in
+  let rec go b =
+    let r = Minmax_reference.solve ~data ~budget:b metric in
+    if r.max_err <= target then (b, r, true)
+    else if b >= nonzero then (b, r, false)
+    else go (b + 1)
+  in
+  go 0
 
-(* --- Md_dp solvers: Flat vs Reference --- *)
+let test_budget_for_vs_scan () =
+  let rng = Prng.create ~seed:47 in
+  let datasets =
+    List.init 10 (fun _ -> signal rng 32)
+    @ [ coarse_signal rng 8; coarse_signal rng 32 ]
+    @ non_finite_signals rng
+  in
+  with_pool ~domains:4 @@ fun p4 ->
+  List.iter
+    (fun data ->
+      let n = Array.length data in
+      List.iter
+        (fun (metric, scale) ->
+          let at_optimum =
+            (Minmax_reference.solve ~data ~budget:(Prng.int rng (n + 1)) metric)
+              .max_err
+          in
+          List.iter
+            (fun target ->
+              let budget, best, feasible = scan_budget ~data ~target metric in
+              List.iter
+                (fun pool ->
+                  let s = Minmax_dp.budget_for ?pool ~data ~target metric in
+                  let name =
+                    Printf.sprintf "n=%d target=%g pooled=%b" n target
+                      (pool <> None)
+                  in
+                  checki (name ^ ": budget") budget s.budget;
+                  check (name ^ ": feasible") true (s.feasible = feasible);
+                  check (name ^ ": max_err bits") true
+                    (same_bits s.best.max_err best.max_err);
+                  check (name ^ ": synopsis") true (same_coeffs s.best best))
+                [ None; Some p4 ])
+            [ Prng.float rng scale; at_optimum ])
+        [ (Metrics.Abs, 30.); (Metrics.Rel { sanity = 5. }, 3.) ])
+    datasets
+
+(* --- Md_dp solvers vs the reference kernel --- *)
 
 let test_approx_abs_flat_vs_reference () =
   let rng = Prng.create ~seed:53 in
@@ -306,12 +358,13 @@ let test_approx_abs_flat_vs_reference () =
             (fun n ->
               let data = signal rng n in
               let nd = Ndarray.of_flat_array ~dims:[| n |] data in
-              let run impl =
-                Approx_abs.solve ~pool:p ~impl ~data:nd ~budget:(n / 4)
-                  ~epsilon:0.3 ()
+              let r_ref =
+                Md_reference.approx_abs ~tree:(Md_tree.of_data nd)
+                  ~budget:(n / 4) ~epsilon:0.3
               in
-              let r_ref = run Md_dp.Reference in
-              let r_flat = run Md_dp.Flat in
+              let r_flat =
+                Approx_abs.solve ~pool:p ~data:nd ~budget:(n / 4) ~epsilon:0.3 ()
+              in
               let name = Printf.sprintf "approx_abs n=%d domains=%d" n domains in
               check (name ^ ": max_err bits") true
                 (same_bits r_flat.max_err r_ref.max_err);
@@ -322,18 +375,22 @@ let test_approx_abs_flat_vs_reference () =
             [ 16; 32 ]))
     [ 1; 4 ]
 
-let test_approx_abs_2d_flat_vs_reference () =
+let grid_8x8 () =
   let rng = Prng.create ~seed:59 in
-  let nd =
-    Ndarray.of_flat_array ~dims:[| 8; 8 |]
-      (Array.init 64 (fun _ -> Prng.float rng 100.))
+  Ndarray.of_flat_array ~dims:[| 8; 8 |]
+    (Array.init 64 (fun _ -> Prng.float rng 100.))
+
+let test_approx_abs_2d_flat_vs_reference () =
+  let nd = grid_8x8 () in
+  let r_ref =
+    Md_reference.approx_abs ~tree:(Md_tree.of_data nd) ~budget:10 ~epsilon:0.4
   in
-  let run impl = Approx_abs.solve ~impl ~data:nd ~budget:10 ~epsilon:0.4 () in
-  let r_ref = run Md_dp.Reference in
-  let r_flat = run Md_dp.Flat in
+  let r_flat = Approx_abs.solve ~data:nd ~budget:10 ~epsilon:0.4 () in
   check "2d: max_err bits" true (same_bits r_flat.max_err r_ref.max_err);
   check "2d: synopsis" true (r_flat.synopsis = r_ref.synopsis);
   checki "2d: dp_states" r_ref.dp_states r_flat.dp_states
+
+let additive_metrics = [ Metrics.Abs; Metrics.Rel { sanity = 3. } ]
 
 let test_approx_additive_flat_vs_reference () =
   let rng = Prng.create ~seed:61 in
@@ -341,47 +398,84 @@ let test_approx_additive_flat_vs_reference () =
     (fun metric ->
       List.iter
         (fun n ->
-          let data = signal rng n in
-          let run impl =
-            Approx_additive.solve_1d ~impl ~data ~budget:(n / 4) ~epsilon:0.2
-              metric
+          let tree =
+            Md_tree.of_data
+              (Ndarray.of_flat_array ~dims:[| n |] (signal rng n))
           in
-          let err_ref, syn_ref = run Md_dp.Reference in
-          let err_flat, syn_flat = run Md_dp.Flat in
+          let budget = n / 4 in
+          let r_ref =
+            Md_reference.approx_additive ~tree ~budget ~epsilon:0.2 metric
+          in
+          let r_flat =
+            Approx_additive.solve_tree ~tree ~budget ~epsilon:0.2 metric
+          in
           let name = Printf.sprintf "additive n=%d" n in
-          check (name ^ ": measured bits") true (same_bits err_flat err_ref);
-          check (name ^ ": synopsis") true (syn_flat = syn_ref))
+          check (name ^ ": bound bits") true (same_bits r_flat.bound r_ref.bound);
+          check (name ^ ": measured bits") true
+            (same_bits r_flat.measured r_ref.measured);
+          check (name ^ ": synopsis") true (r_flat.synopsis = r_ref.synopsis);
+          checki (name ^ ": dp_states") r_ref.dp_states r_flat.dp_states)
         [ 16; 32 ])
-    [ Metrics.Abs; Metrics.Rel { sanity = 3. } ]
+    additive_metrics
 
-(* A shared prebuilt skeleton must not change anything. *)
-let test_md_dp_shared_skeleton () =
+(* Per config, not per merged result: for every τ candidate config
+   Approx_abs exposes, and for Approx_additive's one config, Md_dp.run
+   and the reference kernel return the same value bits, retained set
+   and dp_states, and each fires on_state once per state. *)
+let test_md_per_config () =
   let rng = Prng.create ~seed:67 in
-  let data = signal rng 32 in
-  let nd = Ndarray.of_flat_array ~dims:[| 32 |] data in
-  let tree = Wavesyn_haar.Md_tree.of_data nd in
-  let sk = Md_dp.skeleton ~tree in
-  let wavelet = Wavesyn_haar.Md_tree.wavelet tree in
-  let cfg =
-    {
-      Md_dp.coeff_value = (fun pos -> Ndarray.get_flat wavelet pos);
-      round_error = Fun.id;
-      key_of_error = (fun e -> Hashtbl.hash (Int64.bits_of_float e));
-      forced = (fun _ -> false);
-      leaf_denominator = (fun _ -> 1.);
-    }
+  let same name ~tree ~budget cfg =
+    let fired = ref 0 and fired_ref = ref 0 in
+    let got =
+      Md_dp.run ~on_state:(fun () -> incr fired) (Md_dp.skeleton ~tree)
+        ~budget cfg
+    in
+    let want =
+      Md_reference.run ~on_state:(fun () -> incr fired_ref) ~tree ~budget cfg
+    in
+    match (got, want) with
+    | Some a, Some b ->
+        check (name ^ ": value bits") true (same_bits a.value b.value);
+        check (name ^ ": retained") true (a.retained = b.retained);
+        checki (name ^ ": dp_states") b.dp_states a.dp_states;
+        checki (name ^ ": on_state") a.dp_states !fired;
+        checki (name ^ ": reference on_state") b.dp_states !fired_ref
+    | None, None -> ()
+    | _ -> Alcotest.fail (name ^ ": feasibility differs")
+  in
+  let abs_trees =
+    List.map
+      (fun n ->
+        (Ndarray.of_flat_array ~dims:[| n |] (signal rng n), n / 4, 0.3))
+      [ 16; 32 ]
+    @ [ (grid_8x8 (), 10, 0.4) ]
   in
   List.iter
-    (fun budget ->
-      let with_sk = Md_dp.run ~skeleton:sk ~tree ~budget cfg in
-      let without = Md_dp.run ~tree ~budget cfg in
-      match (with_sk, without) with
-      | Some a, Some b ->
-          check "skeleton: value bits" true (same_bits a.value b.value);
-          check "skeleton: retained" true (a.retained = b.retained);
-          checki "skeleton: dp_states" b.dp_states a.dp_states
-      | _ -> Alcotest.fail "unexpected infeasible")
-    [ 0; 3; 8 ]
+    (fun (nd, budget, epsilon) ->
+      let tree = Md_tree.of_data nd in
+      let candidates = Approx_abs.candidates ~tree ~budget ~epsilon in
+      check "approx_abs: some candidates" true (Array.length candidates > 0);
+      Array.iter
+        (fun (c : Approx_abs.candidate) ->
+          same
+            (Printf.sprintf "approx_abs %d cells tau=%g" (Ndarray.size nd) c.tau)
+            ~tree ~budget c.config)
+        candidates)
+    abs_trees;
+  List.iter
+    (fun metric ->
+      List.iter
+        (fun n ->
+          let tree =
+            Md_tree.of_data
+              (Ndarray.of_flat_array ~dims:[| n |] (signal rng n))
+          in
+          match Approx_additive.config ~tree ~epsilon:0.2 metric with
+          | Some cfg ->
+              same (Printf.sprintf "additive n=%d" n) ~tree ~budget:(n / 4) cfg
+          | None -> Alcotest.fail "additive: no config")
+        [ 16; 32 ])
+    additive_metrics
 
 (* --- grain --- *)
 
@@ -436,8 +530,8 @@ let () =
             test_minmax_working_set;
           Alcotest.test_case "flat solve allocates O(n), not per state" `Quick
             test_minmax_flat_allocation;
-          Alcotest.test_case "budget_for flat = reference, pooled" `Quick
-            test_budget_for_flat_vs_reference;
+          Alcotest.test_case "budget_for = oracle linear scan, pooled" `Quick
+            test_budget_for_vs_scan;
         ] );
       ( "md flat",
         [
@@ -447,8 +541,8 @@ let () =
             test_approx_abs_2d_flat_vs_reference;
           Alcotest.test_case "approx-additive flat = reference" `Quick
             test_approx_additive_flat_vs_reference;
-          Alcotest.test_case "shared skeleton is inert" `Quick
-            test_md_dp_shared_skeleton;
+          Alcotest.test_case "Md_dp.run = reference per config" `Quick
+            test_md_per_config;
         ] );
       ( "grain",
         [

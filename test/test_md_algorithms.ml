@@ -5,7 +5,7 @@
    - Approx_abs against its Theorem 3.4 (1+eps) guarantee. *)
 
 module Minmax_dp = Wavesyn_core.Minmax_dp
-module Brute_force = Wavesyn_core.Brute_force
+module Brute_force = Wavesyn_oracle.Brute_force
 module Pseudo_poly = Wavesyn_core.Pseudo_poly
 module Approx_additive = Wavesyn_core.Approx_additive
 module Approx_abs = Wavesyn_core.Approx_abs

@@ -2,7 +2,7 @@
    against brute-force enumeration, plus structural properties. *)
 
 module Minmax_dp = Wavesyn_core.Minmax_dp
-module Brute_force = Wavesyn_core.Brute_force
+module Brute_force = Wavesyn_oracle.Brute_force
 module Synopsis = Wavesyn_synopsis.Synopsis
 module Metrics = Wavesyn_synopsis.Metrics
 module Prng = Wavesyn_util.Prng
@@ -192,7 +192,7 @@ let test_budget_for () =
     (fun metric ->
       List.iter
         (fun target ->
-          let { Minmax_dp.best = r; feasible } =
+          let { Minmax_dp.best = r; feasible; _ } =
             Minmax_dp.budget_for ~data ~target metric
           in
           check

@@ -90,6 +90,34 @@ let test_md_validates () =
     (Invalid_argument "Synopsis.Md.make: coefficient position out of range")
     (fun () -> ignore (Synopsis.Md.make ~dims:[| 2; 2 |] [ (4, 1.) ]))
 
+(* Md.make checks the shape from the dims alone, with Haar_md.side's
+   messages, and allocates no cube: a 256x256 make with 3 coefficients
+   allocates as many bytes as a 2x2 one. Gc.allocated_bytes counts the
+   major heap too, where a cube-sized array would go directly. *)
+let test_md_make_checks_dims () =
+  List.iter
+    (fun (msg, dims) ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Synopsis.Md.make ~dims [])))
+    [
+      ("Haar_md: dimensions must all be equal", [| 4; 8 |]);
+      ("Haar_md: dimensions must be powers of two", [| 6; 6 |]);
+      ("Ndarray: dimension must be >= 1", [| 0; 0 |]);
+      ("Ndarray: empty shape", [||]);
+    ];
+  let coeffs = [ (0, 1.); (1, -2.); (3, 0.5) ] in
+  let bytes dims =
+    ignore (Synopsis.Md.make ~dims coeffs);
+    let b0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Synopsis.Md.make ~dims coeffs));
+    Gc.allocated_bytes () -. b0
+  in
+  let small = bytes [| 2; 2 |] and large = bytes [| 256; 256 |] in
+  check
+    (Printf.sprintf "%.0f bytes at 2x2, %.0f at 256x256" small large)
+    true
+    (small = large && large < 2048.)
+
 (* --- Metrics --- *)
 
 let test_denominator () =
@@ -538,6 +566,8 @@ let () =
           Alcotest.test_case "describe" `Quick test_describe;
           Alcotest.test_case "md roundtrip" `Quick test_md_synopsis_roundtrip;
           Alcotest.test_case "md validation" `Quick test_md_validates;
+          Alcotest.test_case "md make checks dims, allocates no cube" `Quick
+            test_md_make_checks_dims;
         ] );
       ( "metrics",
         [

@@ -64,7 +64,7 @@ let test_cap_budget_agrees () =
 (* --- bottom-up kernel vs the top-down memo kernel --- *)
 
 let top_down ~data ~budget metric =
-  Minmax_dp.solve ~impl:Minmax_dp.Reference ~data ~budget metric
+  Wavesyn_oracle.Minmax_reference.solve ~data ~budget metric
 
 let test_bottomup_matches_topdown () =
   for seed = 1 to 10 do
