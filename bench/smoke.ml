@@ -108,6 +108,12 @@ let kernel_data64 =
 let kernel_data256 =
   Signal.random_walk ~rng:(Prng.create ~seed:2720) ~n:256 ~step:3.
 
+(* The read workloads' cut (n=1024, B=128, absolute error) on their
+   dataset: the benchmark servers' Zipf vector (alpha 1.2, scale 100,
+   data seed 42). *)
+let kernel_data1024 =
+  Signal.zipf ~rng:(Prng.create ~seed:42) ~n:1024 ~alpha:1.2 ~scale:100.
+
 let kernel_cases =
   let data128 = kernel_data128 in
   let data64 = kernel_data64 in
@@ -119,6 +125,10 @@ let kernel_cases =
       (Staged.stage (fun () ->
            ignore
              (Minmax_dp.solve ~data:kernel_data256 ~budget:32 Metrics.Abs)));
+    Test.make ~name:"KERNEL/minmax-flat:1024-b128"
+      (Staged.stage (fun () ->
+           ignore
+             (Minmax_dp.solve ~data:kernel_data1024 ~budget:128 Metrics.Abs)));
     Test.make ~name:"KERNEL/minmax-reference:128"
       (Staged.stage (fun () ->
            ignore (Minmax_reference.solve ~data:data128 ~budget:8 rel1)));
@@ -150,6 +160,10 @@ let kernel_states () =
     (Minmax_dp.solve ~data:kernel_data256 ~budget:32 Metrics.Abs)
       .Minmax_dp.dp_states
   in
+  let minmax1024 =
+    (Minmax_dp.solve ~data:kernel_data1024 ~budget:128 Metrics.Abs)
+      .Minmax_dp.dp_states
+  in
   let nd = Ndarray.of_flat_array ~dims:[| 64 |] kernel_data64 in
   let md =
     (Approx_abs.solve ~data:nd ~budget:8 ~epsilon:0.25 ()).Approx_abs.dp_states
@@ -157,6 +171,7 @@ let kernel_states () =
   [
     ("smoke/KERNEL/minmax-flat:128", minmax);
     ("smoke/KERNEL/minmax-flat:256-b32", minmax256);
+    ("smoke/KERNEL/minmax-flat:1024-b128", minmax1024);
     ("smoke/KERNEL/minmax-reference:128", minmax_reference);
     ("smoke/KERNEL/md-flat:64", md);
     ("smoke/KERNEL/md-reference:64", md);

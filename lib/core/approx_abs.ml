@@ -42,6 +42,7 @@ let tau_candidates ~wavelet =
 type candidate = { tau : float; config : Md_dp.config }
 
 let candidates ~tree ~budget ~epsilon =
+  if budget < 0 then invalid_arg "Approx_abs: negative budget";
   if epsilon <= 0. || epsilon > 1. then
     invalid_arg "Approx_abs: epsilon must be in (0, 1]";
   let wavelet = Md_tree.wavelet tree in

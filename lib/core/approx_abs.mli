@@ -27,7 +27,7 @@ val solve_tree :
   epsilon:float ->
   unit ->
   result
-(** [epsilon] in (0, 1]. Guarantee:
+(** [epsilon] in (0, 1], [budget >= 0]. Guarantee:
     [max_err <= (1 + 4 epsilon) * OPT].
 
     Runs [Md_dp.run] on every {!candidates} config and {!merge}s the
@@ -69,8 +69,8 @@ val candidates :
     non-zero coefficient magnitudes. A τ whose forced set exceeds
     [budget] is skipped, and so is a τ whose scaled coefficient
     magnitude [R / K_τ] would exceed the safe [2^62] integer-key range
-    (it cannot be keyed exactly). Raises [Invalid_argument] unless
-    [epsilon] is in (0, 1]. *)
+    (it cannot be keyed exactly). Raises [Invalid_argument] if [budget]
+    is negative or [epsilon] is not in (0, 1]. *)
 
 val merge :
   tree:Wavesyn_haar.Md_tree.t ->

@@ -44,13 +44,21 @@ type result = {
      gives the bisection's value. [Linear_scan] and
      [cap_budget:false] run the reference split on each cell instead
      (E12 times them).
-   - Retrace. Choices are not stored. Each node on the retrace
-     rebuilds its children's rows for its own ancestor prefix (two
-     masks per child) and re-runs the reference split on its one
-     cell, so it makes the reference kernel's choice, tie-breaks
-     included. Summed over the tree this is at most one more forward
-     pass. With a zero root budget nothing can be retained, and there
-     is no retrace.
+   - Decisions. The forward pass also records, for every cell of an
+     internal node at depths [1..dstar], its decision [allot lsl 1 lor
+     kept]: [kept] when the keep split beat the drop split with strict
+     [<], [allot] the left child's share, which is the reference
+     split's (a cell whose value is [+inf] records 0, as the fold from
+     [(+inf, 0)] never moves off it). [dstar] is the deepest depth such
+     that depths [1..dstar] fit, with the arena, in [4 n log2 n] cells:
+     a function of [(n, budget, cap_budget)].
+   - Retrace. At depths up to [dstar] a node reads its decision at its
+     mask (node 1's is [root_kept]; a child's is [f + kept * 2^d]).
+     Deeper, choices are not stored: each node rebuilds its children's
+     rows for its own ancestor prefix (two masks per child) and re-runs
+     the reference split on its one cell, so it makes the reference
+     kernel's choice, tie-breaks included. With a zero root budget
+     nothing can be retained, and there is no retrace.
 
    Every computed cell, forward and retrace, is one [on_state] call
    and one [dp_states]. See docs/KERNELS.md. *)
@@ -65,6 +73,28 @@ let[@inline] fmax (x : float) y = if x >= y then x else y
    [+inf] keeps unless it is NaN. *)
 let[@inline] leaf_split (l : float) r =
   if l >= r then l else if l < r then r else Float.infinity
+
+(* The decision rows of depths [1..dstar] open the arena array, those
+   of depth [d] at [decision_base width d]: one row per internal node,
+   laid out like its arena row ([2^d] masks of [width.(d)] budgets), so
+   2^(2d - 1) * width.(d) cells per depth. A decision is a small int,
+   exact as a float cell. *)
+let decision_base width d =
+  let cells = ref 0 in
+  for k = 1 to d - 1 do
+    cells := !cells + ((1 lsl ((2 * k) - 1)) * width.(k))
+  done;
+  !cells
+
+(* Node [x]'s decision at depth [d], mask [g] and budget [b]. *)
+let[@inline] decision_cell width x d g b =
+  decision_base width d + ((((x - (1 lsl (d - 1))) lsl d) + g) * width.(d)) + b
+
+(* A bit set over node indices, 32 to an int. *)
+let[@inline] set_bit bits x =
+  bits.(x lsr 5) <- bits.(x lsr 5) lor (1 lsl (x land 31))
+
+let[@inline] bit bits x = bits.(x lsr 5) land (1 lsl (x land 31)) <> 0
 
 let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
     ~budget metric =
@@ -83,10 +113,25 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
          else budget)
         + 1)
   in
+  (* Decision rows first, in the room the arena leaves of
+     [4 n log2 n] cells: depths [1..dstar] each store one row per
+     internal node (see [decision_base]), as deep as they fit. *)
+  let arena = ref 0 in
+  for d = 1 to levels do
+    arena := !arena + (2 * (1 lsl d) * width.(d))
+  done;
+  let dstar = ref 0 in
+  while
+    !dstar + 1 < levels
+    && decision_base width (!dstar + 2) + !arena <= 4 * n * levels
+  do
+    incr dstar
+  done;
+  let dstar = !dstar in
   (* Arena slot [2d + side]: the row of the depth-[d] node that is its
      parent's left ([side] 0) or right child, mask-major. *)
   let slot = Array.make (2 * (levels + 1)) 0 in
-  let cells = ref 0 in
+  let cells = ref (decision_base width (dstar + 1)) in
   for d = 1 to levels do
     for side = 0 to 1 do
       slot.((2 * d) + side) <- !cells;
@@ -196,9 +241,12 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
   in
   let two_pointer = split = Binary_search && cap_budget in
   (* Cells [o + shift + t] for [t < count]: the best split of total [t]
-     between the child rows at [lb] and [rb]; with [merge], written
-     only where strictly below the (drop) value already there. *)
-  let split_row lb rb wc o ~shift ~count ~merge =
+     between the child rows at [lb] and [rb]; with [merge] (the keep
+     split), written only where strictly below the (drop) value already
+     there. With [at >= 0], each written cell's decision goes to
+     [a.(at + shift + t)]. *)
+  let split_row lb rb wc o ~shift ~count ~merge ~at =
+    let kept = Bool.to_int merge in
     if two_pointer then begin
       let top = wc - 1 in
       let lo = ref 0 in
@@ -209,25 +257,37 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
         then incr lo;
         let l = !lo in
         let v = fmax a.(lb + Int.min l top) a.(rb + Int.min (t - l) top) in
-        let v =
-          if l = 0 then v
+        let u =
+          if l = 0 then Float.infinity
           else
-            let u =
-              fmax
-                a.(lb + Int.min (l - 1) top)
-                a.(rb + Int.min (t - l + 1) top)
-            in
-            if u < v then u else v
+            fmax a.(lb + Int.min (l - 1) top) a.(rb + Int.min (t - l + 1) top)
         in
         let cell = o + shift + t in
-        if (not merge) || v < a.(cell) then a.(cell) <- v
+        if u < v then begin
+          if (not merge) || u < a.(cell) then begin
+            a.(cell) <- u;
+            if at >= 0 then
+              a.(at + shift + t) <- Float.of_int (((l - 1) lsl 1) lor kept)
+          end
+        end
+        else if (not merge) || v < a.(cell) then begin
+          a.(cell) <- v;
+          if at >= 0 then
+            a.(at + shift + t) <-
+              Float.of_int
+                (((if v < Float.infinity then l else 0) lsl 1) lor kept)
+        end
       done
     end
     else
       for t = 0 to count - 1 do
-        ignore (split_cell lb rb wc t);
+        let allot = split_cell lb rb wc t in
         let cell = o + shift + t in
-        if (not merge) || sv.(0) < a.(cell) then a.(cell) <- sv.(0)
+        if (not merge) || sv.(0) < a.(cell) then begin
+          a.(cell) <- sv.(0);
+          if at >= 0 then
+            a.(at + shift + t) <- Float.of_int ((allot lsl 1) lor kept)
+        end
       done
   in
   (* The row of node [x] from its children's rows: per mask, the drop
@@ -235,19 +295,21 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
   let internal_row x d m out =
     let w = width.(d) and wc = width.(d + 1) and c = coeffs.(x) in
     let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
+    let drow = if d <= dstar then decision_cell width x d 0 0 else -1 in
     let cells = ref 0 in
     for f = 0 to m - 1 do
       let top = Int.min (w - 1) (b0 - Bytes.get_uint8 pop f) in
       if top >= 0 then begin
         cells := !cells + top + 1;
-        let o = out + (f * w) in
+        let o = out + (f * w)
+        and at = if drow >= 0 then drow + (f * w) else -1 in
         split_row (l0 + (f * wc)) (r0 + (f * wc)) wc o ~shift:0
-          ~count:(top + 1) ~merge:false;
+          ~count:(top + 1) ~merge:false ~at;
         if c <> 0. then
           split_row
             (l0 + ((m + f) * wc))
             (r0 + ((m + f) * wc))
-            wc o ~shift:1 ~count:top ~merge:true
+            wc o ~shift:1 ~count:top ~merge:true ~at
       end
     done;
     tick !cells
@@ -287,53 +349,66 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
   tick 1;
   let root_kept = b0 > 0 && c0 <> 0. && keep < drop in
   let max_err = if root_kept then keep else drop in
-  (* Retrace node [x] at depth [d] under allotment [b], its incoming
-     value at [inc.((1 lsl d) - 1)]. *)
-  let rec trace x d b acc =
+  (* Retrace node [x] at depth [d] and mask [g] under allotment [b],
+     its incoming value at [inc.((1 lsl d) - 1)], marking the retained
+     coefficients in the bit set [kept_at]. *)
+  let kept_at = Array.make ((n + 31) lsr 5) 0 in
+  let rec trace x d g b =
     let b = Int.min b (width.(d) - 1) in
     let out = slot.((2 * d) + (x land 1)) in
     if 2 * x >= n then begin
       (* Row cell [b > 0] is below cell 0 exactly when keeping wins. *)
       bottom_row x d 1 out;
-      if b > 0 && a.(out + b) < a.(out) then x :: acc else acc
+      if b > 0 && a.(out + b) < a.(out) then set_bit kept_at x
     end
     else begin
-      children x d 1;
-      tick 1;
-      let wc = width.(d + 1) and c = coeffs.(x) in
-      let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
-      let drop_allot = split_cell l0 r0 wc b in
-      let drop = sv.(0) in
-      let keep_allot =
-        if b > 0 && c <> 0. then split_cell (l0 + wc) (r0 + wc) wc (b - 1)
-        else -1
+      let c = coeffs.(x) in
+      let decision =
+        if d <= dstar then int_of_float a.(decision_cell width x d g b)
+        else begin
+          children x d 1;
+          tick 1;
+          let wc = width.(d + 1) in
+          let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
+          let drop_allot = split_cell l0 r0 wc b in
+          let drop = sv.(0) in
+          let keep_allot =
+            if b > 0 && c <> 0. then split_cell (l0 + wc) (r0 + wc) wc (b - 1)
+            else -1
+          in
+          if keep_allot >= 0 && sv.(0) < drop then (keep_allot lsl 1) lor 1
+          else drop_allot lsl 1
+        end
       in
-      let kept = keep_allot >= 0 && sv.(0) < drop in
-      let allot = if kept then keep_allot else drop_allot in
-      let acc = if kept then x :: acc else acc in
+      let kept = decision land 1 = 1 and allot = decision lsr 1 in
+      if kept then set_bit kept_at x;
+      let g = g + (Bool.to_int kept lsl d) in
       let here = (1 lsl d) - 1 and below = (2 lsl d) - 1 in
       let v = inc.(here) in
       inc.(below) <- (if kept then v +. c else v);
-      let acc = trace (2 * x) (d + 1) allot acc in
+      trace (2 * x) (d + 1) g allot;
       inc.(below) <- (if kept then v -. c else v);
-      trace ((2 * x) + 1) (d + 1) (b - Bool.to_int kept - allot) acc
+      trace ((2 * x) + 1) (d + 1) g (b - Bool.to_int kept - allot)
     end
   in
-  let acc = if root_kept then [ 0 ] else [] in
-  let retained =
-    if n = 1 || b0 = 0 then acc
-    else begin
-      inc.(1) <- (if root_kept then inc.(0) +. c0 else inc.(0));
-      trace 1 1 (b0 - Bool.to_int root_kept) acc
-    end
-  in
-  let synopsis =
-    Synopsis.make ~n (List.map (fun j -> (j, coeffs.(j))) retained)
+  if root_kept then set_bit kept_at 0;
+  if n > 1 && b0 > 0 then begin
+    inc.(1) <- (if root_kept then inc.(0) +. c0 else inc.(0));
+    trace 1 1 (Bool.to_int root_kept) (b0 - Bool.to_int root_kept)
+  end;
+  (* In ascending index order, so the synopsis needs no sort. *)
+  let retained = ref [] in
+  for j = n - 1 downto 0 do
+    if bit kept_at j then retained := (j, coeffs.(j)) :: !retained
+  done;
+  let synopsis = Synopsis.make ~n !retained in
+  let r =
+    { max_err; synopsis; dp_states = !states; working_cells = Array.length a }
   in
   Log.debug (fun m ->
       m "solved n=%d budget=%d cells=%d working=%d max_err=%g" n budget
-        !states (Array.length a) max_err);
-  { max_err; synopsis; dp_states = !states; working_cells = Array.length a }
+        r.dp_states r.working_cells r.max_err);
+  r
 
 type budget_search = { best : result; budget : int; feasible : bool }
 

@@ -15,9 +15,11 @@
     allotment). The total running time is [O(N^2 B log B)], and the
     default kernel evaluates it bottom-up in Theorem 3.1's working
     space: one row of (ancestor mask, budget) cells per node and at
-    most two live rows per depth, so [4 N log2 N] cells with the budget
-    cap. The synopsis is retraced by recomputing rows, not by storing
-    choices.
+    most two live rows per depth, so at most [4 N log2 N] cells with
+    the budget cap. The forward pass also stores the split decisions
+    of the top depths' cells, as many depths as fit in what the arena
+    leaves of that bound; the retrace reads them there and recomputes
+    the rows of the deeper nodes.
 
     The kernel's evaluation order, working set, cost per cell and
     allocation profile (none per DP cell) are specified in
@@ -38,7 +40,9 @@ type result = {
   dp_states : int;
       (** DP cells computed: every cell of the forward pass and of the
           retrace *)
-  working_cells : int;  (** cells of DP storage the solve held: the arena *)
+  working_cells : int;
+      (** cells of DP storage the solve held: the arena plus the stored
+          decisions, at most [4 N log2 N] with the budget cap *)
 }
 
 val solve :

@@ -76,47 +76,74 @@ let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
 
-(* The bottom-up kernel's cell count, a function of the shape alone
-   (docs/KERNELS.md). A node at depth d in 1..L (L = log2 n) has 2^d
-   masks and a row width w(d), its subtree's coefficient count capped
-   at the budget; the row of a mask with k retained ancestors stops at
-   budget b0 - k, the root's. Forward: the root cell plus every node's
-   row. Retrace (none when b0 = 0): every node recomputes its one
-   cell; a node above leaves does so from its one-mask row, any other
-   first rebuilds its subtree for its one ancestor prefix, 2^k nodes
-   of 2^k masks each k levels below it. *)
-let minmax_cells ~n ~budget ~cap_budget =
+(* The bottom-up kernel's shape (docs/KERNELS.md). A node at depth d
+   in 1..L (L = log2 n) has 2^d masks and a row width w(d), its
+   subtree's coefficient count capped at the budget; the row of a mask
+   with k retained ancestors stops at budget b0 - k, the root's. The
+   arena holds two rows per depth. The decision rows of depth d are
+   its 2^(d-1) nodes' full rows, and d* is the deepest depth below L
+   such that depths 1..d* fit, with the arena, in 4 n L cells. *)
+type minmax_shape = { l : int; b0 : int; w : int -> int }
+
+let minmax_shape ~n ~budget ~cap_budget =
   let l = log2 n in
-  let b0 = if cap_budget then Int.min budget n else budget in
-  let w d =
-    (if cap_budget then Int.min budget ((1 lsl (l - d + 1)) - 1) else budget)
-    + 1
+  {
+    l;
+    b0 = (if cap_budget then Int.min budget n else budget);
+    w =
+      (fun d ->
+        (if cap_budget then Int.min budget ((1 lsl (l - d + 1)) - 1)
+         else budget)
+        + 1);
+  }
+
+let sum f lo hi =
+  let s = ref 0 in
+  for d = lo to hi do
+    s := !s + f d
+  done;
+  !s
+
+let arena s = sum (fun d -> 2 * (1 lsl d) * s.w d) 1 s.l
+let decisions s k = sum (fun d -> (1 lsl ((2 * d) - 1)) * s.w d) 1 k
+
+let d_star s =
+  let rec deepest k =
+    let fits = decisions s (k + 1) + arena s <= 4 * (1 lsl s.l) * s.l in
+    if k + 1 < s.l && fits then deepest (k + 1) else k
   in
+  deepest 0
+
+(* The cell count, a function of the shape alone. Forward: the root
+   cell plus every node's row. Retrace (none when b0 = 0): the internal
+   nodes at depths 1..d* ([d_star] unless given) read their stored
+   decisions and compute nothing. Below d*, every node recomputes its
+   one cell; a node above leaves does so from its one-mask row, any
+   other first rebuilds its subtree for its one ancestor prefix, 2^k
+   nodes of 2^k masks each k levels below it. *)
+let minmax_cells ?d_star:ds ~n ~budget ~cap_budget () =
+  let s = minmax_shape ~n ~budget ~cap_budget in
+  let ds = match ds with Some k -> k | None -> d_star s in
   let rec popcount f = if f = 0 then 0 else (f land 1) + popcount (f lsr 1) in
   let row d bits =
     let cells = ref 0 in
     for f = 0 to (1 lsl bits) - 1 do
-      cells := !cells + Int.max 0 (Int.min (w d - 1) (b0 - popcount f) + 1)
+      cells := !cells + Int.max 0 (Int.min (s.w d - 1) (s.b0 - popcount f) + 1)
     done;
     !cells
   in
   let forward = ref 1 and retrace = ref 0 in
-  for d = 1 to l do
+  for d = 1 to s.l do
     let nodes = 1 lsl (d - 1) in
     forward := !forward + (nodes * row d d);
     let per_node =
-      if d = l then row d 0
-      else begin
-        let sub = ref 1 in
-        for k = 1 to l - d do
-          sub := !sub + ((1 lsl k) * row (d + k) k)
-        done;
-        !sub
-      end
+      if d = s.l then row d 0
+      else if d <= ds then 0
+      else 1 + sum (fun k -> (1 lsl k) * row (d + k) k) 1 (s.l - d)
     in
     retrace := !retrace + (nodes * per_node)
   done;
-  !forward + if b0 = 0 then 0 else !retrace
+  !forward + if s.b0 = 0 then 0 else !retrace
 
 (* Every case under both split strategies and cap_budget on and off:
    the flat kernel returns the reference kernel's max_err bits and
@@ -160,7 +187,7 @@ let test_minmax_flat_vs_reference () =
                 in
                 check_minmax_pair name r r_ref;
                 checki (name ^ ": cells")
-                  (minmax_cells ~n ~budget ~cap_budget)
+                  (minmax_cells ~n ~budget ~cap_budget ())
                   r.dp_states;
                 checki (name ^ ": on_state") r.dp_states !fired
               end)
@@ -262,6 +289,62 @@ let test_minmax_working_set () =
           true
           (r.dp_states > 8 * r.working_cells))
     [ (2, 2); (16, 20); (256, 32); (1024, 128); (1024, 1024) ]
+
+(* Both ends of the decision rule. With B >= n the arena alone fills
+   4 n log2 n, so no depth is stored and every internal node rebuilds
+   its subtree in the retrace. At a small budget every internal depth
+   fits, so the retrace computes only the rows above the leaves. Either
+   way the result is the reference kernel's. *)
+let test_minmax_decision_ends () =
+  let rng = Prng.create ~seed:83 in
+  let solve_both ~split ~cap_budget data budget =
+    let n = Array.length data in
+    let name =
+      Printf.sprintf "n=%d b=%d %s cap=%b" n budget
+        (match split with
+        | Minmax_dp.Binary_search -> "bisect"
+        | Minmax_dp.Linear_scan -> "scan")
+        cap_budget
+    in
+    let r = Minmax_dp.solve ~split ~cap_budget ~data ~budget Metrics.Abs in
+    check_minmax_pair name r
+      (Minmax_reference.solve ~split ~cap_budget ~data ~budget Metrics.Abs);
+    (name, minmax_shape ~n ~budget ~cap_budget, r)
+  in
+  List.iter
+    (fun (n, budget) ->
+      let name, s, r =
+        solve_both ~split:Minmax_dp.Binary_search ~cap_budget:true
+          (signal rng n) budget
+      in
+      checki (name ^ ": arena fills 4 n log2 n") (4 * n * s.l) (arena s);
+      checki (name ^ ": no depth stored") 0 (d_star s);
+      checki (name ^ ": working cells") (arena s) r.working_cells;
+      checki (name ^ ": full retrace")
+        (minmax_cells ~d_star:0 ~n ~budget ~cap_budget:true ())
+        r.dp_states)
+    [ (8, 8); (32, 32); (32, 40); (64, 64) ];
+  List.iter
+    (fun (gen, n, budget) ->
+      List.iter
+        (fun (split, cap_budget) ->
+          let name, s, r = solve_both ~split ~cap_budget (gen rng n) budget in
+          checki (name ^ ": every internal depth stored") (s.l - 1)
+            (d_star s);
+          checki (name ^ ": working cells")
+            (arena s + decisions s (s.l - 1))
+            r.working_cells;
+          check (name ^ ": within 4 n log2 n") true
+            (r.working_cells <= 4 * n * s.l);
+          checki (name ^ ": retrace computes only the bottom rows")
+            (minmax_cells ~d_star:(s.l - 1) ~n ~budget ~cap_budget ())
+            r.dp_states)
+        [
+          (Minmax_dp.Binary_search, true);
+          (Minmax_dp.Linear_scan, true);
+          (Minmax_dp.Binary_search, false);
+        ])
+    [ (signal, 8, 1); (signal, 32, 1); (coarse_signal, 32, 1) ]
 
 (* A flat solve allocates its arena (straight into the major heap at
    these sizes) and O(n) bookkeeping, but nothing per DP cell: minor
@@ -528,6 +611,8 @@ let () =
             test_minmax_benchmark_data;
           Alcotest.test_case "working set at most 4 n log2 n cells" `Quick
             test_minmax_working_set;
+          Alcotest.test_case "decisions stored at both ends of the rule"
+            `Quick test_minmax_decision_ends;
           Alcotest.test_case "flat solve allocates O(n), not per state" `Quick
             test_minmax_flat_allocation;
           Alcotest.test_case "budget_for = oracle linear scan, pooled" `Quick

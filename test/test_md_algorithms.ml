@@ -190,6 +190,24 @@ let test_additive_epsilon_validation () =
            ~data:(Ndarray.create ~dims:[| 4 |] 1.)
            ~budget:1 ~epsilon:0. Metrics.Abs))
 
+(* Every scheme refuses a negative budget, also where no τ candidate
+   would run the DP (all-zero data). *)
+let test_negative_budget () =
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  raises "approx-abs 1d" "Approx_abs: negative budget" (fun () ->
+      Approx_abs.solve_1d ~data:[| 1.; 5.; 2.; 8. |] ~budget:(-1)
+        ~epsilon:0.25 ());
+  raises "approx-abs zero data" "Approx_abs: negative budget" (fun () ->
+      Approx_abs.solve
+        ~data:(Ndarray.create ~dims:[| 4; 4 |] 0.)
+        ~budget:(-1) ~epsilon:0.25 ());
+  raises "approx-additive" "Md_dp.run: negative budget" (fun () ->
+      Approx_additive.solve
+        ~data:(Ndarray.create ~dims:[| 4 |] 1.)
+        ~budget:(-1) ~epsilon:0.25 Metrics.Abs)
+
 let test_theorem_epsilon_scaling () =
   let tree = Md_tree.of_data (Ndarray.create ~dims:[| 4; 4 |] 1.) in
   let eps' = Approx_additive.theorem_epsilon ~tree 0.4 in
@@ -480,6 +498,7 @@ let () =
           Alcotest.test_case "monotone in epsilon" `Quick test_additive_monotone_epsilon;
           Alcotest.test_case "zero data" `Quick test_additive_zero_data;
           Alcotest.test_case "epsilon validation" `Quick test_additive_epsilon_validation;
+          Alcotest.test_case "negative budget" `Quick test_negative_budget;
           Alcotest.test_case "theorem epsilon" `Quick test_theorem_epsilon_scaling;
           Alcotest.test_case "3d guarantee" `Quick test_additive_3d_guarantee;
           Alcotest.test_case "budget monotone" `Quick test_additive_budget_monotone;
