@@ -50,16 +50,16 @@ let observe t (kind : kind) =
   match kind with
   | `Point ->
       t.points <- t.points + 1;
-      Option.iter Metric.incr t.c_points
+      Metric.incr_opt t.c_points
   | `Range ->
       t.ranges <- t.ranges + 1;
-      Option.iter Metric.incr t.c_ranges
+      Metric.incr_opt t.c_ranges
   | `Selectivity ->
       t.selectivities <- t.selectivities + 1;
-      Option.iter Metric.incr t.c_selectivities
+      Metric.incr_opt t.c_selectivities
   | `Quantile ->
       t.quantiles <- t.quantiles + 1;
-      Option.iter Metric.incr t.c_quantiles
+      Metric.incr_opt t.c_quantiles
 
 let observed t =
   {

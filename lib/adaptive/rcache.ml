@@ -70,7 +70,7 @@ let flush t =
     set_size t
   end;
   t.invalidations <- t.invalidations + 1;
-  Option.iter Metric.incr t.c_invalidations
+  Metric.incr_opt t.c_invalidations
 
 let sync t ~epoch =
   if epoch <> t.epoch then begin
@@ -83,11 +83,11 @@ let find t ~epoch key =
   match Hashtbl.find_opt t.table key with
   | Some _ as hit ->
       t.hits <- t.hits + 1;
-      Option.iter Metric.incr t.c_hits;
+      Metric.incr_opt t.c_hits;
       hit
   | None ->
       t.misses <- t.misses + 1;
-      Option.iter Metric.incr t.c_misses;
+      Metric.incr_opt t.c_misses;
       None
 
 let add t ~epoch key value =

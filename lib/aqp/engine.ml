@@ -48,32 +48,6 @@ let budget_used t = Synopsis.size t.synopsis
 
 module Ladder = Wavesyn_robust.Ladder
 
-type robust_build = {
-  engine : t;
-  tier : Ladder.tier;
-  guarantee : float;
-  attempts : Ladder.attempt list;
-  total_ms : float;
-}
-
-let build_robust ?obs ?trace ?deadline_ms ?state_cap ?epsilon ?fault relation
-    ~budget metric =
-  let data = Relation.frequencies relation in
-  match
-    Ladder.serve ?obs ?trace ?deadline_ms ?state_cap ?epsilon ?fault ~data
-      ~budget metric
-  with
-  | Error _ as e -> e
-  | Ok served ->
-      Ok
-        {
-          engine = { relation; synopsis = served.Ladder.synopsis };
-          tier = served.Ladder.tier;
-          guarantee = served.Ladder.max_err;
-          attempts = served.Ladder.attempts;
-          total_ms = served.Ladder.total_ms;
-        }
-
 type 'a answer = { exact : 'a; approx : 'a; abs_err : float; rel_err : float }
 
 let mk_answer exact approx =

@@ -28,33 +28,6 @@ val relation : t -> Relation.t
 val synopsis : t -> Wavesyn_synopsis.Synopsis.t
 val budget_used : t -> int
 
-type robust_build = {
-  engine : t;
-  tier : Wavesyn_robust.Ladder.tier;  (** which ladder tier answered *)
-  guarantee : float;
-      (** measured max-error guarantee of the served synopsis, same
-          value {!guarantee} would report for the build metric *)
-  attempts : Wavesyn_robust.Ladder.attempt list;
-  total_ms : float;
-}
-
-val build_robust :
-  ?obs:Wavesyn_obs.Registry.t ->
-  ?trace:Wavesyn_obs.Trace.sink ->
-  ?deadline_ms:float ->
-  ?state_cap:int ->
-  ?epsilon:float ->
-  ?fault:Wavesyn_robust.Fault.t ->
-  Relation.t ->
-  budget:int ->
-  Wavesyn_synopsis.Metrics.error_metric ->
-  (robust_build, Wavesyn_robust.Validate.error) result
-(** Deadline-bounded, always-answering construction: run the
-    {!Wavesyn_robust.Ladder} over the relation's frequency vector and
-    wrap whichever tier answered as a query engine. See
-    {!Wavesyn_robust.Ladder.serve} for deadline, fault and metrics
-    ([obs]/[trace]) semantics. *)
-
 type 'a answer = {
   exact : 'a;
   approx : 'a;

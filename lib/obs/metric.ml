@@ -10,6 +10,8 @@ let incr ?(by = 1) t =
   if by < 0 then invalid_arg "Metric.incr: negative increment";
   t.c <- t.c + by
 
+let incr_opt = function Some t -> incr t | None -> ()
+
 let counter_value t = t.c
 
 type gauge = { mutable g : float }

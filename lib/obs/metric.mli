@@ -19,6 +19,11 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1). Raises [Invalid_argument] on negative [by] —
     counters only go up; use a {!gauge} for values that can fall. *)
 
+val incr_opt : counter option -> unit
+(** Add 1 to a flag-gated counter; nothing on [None]. Allocation-free,
+    unlike [Option.iter incr], which builds a wrapper closure for
+    [incr]'s optional argument on every call. *)
+
 val counter_value : counter -> int
 
 (** {1 Gauges} *)

@@ -155,7 +155,7 @@ type t = {
   obs : Registry.t;
   trace : Trace.sink option;
   pool : Pool.t;
-  admit : int Admit.t;
+  admit : unit Admit.t;
   on_handoff : (unit -> int) option;
   on_drain : (unit -> unit) option;
   repl : repl_tele option;
@@ -551,6 +551,14 @@ let cache_store t req reply =
 
 type slot = { s_conn : Conn.t; mutable s_reply : Wire.reply option }
 
+(* What one select round gathered, each list newest first: every
+   request's slot, the admitted reads, and the staged writes. *)
+type round = {
+  mutable slots : slot list;
+  mutable evals : (slot * Wire.request) list;
+  mutable writes : (slot * Wire.request) list;
+}
+
 let overload_reply t =
   Wire.Overload
     {
@@ -559,11 +567,14 @@ let overload_reply t =
       tier = t.tier_name;
     }
 
-let count_error t = function
+(* The one place a slot gets its reply. *)
+let fill t slot reply =
+  (match reply with
   | Wire.Error _ ->
       t.total_errors <- t.total_errors + 1;
       Metric.incr t.c_errors
-  | _ -> ()
+  | _ -> ());
+  slot.s_reply <- Some reply
 
 (* Answer a SYNC by shipping journal records from the store's WAL. A
    cursor that fell behind compaction (or a torn tail the batch reader
@@ -643,24 +654,10 @@ let sync_reply t ~since ~max =
 
 (* --- the write path (UPDATE / INGEST over a live store) --- *)
 
-let contains_sub s sub =
-  let ls = String.length s and lb = String.length sub in
-  let rec go i = i + lb <= ls && (String.sub s i lb = sub || go (i + 1)) in
-  lb = 0 || go 0
-
-(* Map a store-side rejection onto the wire. Deliberately built from
-   the token and reason alone — never [Validate.to_string], whose
-   line numbers and paths depend on how many updates this process has
-   acked, which would break transcript byte-identity across a
-   crash/recover boundary. *)
-let wire_error_of_validate err =
-  match err with
-  | Validate.Bad_value { token; reason; _ } ->
-      let code =
-        if contains_sub reason "domain" then Wire.Out_of_range
-        else Wire.Bad_request
-      in
-      Wire.Error { code; message = Printf.sprintf "%s: %s" token reason }
+(* Map a store-side rejection onto the wire. Every delta passed
+   [Wire.storm_refusal] before it reached the store, so the store can
+   only refuse a follower's write ([Bad_option]) or fail its journal. *)
+let wire_error_of_validate = function
   | Validate.Bad_option { reason; _ } ->
       Wire.Error { code = Wire.Unanswerable; message = reason }
   | err -> Wire.Error { code = Wire.Internal; message = Validate.to_string err }
@@ -679,13 +676,14 @@ let apply_one t l ~i ~delta =
       Metric.incr l.tele.c_rejected;
       Error err
 
-(* An INGEST storm is atomic-on-validation: every delta is checked
-   against the domain and for finiteness up front, and an invalid one
-   rejects the whole storm with nothing applied. Past validation the
-   deltas apply in order; only a journal I/O failure can then stop the
-   storm mid-way, leaving the applied prefix durable (the error reply
-   tells the client its resume cursor is the last ACKED sequence). *)
-let storm_reply t l deltas =
+(* A write (an UPDATE is a one-delta write, an INGEST a storm) is
+   atomic-on-validation: every delta is checked against the domain and
+   for finiteness up front, and an invalid one rejects the whole write
+   with nothing applied. Past validation the deltas apply in order;
+   only the store can then stop a storm mid-way, leaving the applied
+   prefix durable (the error reply tells the client its resume cursor
+   is the last ACKED sequence). *)
+let write_reply t l ~storm deltas =
   let n = Wavesyn_stream.Stream_synopsis.n (Supervisor.stream l.sup) in
   match Wire.storm_refusal ~n deltas with
   | Some refusal ->
@@ -701,7 +699,7 @@ let storm_reply t l deltas =
       in
       let reply = go (Supervisor.seq l.sup) deltas in
       (match reply with
-      | Wire.Acked _ ->
+      | Wire.Acked _ when storm ->
           Metric.incr l.tele.c_storms;
           Metric.incr ~by:(List.length deltas) l.tele.c_storm_deltas
       | _ -> ());
@@ -719,25 +717,19 @@ let routed_writes t r writes =
           t.total_updates <- t.total_updates + List.length deltas;
           bump_epoch t
       | _ -> ());
-      count_error t reply;
-      slot.s_reply <- Some reply)
+      fill t slot reply)
     writes
 
 let live_writes t l writes =
   let before = t.total_updates in
   List.iter
     (fun (slot, req) ->
-      let reply =
-        match req with
-        | Wire.Update { i; delta } -> (
-            match apply_one t l ~i ~delta with
-            | Ok seq -> Wire.Acked { seq }
-            | Error err -> wire_error_of_validate err)
-        | Wire.Ingest deltas -> storm_reply t l deltas
-        | _ -> Wire.Error { code = Wire.Internal; message = "not a write" }
-      in
-      count_error t reply;
-      slot.s_reply <- Some reply)
+      fill t slot
+        (match req with
+        | Wire.Update { i; delta } ->
+            write_reply t l ~storm:false [ (i, delta) ]
+        | Wire.Ingest deltas -> write_reply t l ~storm:true deltas
+        | _ -> Wire.Error { code = Wire.Internal; message = "not a write" }))
     writes;
   if t.total_updates > before then
     if Incremental.due_full l.inc then recut ~cadenced:true t
@@ -759,18 +751,62 @@ let apply_writes t writes =
   | Live l -> live_writes t l writes
   | Static _ -> ()
 
+(* Every incoming request takes a slot in its round's [slots], in
+   arrival order (the lists are newest first). [push] fills a slot at
+   once; an admitted read also joins [evals] and a staged write
+   [writes], and those slots are filled after the crash check. *)
+let push t round conn reply =
+  let slot = { s_conn = conn; s_reply = None } in
+  fill t slot reply;
+  round.slots <- slot :: round.slots
+
+let admit t round conn request =
+  (* The profiler observes the queryable stream itself — shed requests
+     included: the mix that overloads the server is exactly the one the
+     next tier rebuild should adapt to. A selectivity query travels as
+     its RANGE sum, so it is observed as one. *)
+  (match t.profiler with
+  | Some p -> (
+      match request with
+      | Wire.Point _ -> Profiler.observe p `Point
+      | Wire.Range _ -> Profiler.observe p `Range
+      | Wire.Quantile _ -> Profiler.observe p `Quantile
+      | _ -> ())
+  | None -> ());
+  let slot = { s_conn = conn; s_reply = None } in
+  round.slots <- slot :: round.slots;
+  if Admit.offer t.admit () then round.evals <- (slot, request) :: round.evals
+  else fill t slot (overload_reply t)
+
+let read_only_refusal =
+  Wire.Error
+    { code = Wire.Unanswerable; message = "read-only server: no live store" }
+
+let illegal_batch_entry =
+  Wire.Error { code = Wire.Bad_request; message = "illegal BATCH entry" }
+
+(* Writes take a slot now (order!) but are applied only after the
+   round's crash check — see [apply_writes]. *)
+let stage_write t round conn request =
+  match t.backend with
+  | Static _ -> push t round conn read_only_refusal
+  | Live _ | Router _ ->
+      let slot = { s_conn = conn; s_reply = None } in
+      round.slots <- slot :: round.slots;
+      round.writes <- (slot, request) :: round.writes
+
 (* The one per-request dispatch: a top-level frame and each BATCH entry
    take the same branch, and only [Wire.batchable] entries reach it
    from a batch. *)
-let rec dispatch t ~push ~admit ~stage_write conn request =
+let rec dispatch t round conn request =
   match request with
-  | Wire.Ping -> push Wire.Pong
-  | Wire.Stats -> push (Wire.Stats_text (stats_text t))
+  | Wire.Ping -> push t round conn Wire.Pong
+  | Wire.Stats -> push t round conn (Wire.Stats_text (stats_text t))
   | Wire.Shutdown ->
       t.running <- false;
-      push Wire.Bye;
+      push t round conn Wire.Bye;
       Conn.mark_closing conn
-  | Wire.Sync { since; max } -> push (sync_reply t ~since ~max)
+  | Wire.Sync { since; max } -> push t round conn (sync_reply t ~since ~max)
   | Wire.Handoff ->
       (* Promotion: flip to primary and acknowledge with the store's
          authoritative sequence, so the client can check it lost no
@@ -798,14 +834,12 @@ let rec dispatch t ~push ~admit ~stage_write conn request =
           Metric.set r.g_role (role_gauge_value t.role);
           Metric.incr r.c_handoffs
       | None -> ());
-      push (Wire.Handoff_ack { seq; role = role_name t.role })
+      push t round conn (Wire.Handoff_ack { seq; role = role_name t.role })
   | Wire.Batch reqs ->
       List.iter
         (fun r ->
-          if Wire.batchable r then dispatch t ~push ~admit ~stage_write conn r
-          else
-            let message = "illegal BATCH entry" in
-            push (Wire.Error { code = Wire.Bad_request; message }))
+          if Wire.batchable r then dispatch t round conn r
+          else push t round conn illegal_batch_entry)
         reqs
   | Wire.Retier level ->
       (* Shard control plane: a sharded front-end forwards its own
@@ -815,183 +849,67 @@ let rec dispatch t ~push ~admit ~stage_write conn request =
          overload never serves {e above} what its own admission allows. *)
       t.tier_floor <- max 0 level;
       recut t;
-      push Wire.Pong
-  | Wire.Update _ | Wire.Ingest _ -> stage_write request
-  | Wire.Point _ | Wire.Range _ | Wire.Quantile _ -> admit request
+      push t round conn Wire.Pong
+  | Wire.Update _ | Wire.Ingest _ -> stage_write t round conn request
+  | Wire.Point _ | Wire.Range _ | Wire.Quantile _ -> admit t round conn request
 
-let process_request t ~(slots : slot list ref) ~evals ~writes conn request =
+let process_request t round conn request =
   t.total_requests <- t.total_requests + 1;
   Metric.incr (t.c_kind request);
-  let push reply =
-    count_error t reply;
-    slots := { s_conn = conn; s_reply = Some reply } :: !slots
-  in
-  let admit request =
-    (* The profiler observes the queryable stream itself — shed
-       requests included: the mix that overloads the server is exactly
-       the one the next tier rebuild should adapt to. A selectivity
-       query travels as its RANGE sum, so it is observed as one. *)
-    (match t.profiler with
-    | Some p -> (
-        match request with
-        | Wire.Point _ -> Profiler.observe p `Point
-        | Wire.Range _ -> Profiler.observe p `Range
-        | Wire.Quantile _ -> Profiler.observe p `Quantile
-        | _ -> ())
-    | None -> ());
-    let slot = { s_conn = conn; s_reply = None } in
-    if Admit.offer t.admit (List.length !evals) then begin
-      slots := slot :: !slots;
-      evals := (slot, request) :: !evals
-    end
-    else begin
-      slot.s_reply <- Some (overload_reply t);
-      slots := slot :: !slots
-    end
-  in
-  (* Writes take a slot now (order!) but are applied only after the
-     round's crash check — see [apply_writes]. *)
-  let stage_write request =
-    match t.backend with
-    | Static _ ->
-        push
-          (Wire.Error
-             {
-               code = Wire.Unanswerable;
-               message = "read-only server: no live store";
-             })
-    | Live _ | Router _ ->
-        let slot = { s_conn = conn; s_reply = None } in
-        slots := slot :: !slots;
-        writes := (slot, request) :: !writes
-  in
-  dispatch t ~push ~admit ~stage_write conn request
+  dispatch t round conn request
 
-(* Evaluate the round's admitted requests, batched by query kind, each
-   kind fanned out positionally over the pool — results land back in
-   their slots, so per-connection reply order is request order no
-   matter how the pool schedules the work.
+(* Evaluate the round's admitted requests ([evals], newest first). One
+   pass for every backend: results land in their slots, so
+   per-connection reply order is request order however the work is
+   scheduled.
 
-   The result cache is consulted in a single-threaded pre-pass over
-   the round in arrival order (so its hit/miss counters are
-   schedule-deterministic), and filled after evaluation, also in
-   arrival order. A hit short-circuits {e only} the evaluation: the
-   request already took its admission slot, so the shed schedule — and
-   with it the pressure trajectory — is byte-identical cache-on vs
-   cache-off. *)
-let rec evaluate_round t evals =
+   The result cache is consulted in a single-threaded pre-pass in
+   arrival order (so its hit/miss counters are schedule-deterministic,
+   and a key repeated within the round misses on every copy), and
+   filled from the misses' replies afterwards, also in arrival order.
+   A hit short-circuits {e only} the evaluation: the request already
+   took its admission slot, so the shed schedule — and with it the
+   pressure trajectory — is byte-identical cache-on vs cache-off.
+
+   A router's misses are scatter-gather RPCs, not pool work: each walks
+   the shards in shard-index order, requests go in arrival order, so
+   the merged transcript is independent of this front-end's [--jobs].
+   Otherwise the misses fan out positionally over the pool. *)
+let evaluate_round t evals =
   ignore (Admit.take_batch t.admit);
-  match t.backend with
+  let arrivals = List.rev evals in
+  let misses =
+    match t.cache with
+    | None -> arrivals
+    | Some _ ->
+        List.filter
+          (fun (slot, req) ->
+            match cache_find t req with
+            | Some reply ->
+                fill t slot reply;
+                false
+            | None -> true)
+          arrivals
+  in
+  (match t.backend with
   | Router r ->
-      (* Scatter-gather is synchronous RPC, not pool work: shards are
-         walked in shard-index order per request, requests in arrival
-         order, so the merged transcript is independent of this
-         front-end's [--jobs]. *)
+      List.iter (fun (slot, req) -> fill t slot (Shard.eval r req)) misses
+  | Static _ | Live _ ->
+      let misses = Array.of_list misses in
+      let replies =
+        Pool.map_chunked t.pool (Array.length misses) (fun i ->
+            eval_one t (snd misses.(i)))
+      in
+      Array.iteri (fun i (slot, _) -> fill t slot replies.(i)) misses);
+  match t.cache with
+  | None -> ()
+  | Some _ ->
       List.iter
         (fun (slot, req) ->
-          let reply =
-            match cache_find t req with
-            | Some reply -> reply
-            | None ->
-                let reply = Shard.eval r req in
-                cache_store t req reply;
-                reply
-          in
-          count_error t reply;
-          slot.s_reply <- Some reply)
-        (List.rev evals)
-  | Static _ | Live _ -> pooled_round t evals
-
-and pooled_round t evals =
-  let evals = Array.of_list (List.rev evals) in
-  (* Cache pre-pass: hits fill their slots now; only misses reach the
-     pool. *)
-  let pending =
-    match t.cache with
-    | None -> evals
-    | Some _ ->
-        Array.of_list
-          (List.filter
-             (fun (slot, req) ->
-               match cache_find t req with
-               | Some reply ->
-                   count_error t reply;
-                   slot.s_reply <- Some reply;
-                   false
-               | None -> true)
-             (Array.to_list evals))
-  in
-  let group_of tag =
-    Array.of_list
-      (List.filter
-         (fun (_, r) ->
-           match (tag, r) with
-           | `Point, Wire.Point _
-           | `Range, Wire.Range _
-           | `Quantile, Wire.Quantile _ ->
-               true
-           | _ -> false)
-         (Array.to_list pending))
-  in
-  let by_kind tag =
-    let group = group_of tag in
-    if Array.length group > 0 then begin
-      let replies =
-        Pool.map_chunked t.pool (Array.length group) (fun i ->
-            eval_one t (snd group.(i)))
-      in
-      Array.iteri
-        (fun i (slot, _) ->
-          count_error t replies.(i);
-          slot.s_reply <- Some replies.(i))
-        group
-    end
-  in
-  (* Ranges additionally dedup: identical spans are evaluated once (in
-     first-appearance order) and the reply fanned back to every slot —
-     sound because evaluation is a pure function of the span. *)
-  let range_round () =
-    let group = group_of `Range in
-    if Array.length group > 0 then begin
-      let index = Hashtbl.create 16 in
-      let rev_uniq = ref [] and count = ref 0 in
-      let slot_idx =
-        Array.map
-          (fun (_, req) ->
-            match Hashtbl.find_opt index req with
-            | Some j -> j
-            | None ->
-                let j = !count in
-                Hashtbl.add index req j;
-                rev_uniq := req :: !rev_uniq;
-                Stdlib.incr count;
-                j)
-          group
-      in
-      let uniq = Array.of_list (List.rev !rev_uniq) in
-      let replies =
-        Pool.map_chunked t.pool (Array.length uniq) (fun j ->
-            eval_one t uniq.(j))
-      in
-      Array.iteri
-        (fun i (slot, _) ->
-          let reply = replies.(slot_idx.(i)) in
-          count_error t reply;
-          slot.s_reply <- Some reply)
-        group
-    end
-  in
-  by_kind `Point;
-  range_round ();
-  by_kind `Quantile;
-  (* Fill the cache from the round's fresh results, in arrival order. *)
-  if t.cache <> None then
-    Array.iter
-      (fun (slot, req) ->
-        match slot.s_reply with
-        | Some reply -> cache_store t req reply
-        | None -> ())
-      pending
+          match slot.s_reply with
+          | Some reply -> cache_store t req reply
+          | None -> ())
+        misses
 
 (* --- the select loop --- *)
 
@@ -1145,7 +1063,7 @@ let run_exn t =
     (* Gather this round's requests in connection-arrival order. The
        iteration order is the connection id, so rounds are reproducible
        given the request schedule. *)
-    let slots = ref [] and evals = ref [] and writes = ref [] in
+    let round = { slots = []; evals = []; writes = [] } in
     let shed_before = Admit.shed_total t.admit in
     let active =
       List.sort
@@ -1158,20 +1076,14 @@ let run_exn t =
         let events, status = Conn.read conn ~now_ms in
         List.iter
           (function
-            | Conn.Request r -> process_request t ~slots ~evals ~writes conn r
+            | Conn.Request r -> process_request t round conn r
             | Conn.Bad_line reason ->
                 t.total_requests <- t.total_requests + 1;
-                let reply =
-                  Wire.Error { code = Wire.Bad_request; message = reason }
-                in
-                count_error t reply;
-                slots := { s_conn = conn; s_reply = Some reply } :: !slots
+                push t round conn
+                  (Wire.Error { code = Wire.Bad_request; message = reason })
             | Conn.Corrupt reason ->
-                let reply =
-                  Wire.Error { code = Wire.Bad_request; message = reason }
-                in
-                count_error t reply;
-                slots := { s_conn = conn; s_reply = Some reply } :: !slots;
+                push t round conn
+                  (Wire.Error { code = Wire.Bad_request; message = reason });
                 Conn.mark_closing conn)
           events;
         if status = `Eof then eof := conn :: !eof)
@@ -1187,9 +1099,9 @@ let run_exn t =
       t.running <- false
     end
     else begin
-      apply_writes t (List.rev !writes);
-      (if !evals <> [] then
-         with_span t "server.round" @@ fun () -> evaluate_round t !evals);
+      apply_writes t (List.rev round.writes);
+      (if round.evals <> [] then
+         with_span t "server.round" @@ fun () -> evaluate_round t round.evals);
       let shed = Admit.shed_total t.admit - shed_before in
       (* Flush every filled slot in per-connection request order. *)
       List.iter
@@ -1197,7 +1109,7 @@ let run_exn t =
           match slot.s_reply with
           | Some reply -> Conn.queue_reply slot.s_conn reply
           | None -> ())
-        (List.rev !slots);
+        (List.rev round.slots);
       List.iter
         (fun conn ->
           if Conn.wants_write conn || List.memq (Conn.fd conn) writable then
@@ -1217,7 +1129,7 @@ let run_exn t =
          idle select timeouts are invisible to it, so the pressure
          trajectory — and with it every OVERLOAD reply and re-cut — is a
          pure function of the request schedule, not of timing. *)
-      if !slots <> [] then begin
+      if round.slots <> [] then begin
         Metric.observe t.h_round (Deadline.now_ms () -. t0);
         t.rounds_seen <- t.rounds_seen + 1;
         if Admit.note_round t.admit ~shed then recut t;

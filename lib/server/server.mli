@@ -2,9 +2,9 @@
     answering synopsis queries with deterministic replies.
 
     Replies are a pure function of the serving synopsis and the
-    request schedule. Admitted requests are batched by query kind and
-    evaluated positionally over a {!Wavesyn_par.Pool}, so the reply
-    stream is byte-identical for every pool size; admission (the
+    request schedule. A round's admitted requests are evaluated in one
+    pass in arrival order, positionally over a {!Wavesyn_par.Pool}, so
+    the reply stream is byte-identical for every pool size; admission (the
     {!Admit} queue bound) applies per serving round, and a [BATCH]
     frame lands in one round, which makes overload shedding
     reproducible. Per connection, replies always keep request order.
@@ -91,9 +91,12 @@ type config = {
           exactly when the serving state can change (a write acked, a
           re-cut), so the transcript is byte-identical cache-on vs
           cache-off — hits skip only the evaluation, never their
-          admission slot. Registers the [serve.cache.*] metrics. On a
-          sharded front-end, also memoises per-shard sub-range sums
-          inside the router. *)
+          admission slot. Every backend keeps one round rule: the
+          round's reads are looked up in arrival order before any is
+          evaluated, and the misses' replies stored after, so a key
+          repeated within a round misses on every copy. Registers the
+          [serve.cache.*] metrics. On a sharded front-end, also
+          memoises per-shard sub-range sums inside the router. *)
   tiers : int;
       (** when positive, pre-cut this many ladder levels
           ({!Wavesyn_adaptive.Tiers}) from the observed query mix so a
@@ -179,8 +182,9 @@ val create :
     before any of its reads evaluate (a batch mixing reads and updates
     reads its own writes), after which the incremental solver folds
     the dirtied subtrees in — or takes the cadenced full re-cut — so
-    every reply in the round is served under the refreshed bound. An
-    [INGEST] storm validates every delta (domain, finiteness) before
+    every reply in the round is served under the refreshed bound. A
+    write ([UPDATE] is a one-delta [INGEST] storm) validates every
+    delta (domain, finiteness) with {!Wire.storm_refusal} before
     applying any, and rejects atomically. *)
 
 val run : t -> (unit, Wavesyn_robust.Validate.error) result

@@ -298,24 +298,19 @@ let ingest t deltas =
 
 let write t req =
   match req with
-  | Wire.Update { i; delta } ->
-      if i < 0 || i >= t.n then
-        (* Unroutable: no shard owns the cell. Same message the owning
-           shard's supervisor would have produced. *)
-        Wire.Error
-          {
-            code = Wire.Out_of_range;
-            message = Printf.sprintf "%d: cell out of domain [0, %d)" i t.n;
-          }
-      else begin
-        let k = owner t i in
-        match call t k (Wire.Update { i = i - t.ranges.(k).lo; delta }) with
-        | Wire.Acked { seq = shard_seq } ->
-            t.seqs.(k) <- shard_seq;
-            bump_epoch t;
-            Wire.Acked { seq = seq t }
-        | other -> other
-      end
+  | Wire.Update { i; delta } -> (
+      (* A one-delta write, refused by the storm rule before any shard
+         sees it. *)
+      match Wire.storm_refusal ~n:t.n [ (i, delta) ] with
+      | Some refusal -> refusal
+      | None -> (
+          let k = owner t i in
+          match call t k (Wire.Update { i = i - t.ranges.(k).lo; delta }) with
+          | Wire.Acked { seq = shard_seq } ->
+              t.seqs.(k) <- shard_seq;
+              bump_epoch t;
+              Wire.Acked { seq = seq t }
+          | other -> other))
   | Wire.Ingest deltas -> ingest t deltas
   | _ -> Wire.Error { code = Wire.Internal; message = "not a write" }
 

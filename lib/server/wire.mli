@@ -196,6 +196,7 @@ val of_quantile : (int, Wavesyn_aqp.Quantiles.refusal) result -> reply
     [Unanswerable] (non-positive total). *)
 
 val storm_refusal : n:int -> (int * float) list -> reply option
-(** An INGEST storm's validation over an [n]-cell domain: the first
-    delta whose cell is outside [[0, n)] ([Out_of_range]) or whose
-    value is not finite ([Bad_request]) rejects the whole storm. *)
+(** The one refusal rule for writes over an [n]-cell domain (an
+    UPDATE is a one-delta write, an INGEST a storm): the first delta
+    whose cell is outside [[0, n)] ([Out_of_range]) or whose value is
+    not finite ([Bad_request]) rejects the whole write. *)

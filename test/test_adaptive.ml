@@ -216,6 +216,33 @@ let test_rcache () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The server keys its cache on the [Wire.request] value: a lookup
+   hashes and compares the request in place and builds no key text.
+   Measured with the server's instrumented cache and [Range] keys. *)
+let test_rcache_find_words () =
+  let c = Rcache.create ~obs:(Registry.create ()) () in
+  let keys = Array.init 64 (fun i -> Wire.Range { lo = i; hi = i + 7 }) in
+  Array.iteri
+    (fun i k -> Rcache.add c ~epoch:0 k (Wire.Value (float_of_int i)))
+    keys;
+  let absent = Array.init 64 (fun i -> Wire.Range { lo = i; hi = i + 8 }) in
+  let words_per_find keys =
+    let rounds = 50 in
+    ignore (Rcache.find c ~epoch:0 keys.(0));
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      Array.iter (fun k -> ignore (Rcache.find c ~epoch:0 k)) keys
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (rounds * Array.length keys)
+  in
+  let hit = words_per_find keys and miss = words_per_find absent in
+  check "every probe of a present key hit" true (Rcache.hits c >= 64 * 50);
+  (* A hit allocates only the [Some] it returns; a miss nothing. *)
+  check (Printf.sprintf "hit allocates %.2f words (<= 2.5)" hit) true
+    (hit <= 2.5);
+  check (Printf.sprintf "miss allocates %.2f words (<= 0.5)" miss) true
+    (miss <= 0.5)
+
 (* --- the sharded router's sub-range memo --- *)
 
 (* In-process stub shards: each answers RANGE from an exact synopsis
@@ -325,30 +352,37 @@ let test_shard_memo_quantiles () =
 
 (* --- end-to-end: cache on/off transcript byte-identity --- *)
 
-let loadgen_against ~cfg ~jobs ~hot ~mix ~seed ~requests ~batch ~n =
+(* Run a server over [cfg] on a [jobs]-domain pool, hand [f] a client,
+   shut the server down; returns [f]'s result and the metrics table. *)
+let serve_against ~cfg ~jobs f =
   let pool = Pool.create ~domains:jobs () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let server = Server.create ~pool cfg in
   let runner = Domain.spawn (fun () -> Server.run server) in
-  let buf = Buffer.create 4096 in
   let client =
     match Client.connect ~wait_ms:5000. cfg.Server.path with
     | Ok c -> c
     | Error e -> Alcotest.fail (Validate.to_string e)
   in
-  let summary =
+  let result =
     Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-    let result =
-      Loadgen.run ~hot ~rpc:(Client.request client) ~seed ~requests ~batch ~n
-        ~mix ~out:(Buffer.add_string buf) ()
-    in
+    let result = f client in
     ignore (Client.request_one client Wire.Shutdown);
-    must result
+    result
   in
   (match Domain.join runner with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Validate.to_string e));
-  (Buffer.contents buf, summary, Registry.render_table (Server.registry server))
+  (result, Registry.render_table (Server.registry server))
+
+let loadgen_against ~cfg ~jobs ~hot ~mix ~seed ~requests ~batch ~n =
+  let buf = Buffer.create 4096 in
+  let result, table =
+    serve_against ~cfg ~jobs (fun client ->
+        Loadgen.run ~hot ~rpc:(Client.request client) ~seed ~requests ~batch
+          ~n ~mix ~out:(Buffer.add_string buf) ())
+  in
+  (Buffer.contents buf, must result, table)
 
 (* Pull a counter's value out of a rendered metrics table: rows read
    [counter    NAME    VALUE unit]. *)
@@ -389,80 +423,152 @@ let test_server_cache_transcripts () =
   check "cache-off table has no cache family" false
     (contains table_off "serve.cache.hits")
 
+(* The same loadgen schedule through a [shards]-shard scatter-gather
+   front-end over static shard servers; returns the transcript, the
+   summary and the front-end's own metrics table. *)
+let sharded_against ~cache ~shards ~hot ~mix ~seed ~requests ~batch data =
+  let n = Array.length data in
+  let ranges = must_s (Shard.split ~n ~shards) in
+  let shard_paths = List.map (fun _ -> sock_path ()) ranges in
+  let runners =
+    List.map2
+      (fun path { Shard.lo; hi } ->
+        let slice = Array.sub data lo (hi - lo + 1) in
+        let server =
+          Server.create (Server.config ~budget:(hi - lo + 1) ~path slice)
+        in
+        Domain.spawn (fun () -> Server.run server))
+      shard_paths ranges
+  in
+  let clients =
+    List.map
+      (fun p ->
+        match Client.connect ~wait_ms:5000. p with
+        | Ok c -> c
+        | Error e -> Alcotest.fail (Validate.to_string e))
+      shard_paths
+  in
+  let rpcs =
+    Array.of_list (List.map (fun c req -> Client.request c req) clients)
+  in
+  let router = must_s (Shard.router ~n ~ranges rpcs) in
+  let cfg =
+    Server.config ~budget:n ~queue_bound:16 ~cache ~path:(sock_path ()) data
+  in
+  let pool = Pool.create ~domains:1 () in
+  let server = Server.create ~pool ~router cfg in
+  let front_runner = Domain.spawn (fun () -> Server.run server) in
+  let buf = Buffer.create 4096 in
+  let summary =
+    Fun.protect
+      ~finally:(fun () ->
+        Shard.shutdown router;
+        List.iter Client.close clients;
+        List.iter
+          (fun r -> match Domain.join r with Ok () | Error _ -> ())
+          runners;
+        Pool.shutdown pool)
+    @@ fun () ->
+    let client =
+      match Client.connect ~wait_ms:5000. cfg.Server.path with
+      | Ok c -> c
+      | Error e -> Alcotest.fail (Validate.to_string e)
+    in
+    Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
+    let result =
+      Loadgen.run ~hot ~rpc:(Client.request client) ~seed ~requests ~batch ~n
+        ~mix ~out:(Buffer.add_string buf) ()
+    in
+    ignore (Client.request_one client Wire.Shutdown);
+    must result
+  in
+  (match Domain.join front_runner with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Validate.to_string e));
+  (Buffer.contents buf, summary, Registry.render_table (Server.registry server))
+
 let test_server_cache_sharded () =
   (* The sharded front-end with --cache: transcripts byte-identical to
      the uncached sharded run, across shard counts. *)
-  let n = 64 in
-  let data = exact_data n in
   let mix = must_s (Loadgen.mix_of_string "ranges=5,quantiles=3") in
   let run ~cache ~shards =
-    let ranges = must_s (Shard.split ~n ~shards) in
-    let shard_paths = List.map (fun _ -> sock_path ()) ranges in
-    let runners =
-      List.map2
-        (fun path { Shard.lo; hi } ->
-          let slice = Array.sub data lo (hi - lo + 1) in
-          let server =
-            Server.create (Server.config ~budget:(hi - lo + 1) ~path slice)
-          in
-          Domain.spawn (fun () -> Server.run server))
-        shard_paths ranges
-    in
-    let clients =
-      List.map
-        (fun p ->
-          match Client.connect ~wait_ms:5000. p with
-          | Ok c -> c
-          | Error e -> Alcotest.fail (Validate.to_string e))
-        shard_paths
-    in
-    let rpcs =
-      Array.of_list (List.map (fun c req -> Client.request c req) clients)
-    in
-    let router = must_s (Shard.router ~n ~ranges rpcs) in
-    let cfg =
-      Server.config ~budget:n ~queue_bound:16 ~cache ~path:(sock_path ()) data
-    in
-    let pool = Pool.create ~domains:1 () in
-    let server = Server.create ~pool ~router cfg in
-    let front_runner = Domain.spawn (fun () -> Server.run server) in
-    let buf = Buffer.create 4096 in
-    let summary =
-      Fun.protect
-        ~finally:(fun () ->
-          Shard.shutdown router;
-          List.iter Client.close clients;
-          List.iter
-            (fun r ->
-              match Domain.join r with Ok () | Error _ -> ())
-            runners;
-          Pool.shutdown pool)
-      @@ fun () ->
-      let client =
-        match Client.connect ~wait_ms:5000. cfg.Server.path with
-        | Ok c -> c
-        | Error e -> Alcotest.fail (Validate.to_string e)
-      in
-      Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-      let result =
-        Loadgen.run ~hot:5 ~rpc:(Client.request client) ~seed:31 ~requests:32
-          ~batch:4 ~n ~mix ~out:(Buffer.add_string buf) ()
-      in
-      ignore (Client.request_one client Wire.Shutdown);
-      must result
-    in
-    (match Domain.join front_runner with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail (Validate.to_string e));
-    (Buffer.contents buf, summary)
+    sharded_against ~cache ~shards ~hot:5 ~mix ~seed:31 ~requests:32 ~batch:4
+      (exact_data 64)
   in
-  let t_off, _ = run ~cache:false ~shards:2 in
-  let t_on, s_on = run ~cache:true ~shards:2 in
-  let _t_on4, s_on4 = run ~cache:true ~shards:4 in
+  let t_off, _, _ = run ~cache:false ~shards:2 in
+  let t_on, s_on, _ = run ~cache:true ~shards:2 in
+  let _t_on4, s_on4, _ = run ~cache:true ~shards:4 in
   check "sharded cache-on transcript identical to cache-off" true
     (String.equal t_off t_on);
   checks "identical across shard counts" s_on.Loadgen.transcript_crc
     s_on4.Loadgen.transcript_crc
+
+(* One cache rule on every backend: a hot, batched schedule (keys
+   repeat within a round) reads the same serve.cache.* counters on an
+   unsharded server and on a 2-shard front-end. *)
+let test_cache_counters_backend_parity () =
+  let n = 64 in
+  let data = exact_data n in
+  let mix = must_s (Loadgen.mix_of_string "ranges=6,quantiles=2") in
+  let cache_rows table =
+    List.filter
+      (fun l -> contains l "serve.cache")
+      (String.split_on_char '\n' table)
+  in
+  let t_un, _, table_un =
+    loadgen_against
+      ~cfg:(Server.config ~budget:n ~queue_bound:16 ~cache:true
+              ~path:(sock_path ()) data)
+      ~jobs:1 ~hot:6 ~mix ~seed:29 ~requests:48 ~batch:4 ~n
+  in
+  let t_sh, _, table_sh =
+    sharded_against ~cache:true ~shards:2 ~hot:6 ~mix ~seed:29 ~requests:48
+      ~batch:4 data
+  in
+  check "transcripts identical" true (String.equal t_un t_sh);
+  Alcotest.(check (list string))
+    "serve.cache.* identical" (cache_rows table_un) (cache_rows table_sh);
+  checki "hits" 40 (counter_value table_sh "serve.cache.hits");
+  checki "misses" 8 (counter_value table_sh "serve.cache.misses")
+
+(* A BATCH interleaving duplicate RANGEs with POINTs and QUANTILEs
+   gets, entry for entry, the replies its requests get one at a time,
+   at pool sizes 1 and 4 with the cache off and on. *)
+let test_batch_equals_per_request () =
+  let r1 = Wire.Range { lo = 3; hi = 40 }
+  and r2 = Wire.Range { lo = 0; hi = 63 } in
+  let entries =
+    [
+      r1; Wire.Point 5; r1; Wire.Quantile 0.5; r2; r1; Wire.Quantile 0.5;
+      Wire.Point 5; Wire.Range { lo = 9; hi = 2 }; r2; Wire.Quantile 0.25;
+      Wire.Range { lo = 9; hi = 2 };
+    ]
+  in
+  let serve ~cache ~jobs f =
+    fst
+      (serve_against ~jobs
+         ~cfg:
+           (Server.config ~budget:8 ~cache ~path:(sock_path ())
+              (exact_data 64))
+         f)
+  in
+  let describe = function
+    | Ok replies -> List.map Wire.describe_reply replies
+    | Error e -> Alcotest.fail (Validate.to_string e)
+  in
+  let one_at_a_time =
+    serve ~cache:false ~jobs:1 (fun client ->
+        List.concat_map (fun r -> describe (Client.request client r)) entries)
+  in
+  List.iter
+    (fun (jobs, cache) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "batched = one at a time (pool %d, cache %b)" jobs
+           cache)
+        one_at_a_time
+        (serve ~cache ~jobs (fun client ->
+             describe (Client.request client (Wire.Batch entries)))))
+    [ (1, false); (1, true); (4, false); (4, true) ]
 
 (* --- end-to-end: pre-cut tiers --- *)
 
@@ -505,6 +611,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "rcache" `Quick test_rcache;
+          Alcotest.test_case "rcache find words" `Quick test_rcache_find_words;
           Alcotest.test_case "shard memo quantiles" `Quick
             test_shard_memo_quantiles;
         ] );
@@ -513,6 +620,10 @@ let () =
           Alcotest.test_case "cache transcripts" `Quick
             test_server_cache_transcripts;
           Alcotest.test_case "cache sharded" `Quick test_server_cache_sharded;
+          Alcotest.test_case "cache counters on every backend" `Quick
+            test_cache_counters_backend_parity;
+          Alcotest.test_case "batch = per request" `Quick
+            test_batch_equals_per_request;
           Alcotest.test_case "tiers" `Quick test_server_tiers;
         ] );
     ]

@@ -956,31 +956,6 @@ let test_chaos_all_kinds_together () =
              (Metrics.of_synopsis Metrics.Abs ~data:chaos_data
                 s.Ladder.synopsis))
 
-(* --- Engine.build_robust --- *)
-
-let test_engine_build_robust () =
-  let relation = Relation.create ~name:"t" (sample_data 128) in
-  let metric = Metrics.Abs in
-  match Engine.build_robust relation ~budget:9 metric with
-  | Error e -> Alcotest.fail (Validate.to_string e)
-  | Ok rb ->
-      check "unbounded build is the exact tier" true
-        (rb.Engine.tier = Ladder.Minmax);
-      check "guarantee agrees with Engine.guarantee" true
-        (Float_util.approx_equal ~eps:1e-12 rb.Engine.guarantee
-           (Engine.guarantee rb.Engine.engine metric));
-      check "budget respected" true (Engine.budget_used rb.Engine.engine <= 9)
-
-let test_engine_build_robust_deadline () =
-  let relation = Relation.create ~name:"big" big_data in
-  match Engine.build_robust ~deadline_ms:1.0 relation ~budget:8 Metrics.Abs with
-  | Error e -> Alcotest.fail (Validate.to_string e)
-  | Ok rb ->
-      check "degraded tier answers" true (rb.Engine.tier <> Ladder.Minmax);
-      check "guarantee agrees with Engine.guarantee" true
-        (Float_util.approx_equal ~eps:1e-12 rb.Engine.guarantee
-           (Engine.guarantee rb.Engine.engine Metrics.Abs))
-
 (* --- adversarial property tests --- *)
 
 (* Adversarial corners the issue calls out explicitly, plus random
@@ -1300,13 +1275,6 @@ let () =
             test_chaos_alloc_pressure_recovers;
           Alcotest.test_case "all kinds together" `Quick
             test_chaos_all_kinds_together;
-        ] );
-      ( "engine",
-        [
-          Alcotest.test_case "build_robust unbounded" `Quick
-            test_engine_build_robust;
-          Alcotest.test_case "build_robust with deadline" `Quick
-            test_engine_build_robust_deadline;
         ] );
       ( "solver corners",
         [ Alcotest.test_case "adversarial inputs" `Quick test_solver_corners ]

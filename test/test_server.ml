@@ -571,6 +571,12 @@ let test_handoff_promotes_live_follower () =
   (match expect_one client (Wire.Update { i = 0; delta = 1. }) with
   | Wire.Error { code = Wire.Unanswerable; _ } -> ()
   | r -> Alcotest.fail ("update before handoff: " ^ Wire.describe_reply r));
+  (* An invalid write is refused by the write rule before the store's
+     role is consulted, as an invalid INGEST is. *)
+  (match expect_one client (Wire.Update { i = 99; delta = 1. }) with
+  | Wire.Error { code = Wire.Out_of_range; _ } -> ()
+  | r ->
+      Alcotest.fail ("invalid update on a follower: " ^ Wire.describe_reply r));
   (match expect_one client Wire.Handoff with
   | Wire.Handoff_ack { seq; role } ->
       checki "ack carries the store's sequence" 3 seq;

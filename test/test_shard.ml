@@ -815,6 +815,75 @@ let test_router_refuses_store_and_tiers () =
   checki "no shard was contacted" 0 !calls;
   checki "the store journaled nothing" 3 (Supervisor.seq sup)
 
+(* One refusal rule for writes: an UPDATE is checked like a one-delta
+   INGEST storm before anything is journaled, with the same messages
+   on a live server and on a router in front of it. The router refuses
+   on its own, so only the writes sent straight to the live server
+   reach its [update.rejected] counter. *)
+let test_invalid_update_refused () =
+  let n = 16 in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  build_store ~dir ~n ~updates:3 ~seed:5 ();
+  let sup, data, _ = open_live dir in
+  Fun.protect ~finally:(fun () -> Supervisor.close sup) @@ fun () ->
+  let live_path = sock_path () and front_path = sock_path () in
+  let live =
+    spawn_server (Server.create (Server.config ~store:sup ~path:live_path data))
+  in
+  let c = connect live_path in
+  let router =
+    must_s
+      (Shard.router ~n
+         ~seqs:[| Supervisor.seq sup |]
+         ~ranges:[ { Shard.lo = 0; hi = n - 1 } ]
+         [| (fun req -> Client.request c req) |])
+  in
+  let front =
+    spawn_server
+      (Server.create ~router (Server.config ~path:front_path (Array.make n 0.)))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      shutdown_via front_path;
+      join_server front;
+      Shard.shutdown router;
+      Client.close c;
+      join_server live)
+  @@ fun () ->
+  let writes =
+    [
+      Wire.Update { i = 3; delta = Float.nan };
+      Wire.Update { i = 3; delta = Float.infinity };
+      Wire.Update { i = n; delta = 1. };
+      Wire.Update { i = -1; delta = Float.nan };
+      Wire.Ingest [ (2, 1.); (5, Float.nan) ];
+    ]
+  in
+  let expected =
+    [
+      "ERROR bad-request nan: not finite (NaN/Inf)";
+      "ERROR bad-request infinity: not finite (NaN/Inf)";
+      "ERROR out-of-range 16: cell out of domain [0, 16)";
+      "ERROR out-of-range -1: cell out of domain [0, 16)";
+      "ERROR bad-request nan: not finite (NaN/Inf)";
+    ]
+  in
+  check_sl "live refusals" expected (ask live_path writes);
+  check_sl "router refusals" expected (ask front_path writes);
+  checki "nothing journaled" 3 (Supervisor.seq sup);
+  match must (Client.request_one c Wire.Stats) with
+  | Wire.Stats_text body ->
+      let row =
+        List.find
+          (fun l -> contains l "update.rejected")
+          (String.split_on_char '\n' body)
+      in
+      check_sl "update.rejected counts the live server's refusals only"
+        [ "counter"; "update.rejected"; "5"; "updates" ]
+        (List.filter (( <> ) "") (String.split_on_char ' ' row))
+  | r -> Alcotest.fail ("STATS answered " ^ Wire.describe_reply r)
+
 let () =
   Alcotest.run "shard"
     [
@@ -850,6 +919,8 @@ let () =
             test_quantile_nan_refused;
           Alcotest.test_case "cache keys on request value" `Quick
             test_cache_keys_on_request_value;
+          Alcotest.test_case "invalid update refused" `Quick
+            test_invalid_update_refused;
         ] );
       ( "failover",
         [
