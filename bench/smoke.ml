@@ -24,6 +24,7 @@ module Approx_additive = Wavesyn_core.Approx_additive
 module Greedy_l2 = Wavesyn_baselines.Greedy_l2
 module Stream_synopsis = Wavesyn_stream.Stream_synopsis
 module Ladder = Wavesyn_robust.Ladder
+module Incremental = Wavesyn_robust.Incremental
 module Registry = Wavesyn_obs.Registry
 module Approx_abs = Wavesyn_core.Approx_abs
 module Minmax_reference = Wavesyn_oracle.Minmax_reference
@@ -107,6 +108,25 @@ let kernel_data64 =
 (* The live-write re-cut's size (n=256, B=32, absolute error). *)
 let kernel_data256 =
   Signal.random_walk ~rng:(Prng.create ~seed:2720) ~n:256 ~step:3.
+
+(* One live-write refresh at the live-write size: a note for one
+   update, then the refresh that re-solves and re-measures its dirty
+   subtree and rebuilds the served synopsis. The cadence never asks for
+   a full cut, so every run is the incremental step alone. *)
+let write_path_cases =
+  let stream = Stream_synopsis.of_data kernel_data256 in
+  let inc =
+    Incremental.create ~full_every:max_int ~budget:32 ~metric:Metrics.Abs
+      ~epsilon:0.25 stream
+  in
+  let i = ref 0 in
+  [
+    Test.make ~name:"E11/incremental-refresh:256-b32"
+      (Staged.stage (fun () ->
+           i := (!i + 97) land 255;
+           Incremental.note_update inc ~i:!i ~delta:0.5;
+           Incremental.refresh inc stream));
+  ]
 
 (* The read workloads' cut (n=1024, B=128, absolute error) on their
    dataset: the benchmark servers' Zipf vector (alpha 1.2, scale 100,
@@ -431,7 +451,9 @@ let () =
      why no pool may exist here). Pass 2: the pooled twins, with the
      4-domain pool alive only for this pass. *)
   let seq_results =
-    benchmark (cases @ kernel_cases @ srv_cases @ par_seq_cases inputs)
+    benchmark
+      (cases @ write_path_cases @ kernel_cases @ srv_cases
+     @ par_seq_cases inputs)
   in
   let pool4 = Pool.create ~domains:4 () in
   let pool_results = benchmark (par_pool_cases pool4 inputs) in

@@ -5,9 +5,13 @@
     A point update [d_i += delta] changes exactly the [log2 N + 1]
     coefficients on [path(d_i)]: the overall average by [delta / N] and
     the level-[l] detail coefficient by [± delta / support_size]. The
-    structure keeps the full (sparse) coefficient set exact at O(log N)
-    per update, so a fresh synopsis of any flavour can be cut at any
-    time. *)
+    structure keeps the full coefficient set exact at O(log N) per
+    update, so a fresh synopsis of any flavour can be cut at any time.
+
+    The state is dense: one float per coefficient, O(N) words whatever
+    the data, and a coefficient read is an array read. An update walks
+    its path arithmetically and allocates nothing (an attached observer
+    may). {!nonzero_count} and {!coeffs} scan all N coefficients. *)
 
 type t
 
@@ -37,16 +41,18 @@ val coefficient : t -> int -> float
 (** Current value of one coefficient. *)
 
 val nonzero_count : t -> int
+(** Number of non-zero coefficients, O(N). *)
 
 val coeffs : t -> (int * float) list
-(** The sparse non-zero coefficient state, sorted by index — the
-    canonical serialization order used by the durability layer. *)
+(** The non-zero coefficients, sorted by index — the canonical
+    serialization order used by the durability layer. O(N). *)
 
 val restore : n:int -> updates:int -> (int * float) list -> t
 (** Rebuild a state captured by {!coeffs} and {!updates_seen} (used by
     snapshot recovery). Zero coefficients are dropped; raises
-    [Invalid_argument] on out-of-range or duplicate indices, negative
-    [updates], or non-power-of-two [n]. *)
+    [Invalid_argument] on out-of-range indices, on any index given
+    twice (a zero entry included), negative [updates], or
+    non-power-of-two [n]. *)
 
 val current_data : t -> float array
 (** Reconstruct the exact current data in O(N). *)

@@ -279,6 +279,26 @@ let test_stream_validation () =
     (Invalid_argument "Stream_synopsis.update: cell out of range")
     (fun () -> Stream_synopsis.update s ~i:8 ~delta:1.)
 
+(* [restore] refuses a repeated coefficient index whatever its values,
+   a zero first entry included (zero entries are never stored, so only
+   an explicit check sees them). *)
+let test_stream_restore_duplicates () =
+  let dup = Invalid_argument "Stream_synopsis.restore: duplicate coefficient index" in
+  List.iter
+    (fun coeffs ->
+      Alcotest.check_raises "duplicate index" dup (fun () ->
+          ignore (Stream_synopsis.restore ~n:8 ~updates:0 coeffs)))
+    [
+      [ (3, 0.); (3, 5.) ];
+      [ (3, 5.); (3, 0.) ];
+      [ (3, 0.); (3, 0.) ];
+      [ (3, 5.); (1, 2.); (3, 5.) ];
+    ];
+  let s = Stream_synopsis.restore ~n:8 ~updates:4 [ (3, 0.); (1, 2.); (6, -0.5) ] in
+  check "zero entries are dropped" true
+    (Stream_synopsis.coeffs s = [ (1, 2.); (6, -0.5) ]);
+  checki "updates restored" 4 (Stream_synopsis.updates_seen s)
+
 (* Duplicate-index deltas accumulate: applying several deltas to one
    cell is the same as applying their sum, in coefficients and in
    reconstructed data — the property that makes an UPDATE storm's
@@ -398,6 +418,8 @@ let () =
           Alcotest.test_case "cancellation" `Quick test_stream_cancellation_removes_coefficients;
           Alcotest.test_case "cuts" `Quick test_stream_cuts;
           Alcotest.test_case "validation" `Quick test_stream_validation;
+          Alcotest.test_case "restore rejects duplicate indices" `Quick
+            test_stream_restore_duplicates;
           Alcotest.test_case "duplicate-index deltas accumulate" `Quick
             test_stream_duplicate_index_accumulates;
           Alcotest.test_case "store rejects bad deltas structurally" `Quick

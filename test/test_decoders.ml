@@ -239,6 +239,21 @@ let prop_snapshot =
     ~decode:(fun s -> result_opt (Snapshot.decode s))
     ~same:( = ) ()
 
+(* A CRC-valid snapshot naming one coefficient index twice is refused,
+   whatever the two values: a zero entry is never stored, so a zero
+   first entry is the case only an explicit check catches. *)
+let prop_snapshot_duplicate =
+  QCheck.Test.make ~name:"Snapshot.decode duplicate index" ~count:60
+    (QCheck.make
+       ~print:(fun (st, _, _) -> sealed_snapshot st)
+       QCheck.Gen.(triple gen_snapshot (int_bound 15) (opt finite_float)))
+    (fun (st, j, first) ->
+      let first = Option.value ~default:0. first in
+      let coeffs = (j, first) :: List.filter (fun (k, _) -> k <> j) st.coeffs in
+      let twice = coeffs @ [ (j, 1.5) ] in
+      Result.is_error
+        (Snapshot.decode (sealed_snapshot { st with Snapshot.coeffs = twice })))
+
 let gen_config =
   QCheck.Gen.(
     map3
@@ -531,6 +546,7 @@ let () =
             prop_journal_batch;
             prop_storm;
             prop_snapshot;
+            prop_snapshot_duplicate;
             prop_manifest;
             prop_wire_frame;
             prop_wire_payloads;

@@ -754,6 +754,171 @@ let test_incremental_deterministic_replicas () =
   check "replicas serve bit-identical synopses" true (coeffs_a = coeffs_b);
   Alcotest.(check (float 0.)) "and state the same bound" bound_a bound_b
 
+(* Every observable bit of the live write path, folded into one CRC:
+   each coefficient's bits, the reconstructed data's bits, the served
+   synopsis and bound bits, the refresh counters and the observer's
+   touch count, after every write round of seeded schedules. The
+   schedules mix zero and negative-zero deltas, subnormal deltas,
+   exact cancellations and multi-delta rounds, at both a tight and a
+   loose full-cut cadence. The expected value pins the storage and
+   walk order of Stream_synopsis and Incremental: a change to either
+   that moves one bit of a coefficient or a bound changes the CRC. *)
+let write_path_digest () =
+  let crc = ref 0 in
+  let add s = crc := Wavesyn_util.Crc32.update !crc s in
+  let add_float x = add (Printf.sprintf "%Lx;" (Int64.bits_of_float x)) in
+  let add_int k = add (Printf.sprintf "%d;" k) in
+  List.iter
+    (fun (n, full_every) ->
+      let rng = Prng.create ~seed:((n * 7919) + full_every) in
+      let data =
+        Array.init n (fun i ->
+            if i mod 5 = 0 then 0. else Prng.float rng 40. -. 20.)
+      in
+      let stream = Stream_synopsis.of_data data in
+      let touches = ref 0 in
+      Stream_synopsis.set_observer stream (Some (fun k -> touches := !touches + k));
+      let inc =
+        Incremental.create ~full_every ~budget:(Stdlib.max 1 (n / 8))
+          ~metric:Metrics.Abs ~epsilon:0.25 stream
+      in
+      let apply i delta =
+        Stream_synopsis.update stream ~i ~delta;
+        Incremental.note_update inc ~i ~delta
+      in
+      for _ = 1 to 24 do
+        for _ = 1 to 1 + Prng.int rng 4 do
+          let i = Prng.int rng n in
+          match Prng.int rng 6 with
+          | 0 -> apply i 0.
+          | 1 -> apply i (-0.)
+          | 2 -> apply i (ldexp (float_of_int (1 + Prng.int rng 9)) (-1074))
+          | 3 ->
+              (* an exact cancellation: the path returns to its values *)
+              let d = Prng.float rng 8. -. 4. in
+              apply i d;
+              apply i (-.d)
+          | 4 -> apply i (1e-300 *. (Prng.float rng 2. -. 1.))
+          | _ -> apply i (Prng.float rng 10. -. 5.)
+        done;
+        if Incremental.due_full inc then ignore (Incremental.full_cut inc stream)
+        else Incremental.refresh inc stream;
+        for j = 0 to n - 1 do
+          add_float (Stream_synopsis.coefficient stream j)
+        done;
+        List.iter
+          (fun (j, c) ->
+            add_int j;
+            add_float c)
+          (Stream_synopsis.coeffs stream);
+        add_int (Stream_synopsis.nonzero_count stream);
+        Array.iter add_float (Stream_synopsis.current_data stream);
+        List.iter
+          (fun (j, c) ->
+            add_int j;
+            add_float c)
+          (Synopsis.coeffs (Incremental.synopsis inc));
+        add_float (Incremental.bound inc);
+        let s = Incremental.stats inc in
+        List.iter add_int
+          [
+            s.Incremental.full_cuts;
+            s.Incremental.incrementals;
+            s.Incremental.subtrees_resolved;
+            s.Incremental.since_full;
+            Stream_synopsis.updates_seen stream;
+            !touches;
+          ]
+      done)
+    (List.concat_map
+       (fun n -> [ (n, 3); (n, 1000) ])
+       [ 1; 2; 8; 64; 256 ]);
+  !crc
+
+(* Right after a full cut every subtree is re-measured and all slack is
+   reset, so the stated bound is not just sound but exact: it equals
+   the synopsis's true max error. A re-measure that over-counts would
+   still pass the soundness test above; it fails here. *)
+let test_incremental_bound_tight () =
+  List.iter
+    (fun (n, budget, seed) ->
+      let rng = Prng.create ~seed in
+      let stream =
+        Stream_synopsis.of_data (Array.init n (fun _ -> Prng.float rng 20.))
+      in
+      let inc =
+        Incremental.create ~full_every:1_000 ~budget ~metric:Metrics.Abs
+          ~epsilon:0.25 stream
+      in
+      let check_tight what =
+        let exact =
+          max_err_of (Incremental.synopsis inc)
+            (Stream_synopsis.current_data stream)
+        in
+        let bound = Incremental.bound inc in
+        if Float.abs (bound -. exact) > 1e-9 *. Float.max 1. exact then
+          Alcotest.fail
+            (Printf.sprintf "n=%d %s: bound %h but exact max error %h" n what
+               bound exact)
+      in
+      check_tight "after create";
+      for round = 1 to 6 do
+        for _ = 1 to round do
+          let i = Prng.int rng n and delta = Prng.float rng 6. -. 3. in
+          Stream_synopsis.update stream ~i ~delta;
+          Incremental.note_update inc ~i ~delta
+        done;
+        Incremental.refresh inc stream;
+        (match Incremental.full_cut inc stream with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail (Validate.to_string e));
+        check_tight (Printf.sprintf "after full cut %d" round)
+      done)
+    [ (1, 1, 3); (8, 2, 5); (64, 8, 7); (256, 32, 11) ]
+
+(* The write path's allocation, per call, in minor words: a point
+   update with no observer and an update note allocate nothing; one
+   refresh at the live-write size (n=256, B=32) allocates about 610
+   words, nearly all of it the rebuilt synopsis (its coefficient list
+   and [Synopsis.make]'s support arrays). *)
+let test_write_path_allocation () =
+  let n = 256 in
+  let stream =
+    Stream_synopsis.of_data
+      (Array.init n (fun i -> float_of_int (((i * 37) mod 101) - 50)))
+  in
+  let inc =
+    Incremental.create ~obs:(Wavesyn_obs.Registry.create ())
+      ~full_every:1_000_000 ~budget:32 ~metric:Metrics.Abs ~epsilon:0.25
+      stream
+  in
+  let rounds = 1000 in
+  let words_per f =
+    let w0 = Gc.minor_words () in
+    for r = 1 to rounds do
+      f ((r * 97) land (n - 1))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int rounds
+  in
+  let update = words_per (fun i -> Stream_synopsis.update stream ~i ~delta:0.5) in
+  let note = words_per (fun i -> Incremental.note_update inc ~i ~delta:0.5) in
+  Incremental.refresh inc stream;
+  let refresh =
+    words_per (fun i ->
+        Incremental.note_update inc ~i ~delta:0.25;
+        Incremental.refresh inc stream)
+  in
+  check (Printf.sprintf "update allocates %.2f words (0)" update) true
+    (update < 0.1);
+  check (Printf.sprintf "note_update allocates %.2f words (0)" note) true
+    (note < 0.1);
+  check (Printf.sprintf "refresh allocates %.0f words (<= 800)" refresh) true
+    (refresh <= 800.)
+
+let test_write_path_digest () =
+  checks "write-path digest" "da2e2f15"
+    (Wavesyn_util.Crc32.to_hex (write_path_digest ()))
+
 (* --- Deadline --- *)
 
 let test_deadline_state_cap () =
@@ -1229,6 +1394,11 @@ let () =
         [
           Alcotest.test_case "served bound stays sound under updates" `Quick
             test_incremental_bound_sound;
+          Alcotest.test_case "bound is exact after a full cut" `Quick
+            test_incremental_bound_tight;
+          Alcotest.test_case "write-path digest" `Quick test_write_path_digest;
+          Alcotest.test_case "write-path allocation" `Quick
+            test_write_path_allocation;
           Alcotest.test_case "replicas converge bit-identically" `Quick
             test_incremental_deterministic_replicas;
         ] );
