@@ -134,6 +134,9 @@ let write_path_cases =
 let kernel_data1024 =
   Signal.zipf ~rng:(Prng.create ~seed:42) ~n:1024 ~alpha:1.2 ~scale:100.
 
+(* read-sharded's per-shard cut: the first half of that vector, B=128. *)
+let kernel_data512 = Array.sub kernel_data1024 0 512
+
 let kernel_cases =
   let data128 = kernel_data128 in
   let data64 = kernel_data64 in
@@ -145,6 +148,10 @@ let kernel_cases =
       (Staged.stage (fun () ->
            ignore
              (Minmax_dp.solve ~data:kernel_data256 ~budget:32 Metrics.Abs)));
+    Test.make ~name:"KERNEL/minmax-flat:512-b128"
+      (Staged.stage (fun () ->
+           ignore
+             (Minmax_dp.solve ~data:kernel_data512 ~budget:128 Metrics.Abs)));
     Test.make ~name:"KERNEL/minmax-flat:1024-b128"
       (Staged.stage (fun () ->
            ignore
@@ -180,6 +187,10 @@ let kernel_states () =
     (Minmax_dp.solve ~data:kernel_data256 ~budget:32 Metrics.Abs)
       .Minmax_dp.dp_states
   in
+  let minmax512 =
+    (Minmax_dp.solve ~data:kernel_data512 ~budget:128 Metrics.Abs)
+      .Minmax_dp.dp_states
+  in
   let minmax1024 =
     (Minmax_dp.solve ~data:kernel_data1024 ~budget:128 Metrics.Abs)
       .Minmax_dp.dp_states
@@ -191,6 +202,7 @@ let kernel_states () =
   [
     ("smoke/KERNEL/minmax-flat:128", minmax);
     ("smoke/KERNEL/minmax-flat:256-b32", minmax256);
+    ("smoke/KERNEL/minmax-flat:512-b128", minmax512);
     ("smoke/KERNEL/minmax-flat:1024-b128", minmax1024);
     ("smoke/KERNEL/minmax-reference:128", minmax_reference);
     ("smoke/KERNEL/md-flat:64", md);

@@ -31,10 +31,16 @@ type result = {
      [4 n log2 n] cells with the budget cap. The incoming
      reconstructions of a node's masks are built root-down, one array
      per depth, with the [+. c] / [-. c] additions the reference
-     kernel makes. A node above two leaves computes their errors in
-     place: every split of its budget then has the same value. A
-     mask's row stops where its budget plus its retained ancestors
-     would exceed the root's budget: past that, no cell is reachable.
+     kernel makes. A mask's row stops where its budget plus its
+     retained ancestors would exceed the root's budget: past that, no
+     cell is reachable.
+   - Rows above the leaves. Leaves need no rows: a node above two
+     leaves computes their errors in place, and every split of its
+     budget then has the same value ([bottom_row]). On the two-pointer
+     path, a node one depth higher and deeper than [dstar] computes
+     its row straight from its four leaves, as the split of two such
+     rows has a closed form ([closed_row]); its children's rows are
+     counted but never built.
    - Split search. A cell is never NaN (a split folds its candidates
      with strict [<] from [+inf]) and a row is exactly non-increasing
      in the budget (cells are mins and maxes of leaf errors, with no
@@ -63,16 +69,74 @@ type result = {
    Every computed cell, forward and retrace, is one [on_state] call
    and one [dp_states]. See docs/KERNELS.md. *)
 
-let[@inline] leaf_error x incoming denom = Float.abs (x -. incoming) /. denom
+(* Leaf [i]'s error under [incoming]. [denoms] is empty for [Abs]: its
+   denominator is 1, and [x /. 1.0] is exact. *)
+let[@inline] leaf_error data denoms i incoming =
+  if Array.length denoms = 0 then Float.abs (data.(i) -. incoming)
+  else Float.abs (data.(i) -. incoming) /. denoms.(i)
 
-(* Row cells are never NaN, so a plain comparison is [Float.max]. *)
+(* Row cells are never NaN, so plain comparisons are [Float.max] and
+   [Float.min]. *)
 let[@inline] fmax (x : float) y = if x >= y then x else y
+
+let[@inline] fmin (x : float) y = if x < y then x else y
 
 (* The split of a node above two leaves with errors [l] and [r]: every
    candidate has value [Float.max l r], which the strict-[<] fold from
    [+inf] keeps unless it is NaN. *)
 let[@inline] leaf_split (l : float) r =
   if l >= r then l else if l < r then r else Float.infinity
+
+(* Cell 0 of the row of a node above leaves [i] and [i + 1] at
+   incoming value [v]: the split with its coefficient dropped. *)
+let[@inline] leaf_drop data denoms i v =
+  leaf_split (leaf_error data denoms i v) (leaf_error data denoms (i + 1) v)
+
+(* Its cells from budget 1: the keep split (none when [c = 0.]) where
+   strictly below the drop value [drop]. *)
+let[@inline] leaf_best data denoms i c v drop =
+  if c = 0. then drop
+  else
+    let keep =
+      leaf_split
+        (leaf_error data denoms i (v +. c))
+        (leaf_error data denoms (i + 1) (v -. c))
+    in
+    fmin keep drop
+
+(* The two-pointer split (see the kernel comment) of every total
+   [t < count] between the child rows at [lb] and [rb] of float array
+   [a], reads clamped to [top], into cells [o + t]. The drop pass
+   ([merge] false) writes every cell, the keep pass only where strictly
+   below the drop value there; with [record], each written cell's
+   decision goes to [a.(at + t)]. Every call passes constant flags, so
+   each inlines a loop of its own kind. *)
+let[@inline] sweep (a : float array) lb rb top o at count ~merge ~record =
+  let kept = Bool.to_int merge in
+  let lo = ref 0 in
+  for t = 0 to count - 1 do
+    if t > 0 && not (a.(lb + Int.min !lo top) <= a.(rb + Int.min (t - !lo) top))
+    then incr lo;
+    let l = !lo in
+    let v = fmax a.(lb + Int.min l top) a.(rb + Int.min (t - l) top) in
+    let u =
+      if l = 0 then Float.infinity
+      else fmax a.(lb + Int.min (l - 1) top) a.(rb + Int.min (t - l + 1) top)
+    in
+    let cell = o + t in
+    if u < v then begin
+      if (not merge) || u < a.(cell) then begin
+        a.(cell) <- u;
+        if record then a.(at + t) <- Float.of_int (((l - 1) lsl 1) lor kept)
+      end
+    end
+    else if (not merge) || v < a.(cell) then begin
+      a.(cell) <- v;
+      if record then
+        a.(at + t) <-
+          Float.of_int (((if v < Float.infinity then l else 0) lsl 1) lor kept)
+    end
+  done
 
 (* The decision rows of depths [1..dstar] open the arena array, those
    of depth [d] at [decision_base width d]: one row per internal node,
@@ -101,7 +165,11 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
   if budget < 0 then invalid_arg "Minmax_dp.solve: negative budget";
   let n = Error_tree.n tree in
   let coeffs = Error_tree.coeffs tree and data = Error_tree.data tree in
-  let denoms = Array.map (Metrics.denominator metric) data in
+  let denoms =
+    match metric with
+    | Metrics.Abs -> [||]
+    | Metrics.Rel _ -> Array.map (Metrics.denominator metric) data
+  in
   let levels = Float_util.floor_log2 n in
   (* Row width at depth [d]: the budget coordinate runs to the
      subtree's coefficient count (capped) or to the full budget. *)
@@ -128,6 +196,12 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
     incr dstar
   done;
   let dstar = !dstar in
+  let two_pointer = split = Binary_search && cap_budget in
+  (* Whether the rows one depth above the leaves' parents are computed
+     in closed form ([closed_row]): only the two-pointer split's value
+     is the closed form's, and a depth that records decisions needs its
+     splits' allotments. *)
+  let closed = two_pointer && levels - 1 > dstar in
   (* Arena slot [2d + side]: the row of the depth-[d] node that is its
      parent's left ([side] 0) or right child, mask-major. *)
   let slot = Array.make (2 * (levels + 1)) 0 in
@@ -150,8 +224,12 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
     Bytes.set_uint8 pop f (Bytes.get_uint8 pop (f lsr 1) + (f land 1))
   done;
   (* The incoming values of the current depth-[d] node, one per mask,
-     start at [(1 lsl d) - 1]. *)
-  let inc = Array.make ((2 lsl levels) - 1) 0. in
+     start at [(1 lsl d) - 1]. With [closed], only the retrace descends
+     to the leaves' parents, from one mask: two values at depth
+     [levels]. *)
+  let inc =
+    Array.make (if closed then (1 lsl levels) + 1 else (2 lsl levels) - 1) 0.
+  in
   let states = ref 0 in
   let tick k =
     states := !states + k;
@@ -184,22 +262,12 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
       if top >= 0 then begin
         cells := !cells + top + 1;
         let v = inc.(src + f) and o = out + (f * w) in
-        let drop =
-          leaf_split
-            (leaf_error data.(i) v denoms.(i))
-            (leaf_error data.(i + 1) v denoms.(i + 1))
-        in
+        let drop = leaf_drop data denoms i v in
         a.(o) <- drop;
         if top > 0 then begin
-          let keep =
-            if c = 0. then Float.infinity
-            else
-              leaf_split
-                (leaf_error data.(i) (v +. c) denoms.(i))
-                (leaf_error data.(i + 1) (v -. c) denoms.(i + 1))
-          in
+          let best = leaf_best data denoms i c v drop in
           for b = 1 to top do
-            a.(o + b) <- (if keep < drop then keep else drop)
+            a.(o + b) <- best
           done
         end
       end
@@ -239,47 +307,24 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
         if !lo > 0 then consider lb rb top total (!lo - 1));
     !sb
   in
-  let two_pointer = split = Binary_search && cap_budget in
   (* Cells [o + shift + t] for [t < count]: the best split of total [t]
      between the child rows at [lb] and [rb]; with [merge] (the keep
      split), written only where strictly below the (drop) value already
      there. With [at >= 0], each written cell's decision goes to
      [a.(at + shift + t)]. *)
   let split_row lb rb wc o ~shift ~count ~merge ~at =
-    let kept = Bool.to_int merge in
     if two_pointer then begin
-      let top = wc - 1 in
-      let lo = ref 0 in
-      for t = 0 to count - 1 do
-        if
-          t > 0
-          && not (a.(lb + Int.min !lo top) <= a.(rb + Int.min (t - !lo) top))
-        then incr lo;
-        let l = !lo in
-        let v = fmax a.(lb + Int.min l top) a.(rb + Int.min (t - l) top) in
-        let u =
-          if l = 0 then Float.infinity
-          else
-            fmax a.(lb + Int.min (l - 1) top) a.(rb + Int.min (t - l + 1) top)
-        in
-        let cell = o + shift + t in
-        if u < v then begin
-          if (not merge) || u < a.(cell) then begin
-            a.(cell) <- u;
-            if at >= 0 then
-              a.(at + shift + t) <- Float.of_int (((l - 1) lsl 1) lor kept)
-          end
-        end
-        else if (not merge) || v < a.(cell) then begin
-          a.(cell) <- v;
-          if at >= 0 then
-            a.(at + shift + t) <-
-              Float.of_int
-                (((if v < Float.infinity then l else 0) lsl 1) lor kept)
-        end
-      done
+      let top = wc - 1 and o = o + shift in
+      if at < 0 then
+        if merge then sweep a lb rb top o 0 count ~merge:true ~record:false
+        else sweep a lb rb top o 0 count ~merge:false ~record:false
+      else
+        let at = at + shift in
+        if merge then sweep a lb rb top o at count ~merge:true ~record:true
+        else sweep a lb rb top o at count ~merge:false ~record:true
     end
     else
+      let kept = Bool.to_int merge in
       for t = 0 to count - 1 do
         let allot = split_cell lb rb wc t in
         let cell = o + shift + t in
@@ -314,15 +359,74 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
     done;
     tick !cells
   in
+  (* The row of node [x] one depth above the leaves' parents, from its
+     four leaves. A child's row is its drop value [D] and, from budget
+     1, its best value [M <= D], so the split of total [t] between the
+     children [y] and [z] is [max Dy Dz] at [t = 0], [min (max Dy Mz)
+     (max My Dz)] at [t = 1] and [max My Mz] past it: the two-pointer
+     split's value, bit for bit. The children's rows are counted (two
+     masks per mask of [x]), not built. Allocated only when the solve
+     uses it. *)
+  let closed_row =
+    if not closed then None
+    else
+      Some
+        (fun x d m out ->
+          let w = width.(d) and wc = width.(d + 1) and c = coeffs.(x) in
+          let cy = coeffs.(2 * x) and cz = coeffs.((2 * x) + 1) in
+          let src = (1 lsl d) - 1 and i = (4 * x) - n in
+          let cells = ref 0 in
+          for f = 0 to m - 1 do
+            let free = b0 - Bytes.get_uint8 pop f in
+            if free >= 0 then begin
+              let top = Int.min (w - 1) free in
+              cells := !cells + top + 1 + (2 * (Int.min (wc - 1) free + 1));
+              if free > 0 then
+                cells := !cells + (2 * (Int.min (wc - 1) (free - 1) + 1));
+              let v = inc.(src + f) and o = out + (f * w) in
+              let dy = leaf_drop data denoms i v
+              and dz = leaf_drop data denoms (i + 2) v in
+              a.(o) <- fmax dy dz;
+              if top > 0 then begin
+                let my = leaf_best data denoms i cy v dy
+                and mz = leaf_best data denoms (i + 2) cz v dz in
+                let d1 = fmin (fmax dy mz) (fmax my dz) and d2 = fmax my mz in
+                if c = 0. then begin
+                  a.(o + 1) <- d1;
+                  for t = 2 to top do
+                    a.(o + t) <- d2
+                  done
+                end
+                else begin
+                  (* The keep split of [t - 1], children at [v +. c] and
+                     [v -. c], where strictly below the drop split. *)
+                  let vy = v +. c and vz = v -. c in
+                  let ey = leaf_drop data denoms i vy
+                  and ez = leaf_drop data denoms (i + 2) vz in
+                  a.(o + 1) <- fmin (fmax ey ez) d1;
+                  if top > 1 then begin
+                    let ny = leaf_best data denoms i cy vy ey
+                    and nz = leaf_best data denoms (i + 2) cz vz ez in
+                    a.(o + 2) <- fmin (fmin (fmax ey nz) (fmax ny ez)) d2;
+                    if top > 2 then a.(o + 3) <- fmin (fmax ny nz) d2
+                  end
+                end
+              end
+            end
+          done;
+          tick !cells)
+  in
   (* The row of node [x] at depth [d] over its [m] masks, whose
      incoming values are in place, into [x]'s arena slot. *)
   let rec build x d m =
     let out = slot.((2 * d) + (x land 1)) in
     if 2 * x >= n then bottom_row x d m out
-    else begin
-      children x d m;
-      internal_row x d m out
-    end
+    else
+      match closed_row with
+      | Some row when 4 * x >= n -> row x d m out
+      | _ ->
+          children x d m;
+          internal_row x d m out
   (* The rows of both children of [x], over [2m] masks each. *)
   and children x d m =
     descend x d m ~left:true;
@@ -335,8 +439,8 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
   inc.(0) <- 0.;
   let drop, keep =
     if n = 1 then
-      ( leaf_error data.(0) inc.(0) denoms.(0),
-        leaf_error data.(0) (inc.(0) +. c0) denoms.(0) )
+      ( leaf_error data denoms 0 inc.(0),
+        leaf_error data denoms 0 (inc.(0) +. c0) )
     else begin
       descend 0 0 1 ~left:true;
       build 1 1 2;

@@ -245,6 +245,77 @@ let test_minmax_non_finite () =
         ])
     (non_finite_signals rng)
 
+(* Small integers in quads of four kinds, so the two depths above the
+   leaves meet zero detail coefficients and exact ties: a constant quad
+   (zero at depths L and L - 1), constant pairs (zero at L), pairs
+   [a + d, a - d] and [a + e, a - e] with equal means (zero at L - 1
+   only), and free values. *)
+let quad_signal rng n =
+  let data = Array.init n (fun _ -> float_of_int (Prng.int rng 8)) in
+  for q = 0 to (n / 4) - 1 do
+    let x k = data.((4 * q) + k) in
+    let set k v = data.((4 * q) + k) <- v in
+    match Prng.int rng 4 with
+    | 0 ->
+        set 1 (x 0);
+        set 2 (x 0);
+        set 3 (x 0)
+    | 1 ->
+        set 1 (x 0);
+        set 3 (x 2)
+    | 2 ->
+        let a = x 0 and d = x 1 and e = x 2 in
+        set 0 (a +. d);
+        set 1 (a -. d);
+        set 2 (a +. e);
+        set 3 (a -. e)
+    | _ -> ()
+  done;
+  data
+
+(* The rows of the depth above the leaves' parents, which the kernel
+   computes in closed form on the default split, against the reference
+   kernel where their cases gather: every power-of-two n up to 256,
+   the budgets that end inside those rows (0 to 5) and n/2, n and
+   n + 3, both metrics, on random signals, on [quad_signal] and on the
+   non-finite datasets. *)
+let test_minmax_closed_rows () =
+  let rng = Prng.create ~seed:89 in
+  let datasets =
+    List.concat_map
+      (fun k -> [ signal rng (1 lsl k); quad_signal rng (1 lsl k) ])
+      (List.init 9 Fun.id)
+    @ non_finite_signals rng
+  in
+  List.iter
+    (fun data ->
+      let n = Array.length data in
+      List.iter
+        (fun metric ->
+          List.iter
+            (fun budget ->
+              let name =
+                Printf.sprintf "n=%d b=%d %s" n budget
+                  (match metric with Metrics.Abs -> "abs" | _ -> "rel")
+              in
+              let fired = ref 0 in
+              let r =
+                Minmax_dp.solve
+                  ~on_state:(fun () -> incr fired)
+                  ~data ~budget metric
+              in
+              let r_ref = Minmax_reference.solve ~data ~budget metric in
+              check (name ^ ": max_err bits") true
+                (same_bits r.max_err r_ref.max_err);
+              check (name ^ ": synopsis") true (same_coeffs r r_ref);
+              checki (name ^ ": cells")
+                (minmax_cells ~n ~budget ~cap_budget:true ())
+                r.dp_states;
+              checki (name ^ ": on_state") r.dp_states !fired)
+            (List.sort_uniq compare [ 0; 1; 2; 3; 4; 5; n / 2; n; n + 3 ]))
+        [ Metrics.Abs; Metrics.Rel { sanity = 5. } ])
+    datasets
+
 (* The benchmark's datasets: the Zipf vectors its servers cut (alpha
    1.2, scale 100, data seed 42) — live-write's n=256 at B=32, the read
    workloads' n=1024 at B=128, and read-sharded's two n=512 halves of
@@ -349,8 +420,8 @@ let test_minmax_decision_ends () =
 (* A flat solve allocates its arena (straight into the major heap at
    these sizes) and O(n) bookkeeping, but nothing per DP cell: minor
    allocation stays under a bound linear in n that the cell count
-   (tens of thousands here) would blow through at even one word per
-   cell. *)
+   (tens of thousands here, millions at the read workloads' n = 1024,
+   B = 128) would blow through at even one word per cell. *)
 let test_minmax_flat_allocation () =
   let rng = Prng.create ~seed:73 in
   List.iter
@@ -370,7 +441,11 @@ let test_minmax_flat_allocation () =
       check
         (Printf.sprintf "n=%d b=%d: more states than the bound" n budget)
         true (r.dp_states > bound))
-    [ (256, 32, Metrics.Abs); (64, 8, Metrics.Rel { sanity = 5. }) ]
+    [
+      (256, 32, Metrics.Abs);
+      (64, 8, Metrics.Rel { sanity = 5. });
+      (1024, 128, Metrics.Abs);
+    ]
 
 (* The dual search against its definition: the smallest budget whose
    reference-kernel optimum is at most the target, found by a linear
@@ -607,6 +682,8 @@ let () =
             test_minmax_flat_vs_reference;
           Alcotest.test_case "flat = reference on non-finite data" `Quick
             test_minmax_non_finite;
+          Alcotest.test_case "closed-form rows = reference" `Quick
+            test_minmax_closed_rows;
           Alcotest.test_case "flat = reference on benchmark data" `Quick
             test_minmax_benchmark_data;
           Alcotest.test_case "working set at most 4 n log2 n cells" `Quick

@@ -29,12 +29,19 @@
      ("-pool") rows are skipped: their count covers only the calling
      domain, so it depends on how chunks were scheduled.
 
+   Several runs per side: --baseline may repeat and several NEW files
+   may follow. Each side then gates every row on its minimum
+   ns_per_run (and words_per_run) over the files that record it: host
+   noise only ever adds time, so the fastest run best estimates a
+   row's cost, and a row fails only when it is slow in every run. One
+   file per side is gated as it is.
+
    Exit status: 0 when every active check passes (skips included),
    1 on any FAIL, 2 on usage or parse errors.
 
    Usage: benchgate [--min-speedup F] [--max-regression F]
-                    [--min-cache-speedup F] [--baseline OLD.json]
-                    NEW.json *)
+                    [--min-cache-speedup F] [--baseline OLD.json]...
+                    NEW.json... *)
 
 let fail_count = ref 0
 
@@ -48,7 +55,7 @@ let skipf fmt = Printf.printf ("benchgate: SKIP " ^^ fmt ^^ "\n")
 let usage () =
   prerr_endline
     "usage: benchgate [--min-speedup F] [--min-cache-speedup F] \
-     [--max-regression F] [--baseline OLD.json] NEW.json";
+     [--max-regression F] [--baseline OLD.json]... NEW.json...";
   exit 2
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("benchgate: " ^ s); exit 2) fmt
@@ -198,6 +205,41 @@ let parse path =
   let rows, words = rows [] [] 0 in
   { schema; host_domains; rows; words }
 
+(* Several runs of one side as one: the first file's schema and host
+   core count, and each row's minimum over the files that record it,
+   rows in first-seen order. *)
+let merge = function
+  | [] -> invalid_arg "merge"
+  | [ b ] -> b
+  | first :: _ as runs ->
+      let minima field =
+        let names =
+          List.fold_left
+            (fun seen b ->
+              List.fold_left
+                (fun seen (name, _) ->
+                  if List.mem name seen then seen else name :: seen)
+                seen (field b))
+            [] runs
+          |> List.rev
+        in
+        List.map
+          (fun name ->
+            ( name,
+              List.fold_left
+                (fun m b ->
+                  match List.assoc_opt name (field b) with
+                  | Some v -> Float.min m v
+                  | None -> m)
+                Float.infinity runs ))
+          names
+      in
+      {
+        first with
+        rows = minima (fun b -> b.rows);
+        words = minima (fun b -> b.words);
+      }
+
 (* --- gates --- *)
 
 let contains ~sub s =
@@ -320,8 +362,8 @@ let () =
   let min_speedup = ref 1.0 in
   let min_cache_speedup = ref 1.0 in
   let max_regression = ref 0.25 in
-  let baseline = ref None in
-  let file = ref None in
+  let baselines = ref [] in
+  let files = ref [] in
   let rec args = function
     | [] -> ()
     | "--min-speedup" :: v :: rest ->
@@ -334,26 +376,32 @@ let () =
         max_regression := (try float_of_string v with _ -> usage ());
         args rest
     | "--baseline" :: v :: rest ->
-        baseline := Some v;
+        baselines := v :: !baselines;
         args rest
-    | f :: rest when !file = None && String.length f > 0 && f.[0] <> '-' ->
-        file := Some f;
+    | f :: rest when String.length f > 0 && f.[0] <> '-' ->
+        files := f :: !files;
         args rest
     | _ -> usage ()
   in
   args (List.tl (Array.to_list Sys.argv));
-  let file = match !file with Some f -> f | None -> usage () in
-  let b = parse file in
-  if not (contains ~sub:"wavesyn-bench-" b.schema) then
-    die "%s: unexpected schema %S" file b.schema;
+  if !files = [] then usage ();
+  let b =
+    merge
+      (List.map
+         (fun file ->
+           let b = parse file in
+           if not (contains ~sub:"wavesyn-bench-" b.schema) then
+             die "%s: unexpected schema %S" file b.schema;
+           b)
+         (List.rev !files))
+  in
   pooled_gate ~min_speedup:!min_speedup b;
   cache_gate ~min_cache_speedup:!min_cache_speedup b;
-  (match !baseline with
-  | None -> ()
-  | Some old_file ->
-      let old_b = parse old_file in
-      baseline_gate ~max_regression:!max_regression ~old_b b;
-      words_gate ~old_b b);
+  if !baselines <> [] then begin
+    let old_b = merge (List.map parse (List.rev !baselines)) in
+    baseline_gate ~max_regression:!max_regression ~old_b b;
+    words_gate ~old_b b
+  end;
   if !fail_count > 0 then begin
     Printf.printf "benchgate: %d failure(s)\n" !fail_count;
     exit 1
