@@ -9,7 +9,9 @@
    code path bench/main.ml times at full size.
 
    Usage: dune exec bench/smoke.exe -- [OUT.json]
-   (default output path: BENCH_obs.json in the current directory) *)
+   (default output path: BENCH_obs.json in the current directory).
+   The PAR and SRV rows also go to BENCH_par.json and BENCH_server.json
+   in OUT's directory. *)
 
 open Bechamel
 open Toolkit
@@ -55,6 +57,14 @@ let cases =
       ~data:(Array.map (fun x -> x -. floor +. 1.) data4096)
       ~budget:32
   in
+  (* The synopsis perfbench's read workloads serve: MinMaxErr,
+     absolute error, B = 128 over the n = 1024 Zipf vector of data
+     seed 42. *)
+  let read_cold_syn =
+    (Minmax_dp.solve ~budget:128 Metrics.Abs
+       ~data:(Signal.zipf ~rng:(Prng.create ~seed:42) ~n:1024 ~alpha:1.2 ~scale:100.))
+      .synopsis
+  in
   let stream = Stream_synopsis.create ~n:4096 in
   let i = ref 0 in
   (* The observability overhead pair: the very same ladder request with
@@ -76,6 +86,8 @@ let cases =
       (Staged.stage (fun () -> ignore (Range_query.range_sum syn ~lo:100 ~hi:3000)));
     Test.make ~name:"E10/quantile-from-synopsis:4096"
       (Staged.stage (fun () -> ignore (Quantiles.search_synopsis quantile_syn ~q:0.37)));
+    Test.make ~name:"E10/quantile-from-synopsis:1024-b128"
+      (Staged.stage (fun () -> ignore (Quantiles.search_synopsis read_cold_syn ~q:0.37)));
     Test.make ~name:"E11/stream-update:4096"
       (Staged.stage (fun () ->
            i := (!i + 797) land 4095;
@@ -485,7 +497,7 @@ let () =
     List.filter (fun (name, _, _) -> String.starts_with ~prefix:"smoke/PAR/" name)
       rows
   in
-  let oc = open_out "BENCH_par.json" in
+  let oc = open_out (Filename.concat (Filename.dirname out) "BENCH_par.json") in
   write_rows oc ~schema:"wavesyn-bench-par/1"
     ~extra:
       (Printf.sprintf "\n  \"host_recommended_domains\": %d,"
@@ -497,7 +509,7 @@ let () =
     List.filter (fun (name, _, _) -> String.starts_with ~prefix:"smoke/SRV/" name)
       rows
   in
-  let oc = open_out "BENCH_server.json" in
+  let oc = open_out (Filename.concat (Filename.dirname out) "BENCH_server.json") in
   write_rows oc ~schema:"wavesyn-bench-server/1" ~extra:"" srv_rows;
   close_out oc;
   List.iter

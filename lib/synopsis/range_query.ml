@@ -35,10 +35,10 @@ let[@inline] term s t ~lo ~hi =
    it. Path indices grow level by level, and [anc lo <= anc hi] within
    a level, so the remaining terms come in the ascending order of the
    full O(B) loop: the same bits whenever the retained values are
-   finite. Inlined (no closure, no boxed float) into {!range_sum} and
-   into each probe of {!prefix_crossing}. *)
-let[@inline] path_sum syn ~lo ~hi =
+   finite. *)
+let range_sum syn ~lo ~hi =
   let n = Synopsis.n syn in
+  check_range ~n ~lo ~hi;
   let s = Synopsis.supports syn in
   let { Synopsis.index; level; _ } = s in
   let levels = Array.length level - 1 in
@@ -57,23 +57,50 @@ let[@inline] path_sum syn ~lo ~hi =
   done;
   !acc
 
-let range_sum syn ~lo ~hi =
-  check_range ~n:(Synopsis.n syn) ~lo ~hi;
-  path_sum syn ~lo ~hi
+(* The full-domain sum: c0's term alone. Every detail coefficient's two
+   halves both lie inside [0, n), so its term is [c * 0]. *)
+let[@inline] total syn =
+  let s = Synopsis.supports syn in
+  if s.Synopsis.level.(0) > 0 then term s 0 ~lo:0 ~hi:(Synopsis.n syn - 1)
+  else 0.
 
-(* [Wavesyn_aqp.Quantiles.search]'s total and bisection, with each
-   prefix sum walked in place rather than through a float-returning
-   call, so a probe allocates nothing. *)
+(* One slot per detail level: the slot of the descent's node at that
+   level, or -1 when it is not retained. Per domain, because servers
+   evaluate under [Pool.map_chunked]; 63 levels cover any [n]. *)
+let descent_slots = Domain.DLS.new_key (fun () -> Array.make 63 (-1))
+
+(* [Wavesyn_aqp.Quantiles.search]'s bisection as one descent of the
+   error tree (Section 2.2). On [[lo, hi]], a node at level [k], the
+   probe [mid] is the last cell of the node's left half, so in the sum
+   over [[0, mid]] only c0 and the descent's nodes at levels [0 .. k]
+   have a term that is not [c * 0]: every other coefficient's support
+   lies wholly inside or outside [[0, mid]]. Each node's slot is sought
+   once, when the descent reaches it, and each probe adds c0's term and
+   those nodes' terms in level order: the order {!range_sum} adds them
+   in, so the same bits whenever the retained values are finite. *)
 let prefix_crossing syn ~q =
-  let n = Synopsis.n syn in
-  let total = path_sum syn ~lo:0 ~hi:(n - 1) in
+  let total = total syn in
   if total <= 0. then -1
   else begin
     let target = q *. total in
-    let lo = ref 0 and hi = ref (n - 1) in
+    let s = Synopsis.supports syn in
+    let { Synopsis.index; level; _ } = s in
+    let levels = Array.length level - 1 in
+    let slots = Domain.DLS.get descent_slots in
+    let lo = ref 0 and hi = ref (Synopsis.n syn - 1) and k = ref 0 in
     while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if path_sum syn ~lo:0 ~hi:mid >= target then hi := mid else lo := mid + 1
+      let mid = (!lo + !hi) / 2 and until = level.(!k + 1) in
+      let j = (1 lsl !k) + (!lo lsr (levels - !k)) in
+      let slot = Synopsis.seek index ~from:level.(!k) ~until j in
+      slots.(!k) <- (if slot < until && index.(slot) = j then slot else -1);
+      let acc = ref 0. in
+      if level.(0) > 0 then acc := !acc +. term s 0 ~lo:0 ~hi:mid;
+      for l = 0 to !k do
+        let t = slots.(l) in
+        if t >= 0 then acc := !acc +. term s t ~lo:0 ~hi:mid
+      done;
+      if !acc >= target then hi := mid else lo := mid + 1;
+      incr k
     done;
     !lo
   end
@@ -81,8 +108,7 @@ let prefix_crossing syn ~q =
 let range_avg syn ~lo ~hi = range_sum syn ~lo ~hi /. float_of_int (hi - lo + 1)
 
 let selectivity syn ~lo ~hi =
-  let n = Synopsis.n syn in
-  let total = range_sum syn ~lo:0 ~hi:(n - 1) in
+  let total = total syn in
   if total <= 0. then 0. else range_sum syn ~lo ~hi /. total
 
 let range_sum_bounded syn ~per_cell_bound ~lo ~hi =

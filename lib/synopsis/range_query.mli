@@ -29,7 +29,14 @@ val prefix_crossing : Synopsis.t -> q:float -> int
     bisection of {!Wavesyn_aqp.Quantiles.search} for the smallest [i]
     with [range_sum ~lo:0 ~hi:i >= q *. total] (one valid crossing if
     the prefix sums dip), with the same probes and comparisons.
-    O(log N) probes of O(log N log B) each; allocation-free. *)
+    The bisection is one descent of the error tree: the probe at a
+    level-[k] node sums c0 and the descent's nodes at levels [0 .. k],
+    each node's coefficient sought once, and the total is c0's term
+    alone. O(log N log B + log² N); allocation-free. With finite
+    retained values every probe equals its {!range_sum} bit for bit.
+    An infinite retained value deeper on a probe's path, whose two
+    halves the probe covers, no longer turns that probe NaN
+    ([inf * 0]), nor does one anywhere below c0 turn the total NaN. *)
 
 val range_avg : Synopsis.t -> lo:int -> hi:int -> float
 (** Approximate average over the range. *)
@@ -37,8 +44,9 @@ val range_avg : Synopsis.t -> lo:int -> hi:int -> float
 val selectivity : Synopsis.t -> lo:int -> hi:int -> float
 (** For a frequency-vector interpretation of the data: the fraction of
     the total count that falls in [lo .. hi]. The total is itself
-    estimated from the synopsis. Returns [0.] when the estimated total
-    is not positive. *)
+    estimated from the synopsis, as {!prefix_crossing} takes it: c0's
+    term alone. Returns [0.] when the estimated total is not
+    positive. *)
 
 val range_sum_bounded :
   Synopsis.t -> per_cell_bound:float -> lo:int -> hi:int -> float * float

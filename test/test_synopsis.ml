@@ -367,11 +367,123 @@ let test_quantile_path_bit_identity () =
     (walk_cases ());
   check "some prefix sums dip" true !dips
 
-(* An infinite retained value reaches only the cells and ranges whose
-   end paths hold it; the full O(B) sums add [0 * inf = nan] to every
-   answer. MinMaxErr does not retain one on the non-finite datasets of
-   test_kernels.ml, and served data is finite, so this is a hand-made
-   synopsis. *)
+module Quantile_reference = Wavesyn_oracle.Quantile_reference
+
+(* The descent's cases: every power-of-two n from 1 to 4096, budgets
+   0, 1, n/8 and n (a seeded choice of coefficients), with and without
+   c0, over a positive random walk and over signed data whose prefix
+   sums dip. Without c0 the total is 0, so every search refuses. *)
+let descent_cases () =
+  let rng = Prng.create ~seed:46 in
+  List.concat_map
+    (fun lg ->
+      let n = 1 lsl lg in
+      let walk =
+        let x = ref 0. in
+        Array.init n (fun _ ->
+            x := Float.abs (!x +. Prng.float rng 6. -. 3.);
+            !x +. 1.)
+      and signed = Array.init n (fun _ -> Prng.float rng 8. -. 3.) in
+      let details = Array.init (n - 1) (fun i -> i + 1) in
+      Prng.shuffle rng details;
+      List.concat_map
+        (fun data ->
+          let wavelet = Haar1d.decompose data in
+          List.concat_map
+            (fun b ->
+              let pick k = Array.to_list (Array.sub details 0 (min k (n - 1))) in
+              [
+                Synopsis.of_wavelet ~wavelet (if b = 0 then [] else 0 :: pick (b - 1));
+                Synopsis.of_wavelet ~wavelet (pick b);
+              ])
+            (List.sort_uniq compare [ 0; 1; n / 8; n ]))
+        [ walk; signed ])
+    (List.init 13 Fun.id)
+
+(* The descent returns what the probe-by-probe bisection returns, for
+   q = 0, 1, seeded q, and q whose target equals a probed prefix sum
+   exactly (a tie, which some case must reach). *)
+let test_quantile_descent_oracle () =
+  let rng = Prng.create ~seed:47 in
+  let ties = ref 0 in
+  let compare_at syn q =
+    let want =
+      match Quantile_reference.prefix_crossing syn ~q with
+      | -1 -> Error Quantiles.Total_not_positive
+      | i -> Ok i
+    in
+    if Quantiles.search_synopsis syn ~q <> want then
+      Alcotest.failf "q=%h (n=%d b=%d)" q (Synopsis.n syn) (Synopsis.size syn)
+  in
+  List.iter
+    (fun syn ->
+      let n = Synopsis.n syn in
+      let total = Range_query.range_sum syn ~lo:0 ~hi:(n - 1) in
+      let sums = ref [] in
+      List.iter
+        (fun q ->
+          compare_at syn q;
+          ignore
+            (Quantile_reference.prefix_crossing syn ~q
+               ~probe:(fun _ sum -> sums := sum :: !sums)))
+        (0. :: 1. :: List.init 6 (fun _ -> Prng.float rng 1.));
+      (* A q with [q *. total = sum], searched near [sum /. total]. *)
+      List.iter
+        (fun sum ->
+          let q0 = sum /. total in
+          match
+            List.find_opt
+              (fun q -> q >= 0. && q <= 1. && q *. total = sum)
+              [ q0; Float.succ q0; Float.pred q0; Float.succ (Float.succ q0) ]
+          with
+          | None -> ()
+          | Some q ->
+              compare_at syn q;
+              ignore
+                (Quantile_reference.prefix_crossing syn ~q ~probe:(fun _ s ->
+                     if s = q *. total then incr ties)))
+        !sums)
+    (descent_cases ());
+  check "some probe meets its target exactly" true (!ties > 0)
+
+(* The descent keeps its slots per domain: 4 domains running the same
+   searches at once, over synopses of different n, get the sequential
+   answers. *)
+let test_quantile_descent_domains () =
+  let rng = Prng.create ~seed:48 in
+  let jobs =
+    descent_cases ()
+    |> List.filter (fun syn -> Synopsis.n syn >= 64 && Synopsis.size syn > 8)
+    |> List.concat_map (fun syn ->
+           List.init 4 (fun _ -> (syn, Prng.float rng 1.)))
+    |> Array.of_list
+  in
+  let want = Array.map (fun (syn, q) -> Quantiles.search_synopsis syn ~q) jobs in
+  let run d () =
+    let bad = ref 0 and m = Array.length jobs in
+    for r = 0 to 400 - 1 do
+      for i = 0 to m - 1 do
+        let k = (i + (r * 7) + (d * m / 4)) mod m in
+        let syn, q = jobs.(k) in
+        if Quantiles.search_synopsis syn ~q <> want.(k) then incr bad
+      done
+    done;
+    !bad
+  in
+  let bad =
+    List.init 4 (fun d -> Domain.spawn (run d)) |> List.map Domain.join
+  in
+  check
+    (Printf.sprintf "mismatches per domain: %s"
+       (String.concat ", " (List.map string_of_int bad)))
+    true
+    (List.for_all (( = ) 0) bad)
+
+(* An infinite retained value reaches only the cells, ranges and
+   quantile probes whose paths hold it; the full O(B) sums add
+   [0 * inf = nan] to every answer. MinMaxErr does not retain one on
+   the non-finite datasets of test_kernels.ml, and served data is
+   finite, so this is a hand-made synopsis. *)
 let test_non_finite_coefficient_stays_on_its_paths () =
   let syn = Synopsis.make ~n:8 [ (0, 1.); (1, 0.5); (5, Float.infinity) ] in
   checkf "point outside its support" 1.5 (Synopsis.reconstruct_point syn 0);
@@ -382,7 +494,18 @@ let test_non_finite_coefficient_stays_on_its_paths () =
     (Range_query.range_sum syn ~lo:0 ~hi:2 = Float.infinity);
   check "the full fold is nan" true
     (Float.is_nan (reference_range_sum syn ~lo:0 ~hi:1)
-    && Float.is_nan (Haar1d.point_from_set ~n:8 (Synopsis.coeffs syn) 0))
+    && Float.is_nan (Haar1d.point_from_set ~n:8 (Synopsis.coeffs syn) 0));
+  (* The quantile's probe over [0, 3] holds c5 deeper on cell 3's path,
+     whose halves it covers both: the full-path probe adds [inf * 0]
+     and turns nan, so the bisection goes right. The descent stops at
+     the probe's own level and finds the crossing at cell 2, where c5
+     makes the prefix sum infinite. *)
+  let nan_probes = ref 0 in
+  checki "probe-by-probe bisection" 4
+    (Quantile_reference.prefix_crossing syn ~q:0.5 ~probe:(fun mid sum ->
+         if mid = 3 && Float.is_nan sum then incr nan_probes));
+  checki "its probe at cell 3 is nan" 1 !nan_probes;
+  check "the descent" true (Quantiles.search_synopsis syn ~q:0.5 = Ok 2)
 
 (* Evaluation allocates nothing on the walk: a range sum, a point and a
    quantile search each allocate only their boxed result (a float, or
@@ -592,6 +715,10 @@ let () =
             test_point_path_bit_identity;
           Alcotest.test_case "quantile path bit identity" `Quick
             test_quantile_path_bit_identity;
+          Alcotest.test_case "quantile descent = probe-by-probe bisection"
+            `Quick test_quantile_descent_oracle;
+          Alcotest.test_case "quantile descent from 4 domains" `Quick
+            test_quantile_descent_domains;
           Alcotest.test_case "evaluation allocates only its result" `Quick
             test_eval_allocation;
           Alcotest.test_case "non-finite coefficient stays on its paths"
