@@ -234,6 +234,19 @@ let par_inputs () =
   let data64 = signal 64 in
   (grid, measures, data64)
 
+(* The dual search takes no pool, so its rows have no pool4 twin.
+   The n=1024 row's target is the read workloads' cut's optimal error
+   at B=128, which no smaller budget reaches, so the search answers
+   past budget 0 and takes the forward pass. *)
+let target1024 =
+  let at b =
+    (Minmax_dp.solve ~data:kernel_data1024 ~budget:b Metrics.Abs)
+      .Minmax_dp.max_err
+  in
+  let t = at 128 in
+  assert (at 127 > t);
+  t
+
 (* The sequential halves run in the pool-free pass: merely having idle
    worker domains alive skews every measurement on a small host (the
    multi-domain GC coordinates across them), so the seq twins must be
@@ -249,9 +262,14 @@ let par_seq_cases (grid, measures, data64) =
     Test.make ~name:"PAR/budget-for-seq:64"
       (Staged.stage (fun () ->
            ignore (Minmax_dp.budget_for ~data:data64 ~target:2.5 rel1)));
+    Test.make ~name:"PAR/budget-for-seq:1024"
+      (Staged.stage (fun () ->
+           ignore
+             (Minmax_dp.budget_for ~data:kernel_data1024 ~target:target1024
+                Metrics.Abs)));
   ]
 
-let par_pool_cases pool4 (grid, measures, data64) =
+let par_pool_cases pool4 (grid, measures, _) =
   [
     Test.make ~name:"PAR/approx-abs-pool4:8x8"
       (Staged.stage (fun () ->
@@ -261,10 +279,6 @@ let par_pool_cases pool4 (grid, measures, data64) =
     Test.make ~name:"PAR/multi-measure-pool4:3x64-b12"
       (Staged.stage (fun () ->
            ignore (Multi_measure.solve ~pool:pool4 ~measures ~budget:12 rel1)));
-    Test.make ~name:"PAR/budget-for-pool4:64"
-      (Staged.stage (fun () ->
-           ignore
-             (Minmax_dp.budget_for ~pool:pool4 ~data:data64 ~target:2.5 rel1)));
   ]
 
 (* Wire-protocol and admission-control hot paths of the serving

@@ -397,7 +397,7 @@ let threshold_cmd =
           | Some t ->
               let metric = minmax_metric ~flag:"--target" ~sanity algo in
               let { Minmax_dp.best; budget; feasible } =
-                Minmax_dp.budget_for ?pool ~data ~target:t metric
+                Minmax_dp.budget_for ~data ~target:t metric
               in
               if not feasible then
                 usage "--target"
@@ -842,11 +842,10 @@ let serve_cmd =
                    $(b,--metrics)) and print the retained spans at the end.")
   in
   let run store n seed metric budget checkpoint_every recut_every deadline_ms
-      updates random keep no_fsync metrics metrics_every render trace jobs =
+      updates random keep no_fsync metrics metrics_every render trace =
     if trace && metrics = None then usage "--trace" "requires --metrics";
     let sink = metrics_sink ~render metrics in
     let obs = Option.map fst sink in
-    with_pool ?obs jobs @@ fun _ ->
     let trace_sink = if trace then Some (Trace.sink ()) else None in
     let cfg =
       Supervisor.config ~checkpoint_every ~recut_every
@@ -925,7 +924,7 @@ let serve_cmd =
               ~doc:"Record the metrics of docs/OBSERVABILITY.md and dump the \
                     exposition to $(docv) ($(b,-) for stdout) when the loop \
                     finishes (and periodically, see $(b,--metrics-every))."
-          $ metrics_every_arg $ metrics_format_arg $ trace_arg $ jobs_arg)
+          $ metrics_every_arg $ metrics_format_arg $ trace_arg)
 
 let recover_cmd =
   let run store deadline_ms =

@@ -4,7 +4,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 module Error_tree = Wavesyn_haar.Error_tree
 module Float_util = Wavesyn_util.Float_util
-module Pool = Wavesyn_par.Pool
 module Synopsis = Wavesyn_synopsis.Synopsis
 module Metrics = Wavesyn_synopsis.Metrics
 
@@ -160,8 +159,29 @@ let[@inline] set_bit bits x =
 
 let[@inline] bit bits x = bits.(x lsr 5) land (1 lsl (x land 31)) <> 0
 
-let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
-    ~budget metric =
+(* What one run of the kernel answers: the solve at its budget, or,
+   from the root's row alone with no retrace, the smallest budget whose
+   optimal error is at most a target (see [budget_for]). *)
+type _ answer = Solution : result answer | First_within : float -> int answer
+
+(* The root's cells at budget [b], node 1's row at arena index [row]
+   with [w] cells per mask: node 0 dropped (mask 0 at [b]) or retained
+   (mask 1 at [b - 1]), retained when strictly below; over a single
+   leaf, its errors. A cell holds the best error with at most [b]
+   coefficients, so one forward pass holds every smaller budget's. *)
+let[@inline] root_cell a data denoms row w c0 ~kept b =
+  if Array.length data = 1 then
+    leaf_error data denoms 0 (if kept then 0. +. c0 else 0.)
+  else if kept then a.(row + w + Int.min (b - 1) (w - 1))
+  else a.(row + Int.min b (w - 1))
+
+let[@inline] root_kept a data denoms row w c0 b =
+  b > 0 && c0 <> 0.
+  && root_cell a data denoms row w c0 ~kept:true b
+     < root_cell a data denoms row w c0 ~kept:false b
+
+let kernel (type a) ?(split = Binary_search) ?(cap_budget = true) ?on_state
+    ~tree ~budget metric (answer : a answer) : a =
   if budget < 0 then invalid_arg "Minmax_dp.solve: negative budget";
   let n = Error_tree.n tree in
   let coeffs = Error_tree.coeffs tree and data = Error_tree.data tree in
@@ -434,148 +454,123 @@ let solve_tree ?(split = Binary_search) ?(cap_budget = true) ?on_state ~tree
     descend x d m ~left:false;
     build ((2 * x) + 1) (d + 1) (2 * m)
   in
-  (* The root: node 1's row over both root masks, then drop or keep. *)
+  (* The root: node 1's row over both root masks. *)
   let c0 = coeffs.(0) in
   inc.(0) <- 0.;
-  let drop, keep =
-    if n = 1 then
-      ( leaf_error data denoms 0 inc.(0),
-        leaf_error data denoms 0 (inc.(0) +. c0) )
-    else begin
-      descend 0 0 1 ~left:true;
-      build 1 1 2;
-      let row = slot.(3) and top = width.(1) - 1 in
-      ( a.(row + Int.min b0 top),
-        if b0 > 0 then a.(row + top + 1 + Int.min (b0 - 1) top)
-        else Float.infinity )
-    end
-  in
+  if n > 1 then begin
+    descend 0 0 1 ~left:true;
+    build 1 1 2
+  end;
   tick 1;
-  let root_kept = b0 > 0 && c0 <> 0. && keep < drop in
-  let max_err = if root_kept then keep else drop in
-  (* Retrace node [x] at depth [d] and mask [g] under allotment [b],
-     its incoming value at [inc.((1 lsl d) - 1)], marking the retained
-     coefficients in the bit set [kept_at]. *)
-  let kept_at = Array.make ((n + 31) lsr 5) 0 in
-  let rec trace x d g b =
-    let b = Int.min b (width.(d) - 1) in
-    let out = slot.((2 * d) + (x land 1)) in
-    if 2 * x >= n then begin
-      (* Row cell [b > 0] is below cell 0 exactly when keeping wins. *)
-      bottom_row x d 1 out;
-      if b > 0 && a.(out + b) < a.(out) then set_bit kept_at x
-    end
-    else begin
-      let c = coeffs.(x) in
-      let decision =
-        if d <= dstar then int_of_float a.(decision_cell width x d g b)
+  let row = if n = 1 then 0 else slot.(3)
+  and w = if n = 1 then 0 else width.(1) in
+  match answer with
+  | First_within target ->
+      let err b =
+        root_cell a data denoms row w c0
+          ~kept:(root_kept a data denoms row w c0 b)
+          b
+      in
+      let rec first b =
+        if b = b0 || err b <= target then b else first (b + 1)
+      in
+      first 0
+  | Solution ->
+      let root_kept = root_kept a data denoms row w c0 b0 in
+      let max_err = root_cell a data denoms row w c0 ~kept:root_kept b0 in
+      (* Retrace node [x] at depth [d] and mask [g] under allotment
+         [b], its incoming value at [inc.((1 lsl d) - 1)], marking the
+         retained coefficients in the bit set [kept_at]. *)
+      let kept_at = Array.make ((n + 31) lsr 5) 0 in
+      let rec trace x d g b =
+        let b = Int.min b (width.(d) - 1) in
+        let out = slot.((2 * d) + (x land 1)) in
+        if 2 * x >= n then begin
+          (* Row cell [b > 0] is below cell 0 exactly when keeping wins. *)
+          bottom_row x d 1 out;
+          if b > 0 && a.(out + b) < a.(out) then set_bit kept_at x
+        end
         else begin
-          children x d 1;
-          tick 1;
-          let wc = width.(d + 1) in
-          let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
-          let drop_allot = split_cell l0 r0 wc b in
-          let drop = sv.(0) in
-          let keep_allot =
-            if b > 0 && c <> 0. then split_cell (l0 + wc) (r0 + wc) wc (b - 1)
-            else -1
+          let c = coeffs.(x) in
+          let decision =
+            if d <= dstar then int_of_float a.(decision_cell width x d g b)
+            else begin
+              children x d 1;
+              tick 1;
+              let wc = width.(d + 1) in
+              let l0 = slot.(2 * (d + 1)) and r0 = slot.((2 * (d + 1)) + 1) in
+              let drop_allot = split_cell l0 r0 wc b in
+              let drop = sv.(0) in
+              let keep_allot =
+                if b > 0 && c <> 0. then
+                  split_cell (l0 + wc) (r0 + wc) wc (b - 1)
+                else -1
+              in
+              if keep_allot >= 0 && sv.(0) < drop then (keep_allot lsl 1) lor 1
+              else drop_allot lsl 1
+            end
           in
-          if keep_allot >= 0 && sv.(0) < drop then (keep_allot lsl 1) lor 1
-          else drop_allot lsl 1
+          let kept = decision land 1 = 1 and allot = decision lsr 1 in
+          if kept then set_bit kept_at x;
+          let g = g + (Bool.to_int kept lsl d) in
+          let here = (1 lsl d) - 1 and below = (2 lsl d) - 1 in
+          let v = inc.(here) in
+          inc.(below) <- (if kept then v +. c else v);
+          trace (2 * x) (d + 1) g allot;
+          inc.(below) <- (if kept then v -. c else v);
+          trace ((2 * x) + 1) (d + 1) g (b - Bool.to_int kept - allot)
         end
       in
-      let kept = decision land 1 = 1 and allot = decision lsr 1 in
-      if kept then set_bit kept_at x;
-      let g = g + (Bool.to_int kept lsl d) in
-      let here = (1 lsl d) - 1 and below = (2 lsl d) - 1 in
-      let v = inc.(here) in
-      inc.(below) <- (if kept then v +. c else v);
-      trace (2 * x) (d + 1) g allot;
-      inc.(below) <- (if kept then v -. c else v);
-      trace ((2 * x) + 1) (d + 1) g (b - Bool.to_int kept - allot)
-    end
-  in
-  if root_kept then set_bit kept_at 0;
-  if n > 1 && b0 > 0 then begin
-    inc.(1) <- (if root_kept then inc.(0) +. c0 else inc.(0));
-    trace 1 1 (Bool.to_int root_kept) (b0 - Bool.to_int root_kept)
-  end;
-  (* In ascending index order, so the synopsis needs no sort. *)
-  let retained = ref [] in
-  for j = n - 1 downto 0 do
-    if bit kept_at j then retained := (j, coeffs.(j)) :: !retained
-  done;
-  let synopsis = Synopsis.make ~n !retained in
-  let r =
-    { max_err; synopsis; dp_states = !states; working_cells = Array.length a }
-  in
-  Log.debug (fun m ->
-      m "solved n=%d budget=%d cells=%d working=%d max_err=%g" n budget
-        r.dp_states r.working_cells r.max_err);
-  r
+      if root_kept then set_bit kept_at 0;
+      if n > 1 && b0 > 0 then begin
+        inc.(1) <- (if root_kept then inc.(0) +. c0 else inc.(0));
+        trace 1 1 (Bool.to_int root_kept) (b0 - Bool.to_int root_kept)
+      end;
+      (* In ascending index order, so the synopsis needs no sort. *)
+      let retained = ref [] in
+      for j = n - 1 downto 0 do
+        if bit kept_at j then retained := (j, coeffs.(j)) :: !retained
+      done;
+      let synopsis = Synopsis.make ~n !retained in
+      let r =
+        {
+          max_err;
+          synopsis;
+          dp_states = !states;
+          working_cells = Array.length a;
+        }
+      in
+      Log.debug (fun m ->
+          m "solved n=%d budget=%d cells=%d working=%d max_err=%g" n budget
+            r.dp_states r.working_cells r.max_err);
+      r
+
+let solve_tree ?split ?cap_budget ?on_state ~tree ~budget metric =
+  kernel ?split ?cap_budget ?on_state ~tree ~budget metric Solution
 
 type budget_search = { best : result; budget : int; feasible : bool }
 
-let budget_for ?pool ?on_state ~data ~target metric =
+let budget_for ~data ~target metric =
   if not (Float_util.is_pow2 (Array.length data)) then
     invalid_arg "Minmax_dp.budget_for: data length must be a power of two";
   let tree = Error_tree.of_data data in
-  let nonzero =
-    Array.fold_left
-      (fun acc c -> if c <> 0. then acc + 1 else acc)
-      0 (Error_tree.coeffs tree)
-  in
-  (* Every probe is cached, so no budget is ever solved twice — in
-     particular the final answer reuses the last probe instead of
-     re-solving at [hi]. *)
-  let cache : (int, result) Hashtbl.t = Hashtbl.create 16 in
-  let solve_fresh b = solve_tree ?on_state ~tree ~budget:b metric in
-  let solve_b b =
-    match Hashtbl.find_opt cache b with
-    | Some r -> r
-    | None ->
-        let r = solve_fresh b in
-        Hashtbl.replace cache b r;
-        r
-  in
-  (* Optimal error is non-increasing in the budget: binary search for
-     the smallest feasible budget. With a pool, each round probes up to
-     [domains] evenly spaced budgets speculatively (the round's
-     narrowing depends only on the probes' deterministic outcomes, so
-     the search converges to the same minimal budget for every pool
-     size; one probe per round degrades to the classic bisection). *)
-  let speculate = match pool with Some p -> Pool.domains p | None -> 1 in
-  let lo = ref 0 and hi = ref nonzero in
-  if (solve_b 0).max_err <= target then hi := 0
-  else begin
-    while !lo + 1 < !hi do
-      let span = !hi - !lo in
-      let count = Stdlib.min speculate (span - 1) in
-      let probes =
-        List.init count (fun j -> !lo + (span * (j + 1) / (count + 1)))
-        |> List.sort_uniq compare
-      in
-      let fresh =
-        Array.of_list
-          (List.filter (fun b -> not (Hashtbl.mem cache b)) probes)
-      in
-      (match pool with
-      | Some p when Array.length fresh > 1 ->
-          let rs =
-            Pool.map_chunked p (Array.length fresh) (fun i ->
-                solve_fresh fresh.(i))
-          in
-          Array.iteri (fun i r -> Hashtbl.replace cache fresh.(i) r) rs
-      | _ -> Array.iter (fun b -> ignore (solve_b b)) fresh);
-      List.iter
-        (fun b ->
-          if (solve_b b).max_err <= target then hi := Stdlib.min !hi b
-          else lo := Stdlib.max !lo b)
-        probes
-    done
-  end;
-  let best = solve_b !hi in
-  { best; budget = !hi; feasible = best.max_err <= target }
+  (* A solve at budget 0 costs a fraction of a forward pass, and a
+     loose target needs nothing more. *)
+  let zero = solve_tree ~tree ~budget:0 metric in
+  if zero.max_err <= target then { best = zero; budget = 0; feasible = true }
+  else
+    (* The optimum is non-increasing in the budget and bottoms out at
+       the count of nonzero coefficients: one forward pass there holds
+       it for every smaller budget, and the answer is the first budget
+       whose optimum is at most the target. *)
+    let nonzero =
+      Array.fold_left
+        (fun acc c -> if c <> 0. then acc + 1 else acc)
+        0 (Error_tree.coeffs tree)
+    in
+    let budget = kernel ~tree ~budget:nonzero metric (First_within target) in
+    let best = if budget = 0 then zero else solve_tree ~tree ~budget metric in
+    { best; budget; feasible = best.max_err <= target }
 
 let solve ?split ?cap_budget ?on_state ~data ~budget metric =
   if not (Float_util.is_pow2 (Array.length data)) then

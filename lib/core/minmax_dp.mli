@@ -84,25 +84,18 @@ type budget_search = {
     best-effort fallback. *)
 
 val budget_for :
-  ?pool:Wavesyn_par.Pool.t ->
-  ?on_state:(unit -> unit) ->
   data:float array ->
   target:float ->
   Wavesyn_synopsis.Metrics.error_metric ->
   budget_search
 (** The dual problem: the smallest budget whose optimal maximum error
-    is at most [target], found by binary search over the budget (each
-    probe is one {!solve}). Probes are cached, so no budget is solved
-    twice — in particular the returned solution reuses the last
-    probe's result rather than re-solving.
-
-    With [pool], each bisection round speculatively probes up to
-    [Pool.domains pool] evenly spaced budgets in parallel. The search
-    narrows on the probes' deterministic outcomes only, so it
-    converges to the same minimal budget — and bit-identical [best] —
-    for every pool size. [on_state] may then be invoked concurrently
-    from several domains; compose only thread-safe hooks with a
-    pool. *)
+    is at most [target]. A DP cell holds the best error with at most
+    its budget, so the root's row of one forward pass at the count of
+    nonzero coefficients holds the optimum of every budget up to it:
+    the search reads that row, with no retrace, and [best] is then one
+    {!solve} at the budget found (the same result as a direct solve
+    there, [dp_states] included). A target met at budget 0 is answered
+    by that solve alone, with no forward pass. *)
 
 val solve_tree :
   ?split:split_strategy ->

@@ -450,59 +450,62 @@ let test_minmax_flat_allocation () =
 (* The dual search against its definition: the smallest budget whose
    reference-kernel optimum is at most the target, found by a linear
    scan (the full nonzero-coefficient budget, infeasible, when none
-   is), and [best] is the reference solve at that budget. Targets are
-   drawn at random and taken exactly from an optimum, where only the
-   comparison's tie decides. *)
-let scan_budget ~data ~target metric =
-  let nonzero =
-    Array.fold_left
-      (fun acc c -> if c <> 0. then acc + 1 else acc)
-      0
-      (Error_tree.coeffs (Error_tree.of_data data))
-  in
-  let rec go b =
-    let r = Minmax_reference.solve ~data ~budget:b metric in
-    if r.max_err <= target then (b, r, true)
-    else if b >= nonzero then (b, r, false)
-    else go (b + 1)
-  in
-  go 0
-
+   is), and [best] is the solve at that budget. The targets are every
+   distinct optimum over budgets 0..N, where only the comparison's tie
+   decides, the midpoints between them, and two that no budget reaches
+   (-1 and NaN). *)
 let test_budget_for_vs_scan () =
   let rng = Prng.create ~seed:47 in
   let datasets =
-    List.init 10 (fun _ -> signal rng 32)
+    [ signal rng 1; signal rng 2 ]
+    @ List.init 10 (fun _ -> signal rng 32)
     @ [ coarse_signal rng 8; coarse_signal rng 32 ]
     @ non_finite_signals rng
   in
-  with_pool ~domains:4 @@ fun p4 ->
   List.iter
     (fun data ->
       let n = Array.length data in
+      let nonzero =
+        Array.fold_left
+          (fun acc c -> if c <> 0. then acc + 1 else acc)
+          0
+          (Error_tree.coeffs (Error_tree.of_data data))
+      in
       List.iter
-        (fun (metric, scale) ->
-          let at_optimum =
-            (Minmax_reference.solve ~data ~budget:(Prng.int rng (n + 1)) metric)
-              .max_err
+        (fun metric ->
+          let optimum =
+            Array.init (n + 1) (fun budget ->
+                Minmax_reference.solve ~data ~budget metric)
+          in
+          let rec scan target b =
+            if optimum.(b).max_err <= target then (b, true)
+            else if b >= nonzero then (b, false)
+            else scan target (b + 1)
+          in
+          let optima =
+            List.sort_uniq compare
+              (Array.to_list (Array.map (fun r -> r.Minmax_dp.max_err) optimum))
+          in
+          let rec midpoints = function
+            | x :: (y :: _ as rest) -> ((x +. y) /. 2.) :: midpoints rest
+            | _ -> []
           in
           List.iter
             (fun target ->
-              let budget, best, feasible = scan_budget ~data ~target metric in
-              List.iter
-                (fun pool ->
-                  let s = Minmax_dp.budget_for ?pool ~data ~target metric in
-                  let name =
-                    Printf.sprintf "n=%d target=%g pooled=%b" n target
-                      (pool <> None)
-                  in
-                  checki (name ^ ": budget") budget s.budget;
-                  check (name ^ ": feasible") true (s.feasible = feasible);
-                  check (name ^ ": max_err bits") true
-                    (same_bits s.best.max_err best.max_err);
-                  check (name ^ ": synopsis") true (same_coeffs s.best best))
-                [ None; Some p4 ])
-            [ Prng.float rng scale; at_optimum ])
-        [ (Metrics.Abs, 30.); (Metrics.Rel { sanity = 5. }, 3.) ])
+              let budget, feasible = scan target 0 in
+              let best = optimum.(budget) in
+              let s = Minmax_dp.budget_for ~data ~target metric in
+              let name = Printf.sprintf "n=%d target=%g" n target in
+              checki (name ^ ": budget") budget s.budget;
+              check (name ^ ": feasible") true (s.feasible = feasible);
+              check (name ^ ": max_err bits") true
+                (same_bits s.best.max_err best.max_err);
+              check (name ^ ": synopsis") true (same_coeffs s.best best);
+              checki (name ^ ": dp_states")
+                (minmax_cells ~n ~budget ~cap_budget:true ())
+                s.best.dp_states)
+            (optima @ midpoints optima @ [ -1.; Float.nan ]))
+        [ Metrics.Abs; Metrics.Rel { sanity = 5. } ])
     datasets
 
 (* --- Md_dp solvers vs the reference kernel --- *)
@@ -692,7 +695,7 @@ let () =
             `Quick test_minmax_decision_ends;
           Alcotest.test_case "flat solve allocates O(n), not per state" `Quick
             test_minmax_flat_allocation;
-          Alcotest.test_case "budget_for = oracle linear scan, pooled" `Quick
+          Alcotest.test_case "budget_for = oracle linear scan" `Quick
             test_budget_for_vs_scan;
         ] );
       ( "md flat",

@@ -3,7 +3,6 @@
    run for pool sizes 1, 2, 4 and 8 (docs/PARALLELISM.md). *)
 
 module Pool = Wavesyn_par.Pool
-module Minmax_dp = Wavesyn_core.Minmax_dp
 module Approx_abs = Wavesyn_core.Approx_abs
 module Multi_measure = Wavesyn_core.Multi_measure
 module Metrics = Wavesyn_synopsis.Metrics
@@ -106,34 +105,6 @@ let test_create_rejects_nonpositive () =
 
 let synopsis_repr s = (Synopsis.n s, Synopsis.coeffs s)
 
-let test_budget_for_determinism () =
-  for trial = 1 to instances do
-    let rng = Prng.create ~seed:(1000 + trial) in
-    let n = 8 lsl (trial mod 3) in
-    let data = Array.init n (fun _ -> Prng.float rng 100. -. 50.) in
-    let target = Prng.float rng 20. in
-    let metric =
-      if trial mod 2 = 0 then Metrics.Abs else Metrics.Rel { sanity = 5. }
-    in
-    let seq = Minmax_dp.budget_for ~data ~target metric in
-    List.iter
-      (fun domains ->
-        with_pool ~domains (fun p ->
-            let par = Minmax_dp.budget_for ~pool:p ~data ~target metric in
-            let label what =
-              Printf.sprintf "trial %d domains=%d %s" trial domains what
-            in
-            check (label "feasible") true
-              (par.Minmax_dp.feasible = seq.Minmax_dp.feasible);
-            check (label "max_err") true
-              (par.Minmax_dp.best.Minmax_dp.max_err
-              = seq.Minmax_dp.best.Minmax_dp.max_err);
-            check (label "synopsis") true
-              (synopsis_repr par.Minmax_dp.best.Minmax_dp.synopsis
-              = synopsis_repr seq.Minmax_dp.best.Minmax_dp.synopsis)))
-      jobs_list
-  done
-
 let test_approx_abs_determinism () =
   for trial = 1 to instances do
     let rng = Prng.create ~seed:(2000 + trial) in
@@ -215,7 +186,6 @@ let () =
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "budget_for" `Slow test_budget_for_determinism;
           Alcotest.test_case "approx_abs" `Slow test_approx_abs_determinism;
           Alcotest.test_case "multi_measure" `Slow
             test_multi_measure_determinism;
