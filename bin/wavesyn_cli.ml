@@ -271,7 +271,7 @@ let algo_arg =
 (* The one synopsis builder. DP algorithms also report their state count
    (and approx-abs its τ sweeps), pinned in docs/KERNELS.md and checked
    by cram/kernels.t. *)
-let build ?pool ?(epsilon = 0.25) ~sanity ~budget solver data =
+let build ?(jobs = 1) ?(epsilon = 0.25) ~sanity ~budget solver data =
   match solver with
   | Minmax metric ->
       let r = Minmax_dp.solve ~data ~budget (metric sanity) in
@@ -279,7 +279,12 @@ let build ?pool ?(epsilon = 0.25) ~sanity ~budget solver data =
   | Approx ->
       let n = Array.length data in
       let nd = Wavesyn_util.Ndarray.of_flat_array ~dims:[| n |] data in
-      let r = Approx_abs.solve ?pool ~data:nd ~budget ~epsilon () in
+      (* The one solver that fans out, so the one that gets a pool. *)
+      let r =
+        with_pool jobs @@ fun pool ->
+        let pool = if jobs > 1 then Some pool else None in
+        Approx_abs.solve ?pool ~data:nd ~budget ~epsilon ()
+      in
       let syn = Synopsis.make ~n (Synopsis.Md.coeffs r.Approx_abs.synopsis) in
       (syn, Some (r.Approx_abs.dp_states, Some r.Approx_abs.sweeps))
   | Plain threshold -> (threshold ~sanity ~budget data, None)
@@ -370,8 +375,6 @@ let threshold_cmd =
     if dp_stats && ladder then
       usage "--dp-stats" "cannot be combined with --ladder/--deadline-ms";
     let data = source.load () in
-    with_pool jobs @@ fun pool0 ->
-    let pool = if jobs > 1 then Some pool0 else None in
     let syn =
       if ladder then begin
         if target <> None then
@@ -392,7 +395,7 @@ let threshold_cmd =
         let syn, budget, stats =
           match target with
           | None ->
-              let syn, stats = build ?pool ~epsilon ~sanity ~budget solver data in
+              let syn, stats = build ~jobs ~epsilon ~sanity ~budget solver data in
               (syn, budget, stats)
           | Some t ->
               let metric = minmax_metric ~flag:"--target" ~sanity algo in

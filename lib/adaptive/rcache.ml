@@ -90,6 +90,8 @@ let find t ~epoch key =
       Metric.incr_opt t.c_misses;
       None
 
+let mem t ~epoch key = epoch = t.epoch && Hashtbl.mem t.table key
+
 let add t ~epoch key value =
   sync t ~epoch;
   if not (Hashtbl.mem t.table key) then begin

@@ -28,6 +28,11 @@ val find : ('k, 'v) t -> epoch:int -> 'k -> 'v option
 (** Sync to [epoch] (flushing on a change), then look up. Counted as a
     hit or miss. *)
 
+val mem : ('k, 'v) t -> epoch:int -> 'k -> bool
+(** Whether a {!find} at [epoch] would hit, without syncing, counting
+    a lookup or touching any instrument: a key stored under another
+    epoch is not held. *)
+
 val add : ('k, 'v) t -> epoch:int -> 'k -> 'v -> unit
 (** Sync to [epoch], then insert. A key already present is left as is
     (the stored value was computed under this epoch and is identical

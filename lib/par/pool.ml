@@ -166,6 +166,11 @@ let map_chunked ?(grain = 1) t n f =
   if n < 0 then invalid_arg "Pool.map_chunked: negative size";
   if t.stop then invalid_arg "Pool: submit after shutdown";
   if n = 0 then [||]
+  else if t.domains = 1 then
+    (* The calling domain alone: index order, so the first task to
+       raise is the lowest-indexed one, and no slot table or failure
+       lock is needed. *)
+    Array.init n f
   else begin
     let out = Array.make n None in
     let failure = ref None in
@@ -185,19 +190,13 @@ let map_chunked ?(grain = 1) t n f =
         | _ -> failure := Some (k, e, bt));
         Mutex.unlock fail_mutex
     in
-    if t.domains = 1 then
-      for k = 0 to nchunks - 1 do
-        run k
-      done
-    else begin
-      (match t.instruments with
-      | None -> ()
-      | Some ins -> Metric.set ins.grain (float_of_int grain));
-      run_batch t ~total:nchunks run;
-      match t.instruments with
-      | None -> ()
-      | Some ins -> Metric.incr ~by:n ins.tasks
-    end;
+    (match t.instruments with
+    | None -> ()
+    | Some ins -> Metric.set ins.grain (float_of_int grain));
+    run_batch t ~total:nchunks run;
+    (match t.instruments with
+    | None -> ()
+    | Some ins -> Metric.incr ~by:n ins.tasks);
     (match !failure with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

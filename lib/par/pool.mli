@@ -54,7 +54,10 @@ val map_chunked : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
 
     If one or more tasks raise, the exception of the {e
     lowest-indexed} failing chunk is re-raised (with its backtrace)
-    after all chunks have finished — again deterministic. [f] must be
+    after all chunks have finished — again deterministic. A
+    one-domain pool runs the tasks in index order on the calling
+    domain and re-raises the first failure at once, which is the same
+    exception; the tasks after it do not run. [f] must be
     safe to call from another domain: it should only read shared data
     (all wavesyn trees and arrays passed to solvers are immutable).
 

@@ -139,11 +139,14 @@ let read t ~now_ms =
   if Fault.fires t.fault Fault.Conn_drop then ([], `Eof)
   else begin
     let events = ref [] in
+    (* A read that leaves room in the buffer took every byte the socket
+       held, so draining stops there instead of paying a read that
+       fails with EAGAIN; bytes arriving later make select report the
+       connection again next round. A full read keeps draining. *)
     let rec drain () =
       ensure_room t;
-      match
-        Unix.read t.fd t.rbuf t.rlen (Bytes.length t.rbuf - t.rlen)
-      with
+      let room = Bytes.length t.rbuf - t.rlen in
+      match Unix.read t.fd t.rbuf t.rlen room with
       | 0 -> `Eof
       | k ->
           if Fault.fires t.fault Fault.Blackhole then
@@ -151,12 +154,13 @@ let read t ~now_ms =
                answered — and the idle stamp is not refreshed, so the
                reaper eventually collects the silent connection. Only a
                client read deadline escapes sooner. *)
-            drain ()
+            if k < room then `More else drain ()
           else begin
             t.rlen <- t.rlen + k;
             t.last_ms <- now_ms;
             parse t events;
             if List.exists (function Corrupt _ -> true | _ -> false) !events
+               || k < room
             then `More
             else drain ()
           end

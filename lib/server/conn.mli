@@ -51,9 +51,12 @@ val is_text : t -> bool
 
 val read : t -> now_ms:float -> event list * [ `More | `Eof ]
 (** Drain the socket without blocking and extract every complete
-    request. [`Eof] means the peer closed (or the descriptor failed);
-    [`More] means the socket is merely empty for now. Refreshes the
-    idle stamp when bytes arrive. *)
+    request. Draining stops at the first read that leaves room in the
+    buffer: the socket held no more, and bytes arriving later make it
+    readable again. [`Eof] means the peer closed (or the descriptor
+    failed); [`More] means the socket is merely empty for now — a
+    close that follows the last bytes is seen on the next call.
+    Refreshes the idle stamp when bytes arrive. *)
 
 val queue_reply : t -> Wire.reply -> unit
 (** Append one reply, encoded for the connection's mode, to the write

@@ -871,10 +871,11 @@ let process_request t round conn request =
    took its admission slot, so the shed schedule — and with it the
    pressure trajectory — is byte-identical cache-on vs cache-off.
 
-   A router's misses are scatter-gather RPCs, not pool work: each walks
-   the shards in shard-index order, requests go in arrival order, so
-   the merged transcript is independent of this front-end's [--jobs].
-   Otherwise the misses fan out positionally over the pool. *)
+   A router's misses are one scatter-gather round, not pool work: each
+   shard gets one frame, in shard-index order, and replies compose in
+   arrival order, so the merged transcript is independent of this
+   front-end's [--jobs]. Otherwise the misses fan out positionally over
+   the pool. *)
 let evaluate_round t evals =
   ignore (Admit.take_batch t.admit);
   let arrivals = List.rev evals in
@@ -891,20 +892,19 @@ let evaluate_round t evals =
             | None -> true)
           arrivals
   in
-  (match t.backend with
-  | Router r ->
-      List.iter (fun (slot, req) -> fill t slot (Shard.eval r req)) misses
-  | Static _ | Live _ ->
-      let misses = Array.of_list misses in
-      let replies =
+  let misses = Array.of_list misses in
+  let replies =
+    match t.backend with
+    | Router r -> Shard.eval_round r (Array.map snd misses)
+    | Static _ | Live _ ->
         Pool.map_chunked t.pool (Array.length misses) (fun i ->
             eval_one t (snd misses.(i)))
-      in
-      Array.iteri (fun i (slot, _) -> fill t slot replies.(i)) misses);
+  in
+  Array.iteri (fun i (slot, _) -> fill t slot replies.(i)) misses;
   match t.cache with
   | None -> ()
   | Some _ ->
-      List.iter
+      Array.iter
         (fun (slot, req) ->
           match slot.s_reply with
           | Some reply -> cache_store t req reply

@@ -10,14 +10,23 @@
    QUANTILE re-runs the unsharded bisection over composed per-shard
    prefix sums, and INGEST storms split per owner.
 
+   Reads are served a round at a time ({!eval_round}): the round's
+   POINT and RANGE sub-requests are gathered per shard in arrival
+   order and each shard gets one BATCH frame, in shard-index order;
+   the replies are then composed request by request, in arrival order.
+   A request adds at most one sub-request per shard, so a shard's frame
+   never holds more entries than the front-end admitted that round —
+   with a shard queue bound at least the front-end's, a shard never
+   sheds and its pressure and tier move only by RETIER.
+
    Determinism contract: every fan-out walks the shards in shard-index
-   order — never arrival order, there are no concurrent in-flight
-   RPCs — so the merged reply stream is a pure function of the request
-   schedule and the shard states. On exactly-reconstructing
-   configurations (budget at least the sub-domain size, sums exact in
-   float arithmetic) the merged answers are byte-identical to the
-   unsharded server's over the same data, for any shard count; see
-   docs/SERVING.md for the precise statement. *)
+   order — never arrival order, one frame in flight at a time — so the
+   merged reply stream is a pure function of the request schedule and
+   the shard states. On exactly-reconstructing configurations (budget
+   at least the sub-domain size, sums exact in float arithmetic) the
+   merged answers are byte-identical to the unsharded server's over the
+   same data, for any shard count; see docs/SERVING.md for the precise
+   statement. *)
 
 module Validate = Wavesyn_robust.Validate
 module Rcache = Wavesyn_adaptive.Rcache
@@ -115,6 +124,11 @@ type t = {
       (* bumped on every event that can change a shard's synopsis —
          write acks and RETIER broadcasts — so the memo flushes exactly
          then *)
+  sent : Wire.request list array;
+  got : Wire.reply list array;
+      (* per shard, the current round's gathered sub-requests not yet
+         composed and their replies, in send order; empty outside
+         {!eval_round} *)
 }
 
 let router ~n ?seqs ~ranges rpcs =
@@ -144,6 +158,8 @@ let router ~n ?seqs ~ranges rpcs =
             level = 0;
             memo = None;
             memo_epoch = 0;
+            sent = Array.make shards [];
+            got = Array.make shards [];
           }
 
 let shard_count t = Array.length t.ranges
@@ -182,28 +198,68 @@ let call t k req =
 
 exception Routed of Wire.reply
 
+(* [f k lo hi] for each shard [k] overlapping the global range
+   [lo, hi], in shard-index order, with the clipped sub-range in
+   shard-local coordinates. *)
+let iter_subranges t ~lo ~hi f =
+  for k = 0 to Array.length t.ranges - 1 do
+    let r = t.ranges.(k) in
+    if r.hi >= lo && r.lo <= hi then
+      f k (Stdlib.max lo r.lo - r.lo) (Stdlib.min hi r.hi - r.lo)
+  done
+
+let same_sub a b =
+  match (a, b) with
+  | Wire.Point i, Wire.Point j -> i = j
+  | Wire.Range r, Wire.Range s -> r.lo = s.lo && r.hi = s.hi
+  | _ -> false
+
+let pop t k =
+  match (t.sent.(k), t.got.(k)) with
+  | _ :: sent, _ :: got ->
+      t.sent.(k) <- sent;
+      t.got.(k) <- got
+  | _ -> ()
+
+(* Shard [k]'s reply to a read sub-request: the gathered reply when
+   [req] is next in shard [k]'s queue and that reply is a VALUE, else a
+   frame of its own — so every error and OVERLOAD reply is the one a
+   lone frame gets. *)
+let answer t k req =
+  match (t.sent.(k), t.got.(k)) with
+  | next :: _, reply :: _ when same_sub next req -> (
+      pop t k;
+      match reply with Wire.Value _ -> reply | _ -> call t k req)
+  | _ -> call t k req
+
 let fetch t k ~lo ~hi =
-  match call t k (Wire.Range { lo; hi }) with
+  match answer t k (Wire.Range { lo; hi }) with
   | Wire.Value v -> v
   | other -> raise (Routed other)
 
 (* Shard-local range sum, for the scatter-gather merge paths. Anything
    but a VALUE aborts the merge and surfaces as this request's reply.
 
-   With a memo installed ({!set_cache}) the sub-range RPC is skipped
-   on a hit — sound because the memo epoch is bumped on every event
-   that can change a shard's synopsis (write acks, RETIER), and
-   reply-preserving because the router's synchronous one-RPC-per-round
-   fan-out means a shard backend never sheds (its per-round admission
-   count is always 1), so a skipped RPC cannot change any shard's
-   pressure history. Non-VALUE replies are never memoised. *)
+   With a memo installed ({!set_cache}) a hit skips the sub-range — and
+   drops it from the round's queue if the gather sent it anyway (an
+   earlier request of the same round memoised it). That is sound
+   because the memo epoch is bumped on every event that can change a
+   shard's synopsis (write acks, RETIER), and reply-preserving because
+   a shard never sheds (its frames hold at most the front-end's
+   admitted count, see the header), so a skipped sub-range cannot
+   change any shard's pressure history. Non-VALUE replies are never
+   memoised. *)
 let value t k ~lo ~hi =
   match t.memo with
   | None -> fetch t k ~lo ~hi
   | Some memo -> (
       let key = (k, lo, hi) in
       match Rcache.find memo ~epoch:t.memo_epoch key with
-      | Some v -> v
+      | Some v ->
+          (match t.sent.(k) with
+          | Wire.Range r :: _ when r.lo = lo && r.hi = hi -> pop t k
+          | _ -> ());
+          v
       | None ->
           let v = fetch t k ~lo ~hi in
           Rcache.add memo ~epoch:t.memo_epoch key v;
@@ -214,7 +270,9 @@ let value t k ~lo ~hi =
    accumulated in shard-index order, plus the owner's local prefix.
    Totals are fetched on first use; the search's first probe is the
    last cell, so they arrive in shard-index order before any bisection
-   probe, and that probe's sum is the sum of all totals. *)
+   probe, and that probe's sum is the sum of all totals. The probes
+   depend on each other, so none is gathered: each is a memo lookup,
+   then a frame of its own. *)
 let quantile t q =
   let totals = Array.make (Array.length t.ranges) None in
   let total k =
@@ -235,7 +293,7 @@ let quantile t q =
   in
   Wire.of_quantile (Quantiles.search ~n:t.n ~q cumulative)
 
-let eval t req =
+let compose t req =
   try
     match req with
     | Wire.Point i -> (
@@ -243,25 +301,69 @@ let eval t req =
         | Some refusal -> refusal
         | None ->
             let k = owner t i in
-            call t k (Wire.Point (i - t.ranges.(k).lo)))
+            answer t k (Wire.Point (i - t.ranges.(k).lo)))
     | Wire.Range { lo; hi } -> (
         match Wire.range_refusal ~n:t.n ~lo ~hi with
         | Some refusal -> refusal
         | None ->
             let acc = ref 0. in
-            Array.iteri
-              (fun k r ->
-                if r.hi >= lo && r.lo <= hi then
-                  acc :=
-                    !acc
-                    +. value t k
-                         ~lo:(Stdlib.max lo r.lo - r.lo)
-                         ~hi:(Stdlib.min hi r.hi - r.lo))
-              t.ranges;
+            iter_subranges t ~lo ~hi (fun k lo hi ->
+                acc := !acc +. value t k ~lo ~hi);
             Wire.Value !acc)
     | Wire.Quantile q -> quantile t q
     | _ -> Wire.Error { code = Wire.Internal; message = "not an admitted kind" }
   with Routed reply -> reply
+
+(* The gather phase: each in-domain POINT's rebased cell and each RANGE
+   sub-range the memo does not hold, queued per shard in arrival order.
+   The memo probe counts no lookup, so [memo_hits + memo_misses] stays
+   one per sub-range the compose phase asks for. *)
+let gather t req =
+  match req with
+  | Wire.Point i when Option.is_none (Wire.point_refusal ~n:t.n i) ->
+      let k = owner t i in
+      t.sent.(k) <- Wire.Point (i - t.ranges.(k).lo) :: t.sent.(k)
+  | Wire.Range { lo; hi } when Option.is_none (Wire.range_refusal ~n:t.n ~lo ~hi)
+    ->
+      iter_subranges t ~lo ~hi (fun k lo hi ->
+          let held =
+            match t.memo with
+            | Some memo -> Rcache.mem memo ~epoch:t.memo_epoch (k, lo, hi)
+            | None -> false
+          in
+          if not held then t.sent.(k) <- Wire.Range { lo; hi } :: t.sent.(k))
+  | _ -> ()
+
+(* One frame per shard with gathered sub-requests: a lone one goes as
+   a plain frame, several as one BATCH. A miscounted batch or a
+   transport failure keeps nothing, so each of its sub-requests falls
+   back to a frame of its own in the compose phase. *)
+let send t k =
+  match t.sent.(k) with
+  | [] -> ()
+  | [ req ] -> t.got.(k) <- [ call t k req ]
+  | newest_first -> (
+      let reqs = List.rev newest_first in
+      t.sent.(k) <- reqs;
+      match t.rpcs.(k) (Wire.Batch reqs) with
+      | Ok replies when List.compare_lengths replies reqs = 0 ->
+          t.got.(k) <- replies
+      | Ok _ | Error _ -> t.sent.(k) <- [])
+
+let clear t =
+  Array.fill t.sent 0 (Array.length t.sent) [];
+  Array.fill t.got 0 (Array.length t.got) []
+
+let eval_round t reqs =
+  Array.iter (gather t) reqs;
+  for k = 0 to Array.length t.rpcs - 1 do
+    send t k
+  done;
+  let replies = Array.map (compose t) reqs in
+  clear t;
+  replies
+
+let eval t req = (eval_round t [| req |]).(0)
 
 (* --- the write path --- *)
 

@@ -8,7 +8,8 @@
     RANGE scatter-gathers per-shard sub-range sums merged in
     shard-index order, QUANTILE re-runs the [Quantiles.estimate]
     bisection over composed per-shard prefix sums, and INGEST storms
-    split per owner after global validation. Every fan-out walks the
+    split per owner after global validation. A serving round's reads
+    reach each shard as one frame ({!eval_round}). Every fan-out walks the
     shards in shard-index order — never arrival order — so merged
     replies are a pure function of the request schedule and shard
     states, and byte-identical to the unsharded server's on
@@ -67,8 +68,9 @@ val seq : t -> int
 val set_cache : t -> cap:int -> unit
 (** Install a sub-range sum memo of at most [cap] entries
     ({!Wavesyn_adaptive.Rcache}, keyed [(shard, lo, hi)] in
-    shard-local coordinates). A memo hit skips the sub-range RPC a
-    RANGE merge or QUANTILE bisection would have sent; the memo is
+    shard-local coordinates). A memo hit skips the sub-range a RANGE
+    merge or QUANTILE bisection would have sent — {!eval_round} does
+    not gather a sub-range the memo holds; the memo is
     flushed on every event that can change a shard's synopsis — write
     acks and RETIER broadcasts — so merged replies are byte-identical
     memo-on vs memo-off (see docs/ADAPTIVE.md). Raises
@@ -81,11 +83,30 @@ val memo_misses : t -> int
 (** Sub-range sums that went to a shard despite an installed memo; 0
     when none is installed. *)
 
+val eval_round : t -> Wire.request array -> Wire.reply array
+(** Answer one serving round's reads (POINT, RANGE, QUANTILE) by
+    scatter-gather, replies positional, with domain validation and
+    error messages mirroring the unsharded server's.
+
+    The round's POINT cells and the RANGE sub-ranges the memo does not
+    hold are gathered per shard in arrival order, and each shard gets
+    one frame, in shard-index order: a lone sub-request as a plain
+    frame, several as one [BATCH]. Each request then composes its reply
+    from those answers, in arrival order; QUANTILE's dependent
+    bisection probes go through the memo and then a frame each. A
+    gathered reply that is not a VALUE, a miscounted batch or a
+    transport failure falls back to a frame of its own for that
+    sub-request, so error replies are those of the one-frame-per-
+    sub-request path. A shard transport failure surfaces as an
+    [Error {code = Internal}] reply naming the shard.
+
+    A request adds at most one sub-request per shard, so no frame holds
+    more entries than [Array.length reqs]: shards whose queue bound is
+    at least the front-end's never shed. *)
+
 val eval : t -> Wire.request -> Wire.reply
-(** Answer a read (POINT, RANGE, QUANTILE) by scatter-gather, with
-    domain validation and error messages mirroring the unsharded
-    server's. A shard transport failure surfaces as an
-    [Error {code = Internal}] reply naming the shard. *)
+(** [eval t req] is {!eval_round} on the one-request round [[| req |]]:
+    every sub-request travels as a plain frame. *)
 
 val write : t -> Wire.request -> Wire.reply
 (** Apply a write (UPDATE, INGEST) through the owning shard(s). Storms

@@ -86,6 +86,23 @@ let test_exception_lowest_index_wins () =
           done))
     jobs_list
 
+(* A one-domain pool maps on the calling domain: the result array and
+   nothing else — no slot table, failure lock or chunk closure. *)
+let test_one_domain_words () =
+  with_pool ~domains:1 (fun p ->
+      let n = 8 in
+      let f = Fun.id in
+      ignore (Pool.map_chunked p n f);
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore (Sys.opaque_identity (Pool.map_chunked p n f))
+      done;
+      let words = (Gc.minor_words () -. w0) /. 100. in
+      check
+        (Printf.sprintf "%.1f words per call (<= %d)" words (n + 1))
+        true
+        (words <= float_of_int (n + 1)))
+
 let test_shutdown_idempotent () =
   let p = Pool.create ~domains:4 () in
   ignore (Pool.map_chunked p 16 Fun.id);
@@ -179,6 +196,8 @@ let () =
           Alcotest.test_case "nested submit" `Quick test_nested_submit;
           Alcotest.test_case "exception lowest index wins" `Quick
             test_exception_lowest_index_wins;
+          Alcotest.test_case "one domain allocates the result only" `Quick
+            test_one_domain_words;
           Alcotest.test_case "shutdown idempotent" `Quick
             test_shutdown_idempotent;
           Alcotest.test_case "create rejects nonpositive" `Quick

@@ -513,6 +513,249 @@ let test_overload_parity () =
   checki "same shed count" reference_summary.Loadgen.overloads
     summary.Loadgen.overloads
 
+(* --- the batched fan-out --- *)
+
+(* How an in-process stub shard treats a BATCH frame: honestly, with
+   every second entry answered ERROR or OVERLOAD, or failing the whole
+   frame as a transport error or a miscounted reply list. Plain frames
+   are always answered honestly. *)
+type batch_mode = Honest | Entry_error | Entry_overload | Transport | Short
+
+let batch_modes =
+  [
+    ("honest", Honest);
+    ("entry error", Entry_error);
+    ("entry overload", Entry_overload);
+    ("transport failure", Transport);
+    ("miscounted batch", Short);
+  ]
+
+(* Stub shards over float slices: a POINT is its cell, a RANGE the
+   left-to-right sum of its cells, and with [refuse] the last shard
+   refuses its local cell 0 on every frame (an error the router must
+   pass through). Each shard records every frame it receives in
+   [frames.(k)], newest first. *)
+let stub_rpcs ?(refuse = true) ~mode ~frames ~ranges data =
+  let last = List.length ranges - 1 in
+  Array.of_list
+    (List.mapi
+       (fun k { Shard.lo; hi } ->
+         let slice = Array.sub data lo (hi - lo + 1) in
+         let m = Array.length slice in
+         let one = function
+           | Wire.Point 0 when refuse && k = last ->
+               Wire.Error { code = Wire.Unanswerable; message = "stub refuses 0" }
+           | Wire.Point i when i >= 0 && i < m -> Wire.Value slice.(i)
+           | Wire.Range { lo; hi } when 0 <= lo && lo <= hi && hi < m ->
+               let acc = ref 0. in
+               for i = lo to hi do
+                 acc := !acc +. slice.(i)
+               done;
+               Wire.Value !acc
+           | r ->
+               Wire.Error
+                 { code = Wire.Bad_request; message = Wire.describe_request r }
+         in
+         fun req ->
+           frames.(k) <- req :: frames.(k);
+           match (req, mode) with
+           | Wire.Batch _, Transport ->
+               Error (Validate.Io_error { path = "stub"; reason = "reset" })
+           | Wire.Batch reqs, Short -> Ok (List.map one (List.tl reqs))
+           | Wire.Batch reqs, (Entry_error | Entry_overload) ->
+               Ok
+                 (List.mapi
+                    (fun j r ->
+                      if j mod 2 = 0 then one r
+                      else if mode = Entry_error then
+                        Wire.Error { code = Wire.Internal; message = "entry" }
+                      else Wire.Overload { bound = 1; depth = 1; tier = "t" })
+                    reqs)
+           | Wire.Batch reqs, Honest -> Ok (List.map one reqs)
+           | r, _ -> Ok [ one r ])
+       ranges)
+
+(* A seeded read: in-domain and edge cells, ranges crossing shard
+   boundaries, inverted and out-of-domain ranges, quantiles with
+   refused q — and, one time in three, a repeat of a request already in
+   the round. *)
+let random_read rng ~n round =
+  let cell () =
+    match Prng.int rng 8 with
+    | 0 -> 0
+    | 1 -> n - 1
+    | 2 -> Prng.int rng 3 - 2
+    | 3 -> n + Prng.int rng 2
+    | _ -> Prng.int rng n
+  in
+  match (round, Prng.int rng 3) with
+  | _ :: _, 0 -> List.nth round (Prng.int rng (List.length round))
+  | _ -> (
+      match Prng.int rng 7 with
+      | 0 | 1 | 2 -> Wire.Point (cell ())
+      | 3 -> Wire.Quantile (if Prng.int rng 8 = 0 then 1.5 else Prng.float rng 1.)
+      | _ -> Wire.Range { lo = cell (); hi = cell () })
+
+let random_round rng ~n ~size =
+  List.rev
+    (List.fold_left
+       (fun acc _ -> random_read rng ~n acc :: acc)
+       [] (List.init size Fun.id))
+
+(* The differential proof: over seeded rounds, [eval_round]'s replies
+   are bit-equal to the replies of [eval] on each request alone — for
+   1, 2 and 4 shards, memo on and off, and every stub batch mode — and
+   the memo counts the same lookups. [eval] on one request never sends
+   a BATCH. *)
+let test_eval_round_differential () =
+  let n = 64 in
+  let data =
+    let rng = Prng.create ~seed:5 in
+    Array.init n (fun _ -> Prng.float rng 10. -. 2.)
+  in
+  List.iter
+    (fun ((label, mode), shards, memo) ->
+      let tag = Printf.sprintf " (%s, %d shards, memo %b)" label shards memo in
+      let ranges = must_s (Shard.split ~n ~shards) in
+      let router frames =
+        let r =
+          must_s (Shard.router ~n ~ranges (stub_rpcs ~mode ~frames ~ranges data))
+        in
+        if memo then Shard.set_cache r ~cap:4096;
+        r
+      in
+      let batched_frames = Array.make shards [] in
+      let single_frames = Array.make shards [] in
+      let batched = router batched_frames and single = router single_frames in
+      let rng = Prng.create ~seed:(17 + shards) in
+      for _ = 1 to 60 do
+        let round = random_round rng ~n ~size:(1 + Prng.int rng 12) in
+        let got = Shard.eval_round batched (Array.of_list round) in
+        let want = List.map (Shard.eval single) round in
+        List.iteri
+          (fun i w ->
+            checks
+              (Printf.sprintf "reply to %s%s"
+                 (Wire.describe_request (List.nth round i)) tag)
+              (Wire.encode_reply w)
+              (Wire.encode_reply got.(i)))
+          want
+      done;
+      checki ("memo hits" ^ tag) (Shard.memo_hits single)
+        (Shard.memo_hits batched);
+      checki ("memo misses" ^ tag) (Shard.memo_misses single)
+        (Shard.memo_misses batched);
+      check ("single requests travel as plain frames" ^ tag) true
+        (Array.for_all
+           (List.for_all (function Wire.Batch _ -> false | _ -> true))
+           single_frames))
+    (List.concat_map
+       (fun mode ->
+         List.concat_map
+           (fun shards -> [ (mode, shards, false); (mode, shards, true) ])
+           [ 1; 2; 4 ])
+       batch_modes)
+
+(* POINT and RANGE sub-requests reach each shard in at most one frame
+   per round — repeats within a round included — and that frame carries
+   no more entries than the round has requests. *)
+let test_one_frame_per_shard_per_round () =
+  let n = 64 in
+  let data = Array.init n float_of_int in
+  List.iter
+    (fun (shards, memo) ->
+      let tag = Printf.sprintf " (%d shards, memo %b)" shards memo in
+      let ranges = must_s (Shard.split ~n ~shards) in
+      let frames = Array.make shards [] in
+      let router =
+        must_s
+          (Shard.router ~n ~ranges
+             (stub_rpcs ~refuse:false ~mode:Honest ~frames ~ranges data))
+      in
+      if memo then Shard.set_cache router ~cap:4096;
+      let rng = Prng.create ~seed:(3 + shards) in
+      for _ = 1 to 40 do
+        let round =
+          Array.of_list
+            (List.map
+               (function
+                 | Wire.Quantile _ -> Wire.Point (Prng.int rng n) | r -> r)
+               (random_round rng ~n ~size:(1 + Prng.int rng 16)))
+        in
+        let before = Array.map List.length frames in
+        ignore (Shard.eval_round router round);
+        Array.iteri
+          (fun k fs ->
+            let sent = List.length fs - before.(k) in
+            check (Printf.sprintf "shard %d: %d frames%s" k sent tag) true
+              (sent <= 1);
+            match fs with
+            | Wire.Batch entries :: _ when sent = 1 ->
+                check ("entries within the round's size" ^ tag) true
+                  (List.length entries <= Array.length round)
+            | _ -> ())
+          frames
+      done)
+    [ (1, false); (2, false); (2, true); (4, false); (4, true) ]
+
+(* The per-shard sections of a front-end STATS body, in shard-index
+   order, each as its lines. *)
+let shard_sections body =
+  List.rev
+    (List.fold_left
+       (fun acc line ->
+         if String.starts_with ~prefix:"== shard " line then [] :: acc
+         else
+           match acc with
+           | section :: rest -> (line :: section) :: rest
+           | [] -> [])
+       [] (String.split_on_char '\n' body))
+
+(* The value column of the "kind key value unit" row named [key]. *)
+let stats_row section key =
+  List.find_map
+    (fun line ->
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | _ :: k :: v :: _ when k = key -> Some v
+      | _ -> None)
+    section
+
+(* A front-end BATCH of exactly [queue_bound] full-domain RANGEs: each
+   shard gets them as one BATCH frame of [queue_bound] entries, admits
+   every entry and sheds nothing. *)
+let test_full_round_never_sheds_a_shard () =
+  let n = 64 and queue_bound = 4 in
+  let data = exact_data n in
+  with_sharded_topology ~queue_bound ~domains:1 ~budget:n ~data ~shards:2
+  @@ fun path ->
+  let c = connect path in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let full = Wire.Range { lo = 0; hi = n - 1 } in
+  let total = Wire.Value (Array.fold_left ( +. ) 0. data) in
+  check_sl "every RANGE answered"
+    (List.init queue_bound (fun _ -> Wire.describe_reply total))
+    (List.map Wire.describe_reply
+       (must
+          (Client.request c (Wire.Batch (List.init queue_bound (fun _ -> full))))));
+  match must (Client.request_one c Wire.Stats) with
+  | Wire.Stats_text body ->
+      let sections = shard_sections body in
+      checki "two shard sections" 2 (List.length sections);
+      List.iteri
+        (fun k section ->
+          let row key = Option.value ~default:"?" (stats_row section key) in
+          checks (Printf.sprintf "shard %d sheds nothing" k) "0"
+            (row "server.shed");
+          checks
+            (Printf.sprintf "shard %d admitted every entry" k)
+            (string_of_int queue_bound) (row "server.admitted");
+          checks
+            (Printf.sprintf "shard %d got one BATCH frame" k)
+            "1"
+            (row "server.requests{kind=\"batch\"}"))
+        sections
+  | r -> Alcotest.fail ("STATS answered " ^ Wire.describe_reply r)
+
 (* --- refusals and cache keys, on every read backend --- *)
 
 (* Run [f] against an unsharded server and a 2-shard front-end over
@@ -912,6 +1155,15 @@ let () =
           Alcotest.test_case "overload parity" `Quick test_overload_parity;
           Alcotest.test_case "router refuses store and tiers" `Quick
             test_router_refuses_store_and_tiers;
+        ] );
+      ( "batched fan-out",
+        [
+          Alcotest.test_case "eval_round = per-request eval" `Quick
+            test_eval_round_differential;
+          Alcotest.test_case "one frame per shard per round" `Quick
+            test_one_frame_per_shard_per_round;
+          Alcotest.test_case "a full round never sheds a shard" `Quick
+            test_full_round_never_sheds_a_shard;
         ] );
       ( "refusals and cache keys",
         [
