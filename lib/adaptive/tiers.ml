@@ -5,8 +5,8 @@
    One entry per pressure level, level 0 the finest: the full budget
    cut at the ladder's exact top, coarser levels at geometrically
    shrinking budgets and the cheaper solver tops the pressure ladder
-   would have re-cut with anyway ([`Approx], then [`Greedy] — the same
-   mapping as [Admit.top_of_pressure]). The budget schedule is chosen
+   would have re-cut with anyway ([`Approx], then [`Greedy], by
+   [Ladder.top_of_pressure]). The budget schedule is chosen
    from the observed mix, not only from pressure: a range/quantile-
    heavy mix floors every degraded level at half the budget, because
    range sums and prefix-sum bisections degrade with every dropped
@@ -29,10 +29,6 @@ type entry = {
 }
 
 type t = { entries : entry array; built_seq : int }
-
-(* Mirror of [Admit.top_of_pressure]; duplicated (not imported) so this
-   library does not depend on the serving layer. *)
-let top_of_level = function 0 -> `Minmax | 1 -> `Approx | _ -> `Greedy
 
 (* Range sums, selectivities and quantile bisections read many
    coefficients per answer; point lookups only a root-to-leaf path. A
@@ -59,7 +55,8 @@ let build ~epsilon ~metric ~data ~budget ~levels ~mix ~seq =
     (fun k b ->
       if !failed = None then
         match
-          Ladder.serve ~epsilon ~top:(top_of_level k) ~data ~budget:b metric
+          Ladder.serve ~epsilon ~top:(Ladder.top_of_pressure k) ~data
+            ~budget:b metric
         with
         | Ok served ->
             entries.(k) <-

@@ -7,8 +7,9 @@
     round. A tier ladder pre-cuts every level up front: level 0 is the
     full budget at [`Minmax], deeper levels shrink the budget
     geometrically and use the level's own ladder top ([`Approx], then
-    [`Greedy], mirroring [Admit.top_of_pressure]), so a pressure
-    change becomes an O(1) swap to an already-built synopsis.
+    [`Greedy], by {!Wavesyn_robust.Ladder.top_of_pressure}), so a
+    pressure change becomes an O(1) swap to an already-built
+    synopsis.
 
     The budget schedule is workload-aware: {!plan} floors every
     degraded level at half the budget when the observed mix

@@ -45,20 +45,22 @@ let replay ?(since = 0) ~dir () =
             let truncated = ref false in
             let prev_seq = ref None in
             let valid_bytes = ref 0 in
+            (* A record is durable only once its newline is: a last line
+               at EOF without one is a torn append. The length and the
+               last byte are read once, not per record. *)
+            let length = in_channel_length ic in
+            let torn_tail =
+              length > 0
+              && (seek_in ic (length - 1);
+                  let last = input_char ic in
+                  seek_in ic 0;
+                  last <> '\n')
+            in
             (try
                let continue = ref true in
                while !continue do
                  let line = input_line ic in
-                 (* A record is durable only once its newline is: a last
-                    line at EOF without one is a torn append. *)
-                 let torn =
-                   pos_in ic = in_channel_length ic
-                   && (in_channel_length ic = 0
-                      || (seek_in ic (in_channel_length ic - 1);
-                          let last = input_char ic in
-                          seek_in ic (in_channel_length ic);
-                          last <> '\n'))
-                 in
+                 let torn = torn_tail && pos_in ic = length in
                  match if torn then None else decode_line line with
                  | Some r
                    when match !prev_seq with

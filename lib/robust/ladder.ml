@@ -21,6 +21,13 @@ let tier_name = function
   | Approx_additive { epsilon } -> Printf.sprintf "approx(eps=%g)" epsilon
   | Greedy_maxerr -> "greedy-maxerr"
 
+let top_of_pressure = function 0 -> `Minmax | 1 -> `Approx | _ -> `Greedy
+
+let tier_of_top ~epsilon = function
+  | `Minmax -> Minmax
+  | `Approx -> Approx_additive { epsilon }
+  | `Greedy -> Greedy_maxerr
+
 type outcome =
   | Answered
   | Timed_out of Deadline.stats

@@ -28,6 +28,16 @@ type tier =
 val tier_name : tier -> string
 (** ["minmax"], ["approx(eps=0.25)"], ["greedy-maxerr"]. *)
 
+val top_of_pressure : int -> [ `Minmax | `Approx | `Greedy ]
+(** The pressure→tier map, owned here for the serving layer's
+    admission pressure and the pre-cut tiers alike: the highest tier
+    worth attempting at a pressure level, 0 → [`Minmax], 1 →
+    [`Approx], 2+ → [`Greedy] (the [top] of {!serve}). *)
+
+val tier_of_top : epsilon:float -> [ `Minmax | `Approx | `Greedy ] -> tier
+(** The first tier a {!serve} entered at that [top] tries:
+    [`Approx] is {!Approx_additive} at [epsilon]. *)
+
 type outcome =
   | Answered  (** this attempt produced the served synopsis *)
   | Timed_out of Deadline.stats  (** its deadline slice expired *)

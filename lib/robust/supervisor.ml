@@ -11,6 +11,9 @@ let log_src = Logs.Src.create "wavesyn.supervisor" ~doc:"Durable serving loop"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+let bad_shape what reason = Error (Validate.Bad_shape { what; reason })
+let bad_option what reason = Error (Validate.Bad_option { what; reason })
+
 (* --- configuration and its on-disk manifest --- *)
 
 type config = {
@@ -22,14 +25,12 @@ type config = {
   checkpoint_every : int;
   recut_every : int;
   recut_deadline_ms : float option;
-  recut_state_cap : int option;
   keep : int;
   sync : bool;
 }
 
 let config ?(epsilon = 0.25) ?(checkpoint_every = 64) ?(recut_every = 32)
-    ?recut_deadline_ms ?recut_state_cap ?(keep = 3) ?(sync = true) ~dir ~n
-    ~budget metric =
+    ?recut_deadline_ms ?(keep = 3) ?(sync = true) ~dir ~n ~budget metric =
   {
     dir;
     n;
@@ -39,7 +40,6 @@ let config ?(epsilon = 0.25) ?(checkpoint_every = 64) ?(recut_every = 32)
     checkpoint_every;
     recut_every;
     recut_deadline_ms;
-    recut_state_cap;
     keep;
     sync;
   }
@@ -74,7 +74,7 @@ let manifest_text cfg =
     ^ "\n")
 
 let decode_manifest ~path text =
-  let fail reason = Error (Validate.Bad_shape { what = path; reason }) in
+  let fail = bad_shape path in
   let field name line =
     match String.split_on_char ' ' line with
     | k :: rest when k = name -> Some rest
@@ -151,15 +151,9 @@ let rebuild ~dir ~n =
     match snap.Snapshot.state with
     | Some state ->
         if state.Snapshot.n <> n then
-          Error
-            (Validate.Bad_shape
-               {
-                 what = dir;
-                 reason =
-                   Printf.sprintf
-                     "snapshot domain %d does not match store domain %d"
-                     state.Snapshot.n n;
-               })
+          bad_shape dir
+            (Printf.sprintf "snapshot domain %d does not match store domain %d"
+               state.Snapshot.n n)
         else Ok (Snapshot.to_stream state, state.Snapshot.seq)
     | None -> Ok (Stream_synopsis.create ~n, 0)
   in
@@ -308,6 +302,18 @@ let breaker_code = function
   | Retry.Breaker.Open -> 1.
   | Retry.Breaker.Half_open -> 2.
 
+(* Count live traffic into [stream.*]. Attached only once a state is
+   rebuilt or installed, so journal replay never counts as live. *)
+let observe_stream obs stream =
+  match obs with
+  | None -> ()
+  | Some m ->
+      Stream_synopsis.set_observer stream
+        (Some
+           (fun touches ->
+             Metric.incr m.stream_updates;
+             Metric.incr ~by:touches m.stream_coeff_touches))
+
 (* --- the supervised loop --- *)
 
 type role = Primary | Follower
@@ -355,19 +361,10 @@ let validate_config cfg =
   let* _ = Validate.budget cfg.budget in
   let* _ = Validate.epsilon cfg.epsilon in
   if not (Float_util.is_pow2 cfg.n) then
-    Error
-      (Validate.Bad_shape
-         {
-           what = cfg.dir;
-           reason = Printf.sprintf "domain %d is not a power of two" cfg.n;
-         })
+    bad_shape cfg.dir (Printf.sprintf "domain %d is not a power of two" cfg.n)
   else if cfg.checkpoint_every < 1 || cfg.recut_every < 1 || cfg.keep < 1 then
-    Error
-      (Validate.Bad_option
-         {
-           what = "supervisor config";
-           reason = "checkpoint-every, recut-every and keep must be >= 1";
-         })
+    bad_option "supervisor config"
+      "checkpoint-every, recut-every and keep must be >= 1"
   else Ok ()
 
 let ensure_dir dir =
@@ -389,15 +386,9 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
     match read_manifest cfg.dir with
     | Ok (n, _, _, _) ->
         if n <> cfg.n then
-          Error
-            (Validate.Bad_shape
-               {
-                 what = cfg.dir;
-                 reason =
-                   Printf.sprintf
-                     "store was created with domain %d, reopened with %d" n
-                     cfg.n;
-               })
+          bad_shape cfg.dir
+            (Printf.sprintf "store was created with domain %d, reopened with %d"
+               n cfg.n)
         else write_manifest cfg
     | Error (Validate.Io_error _) -> write_manifest cfg
     | Error _ as e -> e
@@ -420,20 +411,13 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
     match breaker with Some b -> b | None -> Retry.Breaker.create ()
   in
   let obs = Option.map (telemetry ~trace) obs in
-  (* The stream observer attaches *after* [rebuild], so journal replay
-     counts into [store.recovery.replayed], never into the live
-     [stream.*] traffic counters. *)
   (match obs with
   | None -> ()
   | Some m ->
       Metric.incr ~by:recovery.replayed m.recovery_replayed;
       Metric.set m.seq_gauge (float_of_int seq);
-      Metric.set m.breaker_state (breaker_code (Retry.Breaker.state breaker));
-      Stream_synopsis.set_observer stream
-        (Some
-           (fun touches ->
-             Metric.incr m.stream_updates;
-             Metric.incr ~by:touches m.stream_coeff_touches)));
+      Metric.set m.breaker_state (breaker_code (Retry.Breaker.state breaker)));
+  observe_stream obs stream;
   Log.info (fun m ->
       m "opened %s at seq %d (%a)" cfg.dir seq pp_recovery recovery);
   Ok
@@ -487,28 +471,51 @@ let stats t =
     breaker = Retry.Breaker.state t.breaker;
   }
 
+(* [counter m] moves by one when telemetry is attached; the selectors
+   passed here close over nothing, so a site allocates nothing. *)
+let bump t counter =
+  match t.obs with None -> () | Some m -> Metric.incr (counter m)
+
+(* The one instrumented section: [f t a b], timed into the histogram
+   [hist] selects and, with a trace sink, inside a [name] span. A
+   section opened inside another nests its span there, so an [ingest]
+   span encloses the [recut] and [checkpoint] spans its cadences open.
+   Two arguments spare [ingest] a tuple (the other sections pass
+   units); without [obs] this is the bare call, no closure. *)
+let timed m hist f t a b =
+  let c0 = Mclock.now_ns () in
+  let r = f t a b in
+  Metric.observe (hist m) (Mclock.ms_since c0);
+  r
+
+let section t hist name f a b =
+  match t.obs with
+  | None -> f t a b
+  | Some m -> (
+      match m.t_trace with
+      | None -> timed m hist f t a b
+      | Some sink -> Trace.with_span sink name (fun () -> timed m hist f t a b))
+
 (* A re-cut "fails" for the breaker when it degrades all the way to the
    greedy floor with every better tier timed out or broken: serving
    continues on the floor answer, but pounding the expensive tiers
    again right away is pointless — the breaker spaces the retries. *)
-let recut t =
+let recut_body t () () =
   let attempt () =
     match
       Ladder.serve
         ?obs:(Option.map (fun m -> m.t_reg) t.obs)
         ?trace:(Option.bind t.obs (fun m -> m.t_trace))
-        ?deadline_ms:t.cfg.recut_deadline_ms ?state_cap:t.cfg.recut_state_cap
-        ~epsilon:t.cfg.epsilon ~fault:t.fault
+        ?deadline_ms:t.cfg.recut_deadline_ms ~epsilon:t.cfg.epsilon
+        ~fault:t.fault
         ~data:(Stream_synopsis.current_data t.stream)
         ~budget:t.cfg.budget t.cfg.metric
     with
-    | Error e -> Error e
-    | Ok served ->
+    | Error _ as e -> e
+    | Ok served as ok ->
         t.served <- Some served;
         t.recuts_served <- t.recuts_served + 1;
-        (match t.obs with
-        | None -> ()
-        | Some m -> Metric.incr m.recut_served);
+        bump t (fun m -> m.recut_served);
         let degraded =
           served.Ladder.tier = Ladder.Greedy_maxerr
           && List.exists
@@ -517,302 +524,209 @@ let recut t =
         in
         if degraded then begin
           t.recuts_degraded <- t.recuts_degraded + 1;
-          (match t.obs with
-          | None -> ()
-          | Some m -> Metric.incr m.recut_degraded);
-          Error
-            (Validate.Bad_shape
-               {
-                 what = "recut";
-                 reason =
-                   "degraded to the greedy floor: "
-                   ^ Ladder.describe_attempts served.Ladder.attempts;
-               })
+          bump t (fun m -> m.recut_degraded);
+          bad_shape "recut"
+            ("degraded to the greedy floor: "
+            ^ Ladder.describe_attempts served.Ladder.attempts)
         end
-        else Ok served
+        else ok
   in
-  let guarded () =
-    (* Breaker transitions are observed around the call: any state
-       change (trip, probe, reset) shows up as exactly one transition. *)
-    let before = Retry.Breaker.state t.breaker in
-    let result = Retry.Breaker.call t.breaker attempt in
-    (match t.obs with
-    | None -> ()
-    | Some m ->
-        let after = Retry.Breaker.state t.breaker in
-        if after <> before then Metric.incr m.breaker_transitions;
-        Metric.set m.breaker_state (breaker_code after));
-    match result with
-    | Ok served -> Ok served
-    | Error Retry.Breaker.Open_circuit ->
-        t.recuts_rejected <- t.recuts_rejected + 1;
-        (match t.obs with
-        | None -> ()
-        | Some m -> Metric.incr m.recut_rejected);
-        Error Retry.Breaker.Open_circuit
-    | Error (Retry.Breaker.Inner e) ->
-        t.last_error <- Some e;
-        Error (Retry.Breaker.Inner e)
-  in
-  match t.obs with
-  | None -> guarded ()
+  (* Breaker transitions are observed around the call: any state
+     change (trip, probe, reset) shows up as exactly one transition. *)
+  let before = Retry.Breaker.state t.breaker in
+  let result = Retry.Breaker.call t.breaker attempt in
+  (match t.obs with
+  | None -> ()
   | Some m ->
-      let timed () =
-        let c0 = Mclock.now_ns () in
-        let r = guarded () in
-        Metric.observe m.recut_ms (Mclock.ms_since c0);
-        r
-      in
-      (match m.t_trace with
-      | Some sink -> Trace.with_span sink "recut" timed
-      | None -> timed ())
+      let after = Retry.Breaker.state t.breaker in
+      if after <> before then Metric.incr m.breaker_transitions;
+      Metric.set m.breaker_state (breaker_code after));
+  (match result with
+  | Ok _ -> ()
+  | Error Retry.Breaker.Open_circuit ->
+      t.recuts_rejected <- t.recuts_rejected + 1;
+      bump t (fun m -> m.recut_rejected)
+  | Error (Retry.Breaker.Inner e) -> t.last_error <- Some e);
+  result
 
-let checkpoint t =
-  let body () =
-    let state = Snapshot.of_stream ~seq:t.seq t.stream in
-    match
-      Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
-          Snapshot.write ~fault:t.fault ~keep:t.cfg.keep ~sync:t.cfg.sync
-            ~dir:t.cfg.dir state)
-    with
-    | Error e ->
-        t.checkpoint_failures <- t.checkpoint_failures + 1;
-        t.last_error <- Some e;
-        (match t.obs with
-        | None -> ()
-        | Some m -> Metric.incr m.checkpoint_failed);
-        Log.warn (fun m -> m "checkpoint failed: %s" (Validate.to_string e));
-        Error e
-    | Ok gen ->
-        t.checkpoints <- t.checkpoints + 1;
-        t.last_generation <- Some gen;
-        (match t.obs with
-        | None -> ()
-        | Some m ->
-            Metric.incr m.checkpoint_completed;
-            Metric.set m.checkpoint_generation (float_of_int gen));
-        (* The journal must keep reaching back to the *oldest* retained
-           generation, so a corrupt newer one can still fall back. *)
-        let keep_after =
-          match Snapshot.list ~dir:t.cfg.dir with
-          | Error _ | Ok [] -> 0
-          | Ok gens -> (
-              let oldest = List.hd (List.rev gens) in
-              match Snapshot.decode_file (Snapshot.file_of_generation t.cfg.dir oldest) with
-              | Ok s -> s.Snapshot.seq
-              | Error _ -> 0)
-        in
-        (match Journal.rotate t.journal ~keep_after with
-        | Ok _ -> (
-            match t.obs with
-            | None -> ()
-            | Some m -> Metric.incr m.journal_rotations)
-        | Error e ->
-            (* Rotation is space management, not correctness: the journal
-               simply stays longer. *)
-            t.last_error <- Some e;
-            Log.warn (fun m -> m "rotation failed: %s" (Validate.to_string e)));
-        Ok gen
-  in
-  match t.obs with
-  | None -> body ()
-  | Some m ->
-      let timed () =
-        let c0 = Mclock.now_ns () in
-        let r = body () in
-        Metric.observe m.checkpoint_ms (Mclock.ms_since c0);
-        r
-      in
-      (match m.t_trace with
-      | Some sink -> Trace.with_span sink "checkpoint" timed
-      | None -> timed ())
+let recut t = section t (fun m -> m.recut_ms) "recut" recut_body () ()
 
-let ingest_body t ~i ~delta =
-  if t.role = Follower then
-    Error
-      (Validate.Bad_option
-         {
-           what = "ingest";
-           reason = "store is a read-only follower (promote it first)";
-         })
-  else if i < 0 || i >= t.cfg.n then
-    Error
-      (Validate.Bad_value
-         {
-           path = None;
-           line = t.acked + 1;
-           token = string_of_int i;
-           reason = Printf.sprintf "cell out of domain [0, %d)" t.cfg.n;
-         })
-  else if not (Float.is_finite delta) then
-    Error
-      (Validate.Bad_value
-         {
-           path = None;
-           line = t.acked + 1;
-           token = Printf.sprintf "%h" delta;
-           reason = "not finite (NaN/Inf)";
-         })
-  else
-    match
-      Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
-          Journal.append t.journal ~i ~delta)
-    with
-    | Error e ->
-        t.last_error <- Some e;
-        Error e
-    | Ok seq ->
-        (* WAL discipline: the update is on disk before it is applied,
-           so a crash between the two replays it on recovery. *)
-        t.seq <- seq;
-        t.acked <- t.acked + 1;
-        (match t.obs with
-        | None -> ()
-        | Some m ->
-            Metric.incr m.journal_appends;
-            if t.cfg.sync then Metric.incr m.journal_fsyncs;
-            Metric.set m.seq_gauge (float_of_int seq));
-        Stream_synopsis.update t.stream ~i ~delta;
-        if seq mod t.cfg.recut_every = 0 then ignore (recut t);
-        if seq mod t.cfg.checkpoint_every = 0 then ignore (checkpoint t);
-        Ok seq
+(* --- persisting snapshots --- *)
 
-let ingest t ~i ~delta =
-  match t.obs with
-  | None -> ingest_body t ~i ~delta
-  | Some m ->
-      let timed () =
-        let c0 = Mclock.now_ns () in
-        let r = ingest_body t ~i ~delta in
-        (match r with
-        | Ok _ -> Metric.incr m.ingest_accepted
-        | Error _ -> Metric.incr m.ingest_rejected);
-        Metric.observe m.ingest_ms (Mclock.ms_since c0);
-        r
-      in
-      (match m.t_trace with
-      | Some sink -> Trace.with_span sink "ingest" timed
-      | None -> timed ())
-
-(* --- follower replication --- *)
-
-(* One shipped record, journal-before-apply: exactly the ingest
-   discipline, except the sequence number is the primary's and must be
-   reproduced bit-for-bit (the journal assigns [t.seq + 1] internally,
-   which the caller has already checked lines up with the batch). *)
-let apply_record t (r : Journal.record) =
+(* A retried [Snapshot.write] of [state], recorded as the newest
+   generation: the step [checkpoint] and a follower's
+   [install_snapshot] share. *)
+let persist t state =
   match
     Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
-        Journal.append t.journal ~i:r.Journal.i ~delta:r.Journal.delta)
+        Snapshot.write ~fault:t.fault ~keep:t.cfg.keep ~sync:t.cfg.sync
+          ~dir:t.cfg.dir state)
   with
   | Error e ->
       t.last_error <- Some e;
       Error e
-  | Ok seq ->
-      if seq <> r.Journal.seq then
-        Error
-          (Validate.Bad_shape
-             {
-               what = "apply_shipped";
-               reason =
-                 Printf.sprintf
-                   "journal assigned seq %d to shipped record %d — follower \
-                    WAL out of step"
-                   seq r.Journal.seq;
-             })
-      else begin
-        t.seq <- seq;
-        t.acked <- t.acked + 1;
-        (match t.obs with
-        | None -> ()
-        | Some m ->
-            Metric.incr m.journal_appends;
-            if t.cfg.sync then Metric.incr m.journal_fsyncs;
-            Metric.set m.seq_gauge (float_of_int seq));
-        (* Same out-of-domain tolerance as recovery replay: the record
-           stays journaled verbatim, only the apply is skipped. *)
-        if r.Journal.i < t.cfg.n then
-          Stream_synopsis.update t.stream ~i:r.Journal.i ~delta:r.Journal.delta;
-        if seq mod t.cfg.checkpoint_every = 0 then ignore (checkpoint t);
-        Ok seq
-      end
+  | Ok gen as ok ->
+      t.last_generation <- Some gen;
+      (match t.obs with
+      | None -> ()
+      | Some m -> Metric.set m.checkpoint_generation (float_of_int gen));
+      ok
+
+(* Drop the journal's records at or before [keep_after]. Rotation is
+   space management, not correctness: on failure the journal simply
+   stays longer, and [what] names the rotation in the warning. *)
+let compact t ~keep_after ~what =
+  match Journal.rotate t.journal ~keep_after with
+  | Ok _ -> bump t (fun m -> m.journal_rotations)
+  | Error e ->
+      t.last_error <- Some e;
+      Log.warn (fun m -> m "%s failed: %s" what (Validate.to_string e))
+
+let checkpoint_body t () () =
+  match persist t (Snapshot.of_stream ~seq:t.seq t.stream) with
+  | Error e as err ->
+      t.checkpoint_failures <- t.checkpoint_failures + 1;
+      bump t (fun m -> m.checkpoint_failed);
+      Log.warn (fun m -> m "checkpoint failed: %s" (Validate.to_string e));
+      err
+  | Ok _ as ok ->
+      t.checkpoints <- t.checkpoints + 1;
+      bump t (fun m -> m.checkpoint_completed);
+      (* The journal must keep reaching back to the *oldest* retained
+         generation, so a corrupt newer one can still fall back. *)
+      let keep_after =
+        match Snapshot.list ~dir:t.cfg.dir with
+        | Error _ | Ok [] -> 0
+        | Ok gens -> (
+            let oldest = List.hd (List.rev gens) in
+            match Snapshot.decode_file (Snapshot.file_of_generation t.cfg.dir oldest) with
+            | Ok s -> s.Snapshot.seq
+            | Error _ -> 0)
+      in
+      compact t ~keep_after ~what:"rotation";
+      ok
+
+let checkpoint t =
+  section t (fun m -> m.checkpoint_ms) "checkpoint" checkpoint_body () ()
+
+(* --- the write path --- *)
+
+(* Journal, then apply: the one write discipline of [ingest] and of a
+   shipped record. The update is on disk before it touches the state,
+   so a crash between the two replays it on recovery. A shipped record
+   must land at the primary's sequence number [expect] (the journal
+   assigns [t.seq + 1] itself). A cell outside the domain — only a
+   shipped record can carry one — stays journaled verbatim and is not
+   applied, the same tolerance as recovery replay. *)
+let append ?expect t ~i ~delta =
+  match
+    Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
+        Journal.append t.journal ~i ~delta)
+  with
+  | Error e ->
+      t.last_error <- Some e;
+      Error e
+  | Ok seq as ok -> (
+      match expect with
+      | Some want when want <> seq ->
+          bad_shape "apply_shipped"
+            (Printf.sprintf
+               "journal assigned seq %d to shipped record %d — follower WAL \
+                out of step"
+               seq want)
+      | _ ->
+          t.seq <- seq;
+          t.acked <- t.acked + 1;
+          (match t.obs with
+          | None -> ()
+          | Some m ->
+              Metric.incr m.journal_appends;
+              if t.cfg.sync then Metric.incr m.journal_fsyncs;
+              Metric.set m.seq_gauge (float_of_int seq));
+          if i < t.cfg.n then Stream_synopsis.update t.stream ~i ~delta;
+          ok)
+
+let ingest_body t i delta =
+  let r =
+    if t.role = Follower then
+      bad_option "ingest" "store is a read-only follower (promote it first)"
+    else if i < 0 || i >= t.cfg.n then
+      Error
+        (Validate.Bad_value
+           {
+             path = None;
+             line = t.acked + 1;
+             token = string_of_int i;
+             reason = Printf.sprintf "cell out of domain [0, %d)" t.cfg.n;
+           })
+    else if not (Float.is_finite delta) then
+      Error
+        (Validate.Bad_value
+           {
+             path = None;
+             line = t.acked + 1;
+             token = Printf.sprintf "%h" delta;
+             reason = "not finite (NaN/Inf)";
+           })
+    else
+      match append t ~i ~delta with
+      | Error _ as e -> e
+      | Ok seq as ok ->
+          if seq mod t.cfg.recut_every = 0 then ignore (recut t);
+          if seq mod t.cfg.checkpoint_every = 0 then ignore (checkpoint t);
+          ok
+  in
+  (match t.obs with
+  | None -> ()
+  | Some m ->
+      Metric.incr
+        (match r with Ok _ -> m.ingest_accepted | Error _ -> m.ingest_rejected));
+  r
+
+let ingest t ~i ~delta =
+  section t (fun m -> m.ingest_ms) "ingest" ingest_body i delta
+
+(* --- follower replication --- *)
 
 let apply_shipped t (batch : Journal.batch) =
   if t.role <> Follower then
-    Error
-      (Validate.Bad_option
-         {
-           what = "apply_shipped";
-           reason = "store is not a follower";
-         })
+    bad_option "apply_shipped" "store is not a follower"
   else if batch.Journal.b_since <> t.seq then
-    Error
-      (Validate.Bad_shape
-         {
-           what = "apply_shipped";
-           reason =
-             Printf.sprintf "batch continues from seq %d but store is at %d"
-               batch.Journal.b_since t.seq;
-         })
+    bad_shape "apply_shipped"
+      (Printf.sprintf "batch continues from seq %d but store is at %d"
+         batch.Journal.b_since t.seq)
   else begin
+    (* Re-cuts are the serving layer's business; only the checkpoint
+       cadence runs here. *)
     let rec go = function
       | [] -> Ok t.seq
-      | r :: tl -> (
-          match apply_record t r with Ok _ -> go tl | Error _ as e -> e)
+      | { Journal.seq; i; delta } :: tl -> (
+          match append ~expect:seq t ~i ~delta with
+          | Ok seq ->
+              if seq mod t.cfg.checkpoint_every = 0 then ignore (checkpoint t);
+              go tl
+          | Error _ as e -> e)
     in
     go batch.Journal.b_records
   end
 
 let install_snapshot t (state : Snapshot.state) =
   if t.role <> Follower then
-    Error
-      (Validate.Bad_option
-         {
-           what = "install_snapshot";
-           reason = "store is not a follower";
-         })
+    bad_option "install_snapshot" "store is not a follower"
   else if state.Snapshot.n <> t.cfg.n then
-    Error
-      (Validate.Bad_shape
-         {
-           what = "install_snapshot";
-           reason =
-             Printf.sprintf
-               "snapshot domain %d does not match store domain %d"
-               state.Snapshot.n t.cfg.n;
-         })
+    bad_shape "install_snapshot"
+      (Printf.sprintf "snapshot domain %d does not match store domain %d"
+         state.Snapshot.n t.cfg.n)
   else if state.Snapshot.seq < t.seq then
-    Error
-      (Validate.Bad_shape
-         {
-           what = "install_snapshot";
-           reason =
-             Printf.sprintf "snapshot seq %d is behind store seq %d"
-               state.Snapshot.seq t.seq;
-         })
+    bad_shape "install_snapshot"
+      (Printf.sprintf "snapshot seq %d is behind store seq %d"
+         state.Snapshot.seq t.seq)
   else
-    match
-      Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
-          Snapshot.write ~fault:t.fault ~keep:t.cfg.keep ~sync:t.cfg.sync
-            ~dir:t.cfg.dir state)
-    with
-    | Error e ->
-        t.last_error <- Some e;
-        Error e
+    match persist t state with
+    | Error _ as e -> e
     | Ok gen -> (
-        t.last_generation <- Some gen;
-        (match t.obs with
-        | None -> ()
-        | Some m -> Metric.set m.checkpoint_generation (float_of_int gen));
         let stream = Snapshot.to_stream state in
-        (match t.obs with
-        | None -> ()
-        | Some m ->
-            Stream_synopsis.set_observer stream
-              (Some
-                 (fun touches ->
-                   Metric.incr m.stream_updates;
-                   Metric.incr ~by:touches m.stream_coeff_touches)));
+        observe_stream t.obs stream;
         t.stream <- stream;
         (* Re-align the WAL writer with the installed history: records
            at or before the snapshot are superseded, and the next
@@ -828,16 +742,7 @@ let install_snapshot t (state : Snapshot.state) =
         | Ok j ->
             t.journal <- j;
             t.seq <- state.Snapshot.seq;
-            (match Journal.rotate j ~keep_after:state.Snapshot.seq with
-            | Ok _ -> (
-                match t.obs with
-                | None -> ()
-                | Some m -> Metric.incr m.journal_rotations)
-            | Error e ->
-                t.last_error <- Some e;
-                Log.warn (fun m ->
-                    m "post-install rotation failed: %s"
-                      (Validate.to_string e)));
+            compact t ~keep_after:t.seq ~what:"post-install rotation";
             (match t.obs with
             | None -> ()
             | Some m -> Metric.set m.seq_gauge (float_of_int t.seq));

@@ -27,7 +27,6 @@ type config = {
   checkpoint_every : int;  (** updates between snapshots *)
   recut_every : int;  (** updates between ladder re-cuts *)
   recut_deadline_ms : float option;  (** deadline slice per re-cut *)
-  recut_state_cap : int option;  (** deterministic alternative budget *)
   keep : int;  (** snapshot generations retained *)
   sync : bool;  (** fsync journal appends and snapshots *)
 }
@@ -37,7 +36,6 @@ val config :
   ?checkpoint_every:int ->
   ?recut_every:int ->
   ?recut_deadline_ms:float ->
-  ?recut_state_cap:int ->
   ?keep:int ->
   ?sync:bool ->
   dir:string ->

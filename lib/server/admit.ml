@@ -115,8 +115,3 @@ let note_round t ~shed =
   end
   else t.quiet_rounds <- 0;
   t.pressure <> before
-
-let top_of_pressure = function
-  | 0 -> `Minmax
-  | 1 -> `Approx
-  | _ -> `Greedy

@@ -7,10 +7,11 @@
     integer (0..2) driven purely by shedding history, never by
     wall-clock time: a shedding round raises it one level, a run of
     eight consecutive quiet rounds (nothing shed, queue drained) lowers
-    it one level. {!top_of_pressure} maps the level to the highest
-    {!Wavesyn_robust.Ladder} tier the server should attempt, so the
-    serving path steps down the very same ladder the in-process path
-    uses — and the trajectory is identical for every [--jobs] value. *)
+    it one level. The level's owner of record is
+    {!Wavesyn_robust.Ladder.top_of_pressure}, which maps it to the
+    highest ladder tier the server should attempt, so the serving path
+    steps down the very same ladder the in-process path uses — and the
+    trajectory is identical for every [--jobs] value. *)
 
 type 'a t
 
@@ -47,7 +48,3 @@ val shed_total : 'a t -> int
 
 val admitted_total : 'a t -> int
 (** Requests admitted since creation. *)
-
-val top_of_pressure : int -> [ `Minmax | `Approx | `Greedy ]
-(** Highest ladder tier worth attempting at a pressure level: 0 →
-    [`Minmax], 1 → [`Approx], 2+ → [`Greedy]. *)

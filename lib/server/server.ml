@@ -225,7 +225,7 @@ let tiers_seq t =
 let recut ?(cadenced = false) t =
   bump_epoch t;
   let level = max (Admit.pressure t.admit) t.tier_floor in
-  let top = Admit.top_of_pressure level in
+  let top = Ladder.top_of_pressure level in
   let counted () =
     if not cadenced then begin
       t.total_recuts <- t.total_recuts + 1;
@@ -237,11 +237,7 @@ let recut ?(cadenced = false) t =
   | Router r, _ ->
       Shard.retier r level;
       t.tier_name <-
-        Ladder.tier_name
-          (match top with
-          | `Minmax -> Ladder.Minmax
-          | `Approx -> Ladder.Approx_additive { epsilon = t.cfg.epsilon }
-          | `Greedy -> Ladder.Greedy_maxerr);
+        Ladder.tier_name (Ladder.tier_of_top ~epsilon:t.cfg.epsilon top);
       counted ()
   | (Static _ | Live _), Some ts when Tiers.fresh ts ~seq:(tiers_seq t) ->
       let e = Tiers.select ts ~level in

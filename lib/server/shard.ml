@@ -314,10 +314,18 @@ let compose t req =
     | _ -> Wire.Error { code = Wire.Internal; message = "not an admitted kind" }
   with Routed reply -> reply
 
+let rec queued ~lo ~hi = function
+  | Wire.Range r :: _ when r.lo = lo && r.hi = hi -> true
+  | _ :: rest -> queued ~lo ~hi rest
+  | [] -> false
+
 (* The gather phase: each in-domain POINT's rebased cell and each RANGE
    sub-range the memo does not hold, queued per shard in arrival order.
    The memo probe counts no lookup, so [memo_hits + memo_misses] stays
-   one per sub-range the compose phase asks for. *)
+   one per sub-range the compose phase asks for. With the memo on, a
+   sub-range already queued this round is not queued again: the first
+   copy's compose memoises it and the later copies hit. Without it
+   each copy takes its own reply. *)
 let gather t req =
   match req with
   | Wire.Point i when Option.is_none (Wire.point_refusal ~n:t.n i) ->
@@ -328,7 +336,9 @@ let gather t req =
       iter_subranges t ~lo ~hi (fun k lo hi ->
           let held =
             match t.memo with
-            | Some memo -> Rcache.mem memo ~epoch:t.memo_epoch (k, lo, hi)
+            | Some memo ->
+                Rcache.mem memo ~epoch:t.memo_epoch (k, lo, hi)
+                || queued ~lo ~hi t.sent.(k)
             | None -> false
           in
           if not held then t.sent.(k) <- Wire.Range { lo; hi } :: t.sent.(k))

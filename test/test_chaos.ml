@@ -377,6 +377,99 @@ let test_engine_store_roundtrip () =
             (Float.equal r.Engine.guarantee
                (Engine.guarantee r.Engine.engine Metrics.Abs)))
 
+
+(* --- the write path's cost and its shipped twin --- *)
+
+(* Minor words per [ingest] on updates that hit no cadence, with
+   [sync:false], 200 updates at n=16: the record's text, the retry
+   closure and the result, plus the section's timing with [obs] (an
+   untraced section builds no closure). The pins are the exact counts,
+   so any allocation added to the write path fails them. *)
+let ingest_words ?obs () =
+  with_store (fun dir ->
+      let sup =
+        must
+          (Supervisor.open_store ?obs
+             (cfg ~checkpoint_every:1_000_000 dir ~n:16))
+      in
+      let ingest k = ignore (Supervisor.ingest sup ~i:(k land 15) ~delta:0.5) in
+      ingest 0;
+      let rounds = 200 in
+      let w0 = Gc.minor_words () in
+      for k = 1 to rounds do
+        ingest k
+      done;
+      let words = (Gc.minor_words () -. w0) /. float_of_int rounds in
+      Supervisor.close sup;
+      words)
+
+let test_ingest_allocation () =
+  let pinned name words limit =
+    check (Printf.sprintf "%s: %.2f words per ingest <= %.2f" name words limit)
+      true (words <= limit)
+  in
+  pinned "bare" (ingest_words ()) 149.11;
+  pinned "obs" (ingest_words ~obs:(Wavesyn_obs.Registry.create ()) ()) 160.11
+
+(* A primary's updates, shipped and applied on a follower, leave the
+   same store behind: WAL bytes, sequence, coefficient bits, and the
+   journal and checkpoint telemetry. Both stores write a generation at
+   seq 0 first, so each later rotation keeps the whole journal (it
+   reaches back to the oldest generation) and one batch can carry
+   every record across two checkpoints. *)
+let test_shipped_matches_primary () =
+  let n = 16 and k = 20 in
+  let ups = gen_updates ~n ~m:k ~seed:29 in
+  with_store (fun dir_p ->
+      with_store (fun dir_f ->
+          let open_side role dir =
+            let reg = Wavesyn_obs.Registry.create () in
+            let config =
+              Supervisor.config ~checkpoint_every:8 ~recut_every:1_000_000
+                ~sync:true ~dir ~n ~budget:4 Metrics.Abs
+            in
+            let sup = must (Supervisor.open_store ~obs:reg ~role config) in
+            ignore (must (Supervisor.checkpoint sup));
+            (sup, reg)
+          in
+          let p, reg_p = open_side Supervisor.Primary dir_p in
+          let f, reg_f = open_side Supervisor.Follower dir_f in
+          ingest_all p ups ~from:0 ~until:k;
+          let batch =
+            must (Journal.ship ~dir:dir_p ~since:0 ~seq:(Supervisor.seq p)
+                    ~max:k ())
+          in
+          checki "one batch carries every record" k
+            (List.length batch.Journal.b_records);
+          checki "follower lands on the primary's seq" k
+            (must (Supervisor.apply_shipped f batch));
+          Supervisor.close p;
+          Supervisor.close f;
+          let wal dir = must (Validate.read_whole (Journal.path ~dir)) in
+          checks "WAL bytes" (wal dir_p) (wal dir_f);
+          checks "coefficient bits" (sup_fingerprint p) (sup_fingerprint f);
+          let module R = Wavesyn_obs.Registry in
+          let module M = Wavesyn_obs.Metric in
+          List.iter
+            (fun name ->
+              checki name
+                (M.counter_value (R.counter reg_p name))
+                (M.counter_value (R.counter reg_f name)))
+            [
+              "store.journal.appends"; "store.journal.fsyncs";
+              "store.journal.rotations"; "store.checkpoint.completed";
+              "store.checkpoint.failed";
+            ];
+          checki "store.checkpoint.ms count"
+            (M.hist_count (R.histogram reg_p "store.checkpoint.ms"))
+            (M.hist_count (R.histogram reg_f "store.checkpoint.ms"));
+          check "store.checkpoint.generation" true
+            (Float.equal
+               (M.gauge_value (R.gauge reg_p "store.checkpoint.generation"))
+               (M.gauge_value (R.gauge reg_f "store.checkpoint.generation")));
+          checki "three checkpoints each" 3
+            (M.counter_value (R.counter reg_f "store.checkpoint.completed"))))
+
 let () =
   Alcotest.run "chaos-store"
     [
@@ -407,5 +500,12 @@ let () =
         [
           Alcotest.test_case "durable store roundtrip" `Quick
             test_engine_store_roundtrip;
+        ] );
+      ( "write-path",
+        [
+          Alcotest.test_case "ingest allocation pinned" `Quick
+            test_ingest_allocation;
+          Alcotest.test_case "shipped batch matches its primary" `Quick
+            test_shipped_matches_primary;
         ] );
     ]

@@ -1188,6 +1188,20 @@ let test_solver_corners () =
         corner_budgets)
     corner_inputs
 
+(* The pressure→tier map the serving layer and the pre-cut tiers share:
+   level to ladder top, and top to the tier a serve there tries first. *)
+let test_ladder_top_of_pressure () =
+  check "top 0" true (Ladder.top_of_pressure 0 = `Minmax);
+  check "top 1" true (Ladder.top_of_pressure 1 = `Approx);
+  check "top 2" true (Ladder.top_of_pressure 2 = `Greedy);
+  List.iter
+    (fun (top, name) ->
+      checks name name (Ladder.tier_name (Ladder.tier_of_top ~epsilon:0.25 top)))
+    [
+      (`Minmax, "minmax"); (`Approx, "approx(eps=0.25)");
+      (`Greedy, "greedy-maxerr");
+    ]
+
 let test_ladder_corners () =
   List.iter
     (fun (dname, data) ->
@@ -1426,6 +1440,8 @@ let () =
           Alcotest.test_case "invalid input is a structured error" `Quick
             test_ladder_rejects_bad_input;
           Alcotest.test_case "corner inputs" `Quick test_ladder_corners;
+          Alcotest.test_case "pressure to tier map" `Quick
+            test_ladder_top_of_pressure;
           QCheck_alcotest.to_alcotest prop_ladder_serves_random_inputs;
           QCheck_alcotest.to_alcotest prop_ladder_state_cap_still_serves;
           QCheck_alcotest.to_alcotest prop_ladder_attempt_order;

@@ -698,6 +698,49 @@ let test_one_frame_per_shard_per_round () =
       done)
     [ (1, false); (2, false); (2, true); (4, false); (4, true) ]
 
+(* A sub-range two requests of one round need travels once with the
+   memo on: the second copy is a memo hit. Without the memo each copy
+   keeps its own entry. The replies are those of per-request [eval]. *)
+let test_repeated_subrange_queued_once () =
+  let n = 8 in
+  let data = Array.init n (fun i -> float_of_int (i * i)) in
+  let ranges = must_s (Shard.split ~n ~shards:2) in
+  let round =
+    [| Wire.Range { lo = 1; hi = 3 }; Wire.Range { lo = 1; hi = 3 }; Wire.Point 2 |]
+  in
+  let router ~memo frames =
+    let r =
+      must_s
+        (Shard.router ~n ~ranges
+           (stub_rpcs ~refuse:false ~mode:Honest ~frames ~ranges data))
+    in
+    if memo then Shard.set_cache r ~cap:64;
+    r
+  in
+  let want = Array.map (Shard.eval (router ~memo:false (Array.make 2 []))) round in
+  List.iter
+    (fun (memo, entries) ->
+      let tag = Printf.sprintf " (memo %b)" memo in
+      let frames = Array.make 2 [] in
+      let r = router ~memo frames in
+      let got = Shard.eval_round r round in
+      Array.iteri
+        (fun i w ->
+          checks ("reply " ^ string_of_int i ^ tag) (Wire.encode_reply w)
+            (Wire.encode_reply got.(i)))
+        want;
+      checks ("shard 0 frames" ^ tag)
+        (Wire.describe_request (Wire.Batch entries))
+        (String.concat " | " (List.map Wire.describe_request frames.(0)));
+      checki ("shard 1 frames" ^ tag) 0 (List.length frames.(1));
+      checki ("memo hits" ^ tag) (if memo then 1 else 0) (Shard.memo_hits r);
+      checki ("memo misses" ^ tag) (if memo then 1 else 0) (Shard.memo_misses r))
+    [
+      (true, [ Wire.Range { lo = 1; hi = 3 }; Wire.Point 2 ]);
+      ( false,
+        [ Wire.Range { lo = 1; hi = 3 }; Wire.Range { lo = 1; hi = 3 }; Wire.Point 2 ] );
+    ]
+
 (* The per-shard sections of a front-end STATS body, in shard-index
    order, each as its lines. *)
 let shard_sections body =
@@ -1164,6 +1207,8 @@ let () =
             test_one_frame_per_shard_per_round;
           Alcotest.test_case "a full round never sheds a shard" `Quick
             test_full_round_never_sheds_a_shard;
+          Alcotest.test_case "a repeated sub-range is queued once" `Quick
+            test_repeated_subrange_queued_once;
         ] );
       ( "refusals and cache keys",
         [
