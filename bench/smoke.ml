@@ -19,6 +19,7 @@ open Toolkit
 module Prng = Wavesyn_util.Prng
 module Signal = Wavesyn_datagen.Signal
 module Metrics = Wavesyn_synopsis.Metrics
+module Synopsis = Wavesyn_synopsis.Synopsis
 module Range_query = Wavesyn_synopsis.Range_query
 module Quantiles = Wavesyn_aqp.Quantiles
 module Minmax_dp = Wavesyn_core.Minmax_dp
@@ -86,6 +87,10 @@ let cases =
       (Staged.stage (fun () -> ignore (Range_query.range_sum syn ~lo:100 ~hi:3000)));
     Test.make ~name:"E10/quantile-from-synopsis:4096"
       (Staged.stage (fun () -> ignore (Quantiles.search_synopsis quantile_syn ~q:0.37)));
+    Test.make ~name:"E10/point-from-synopsis:1024-b128"
+      (Staged.stage (fun () -> ignore (Synopsis.reconstruct_point read_cold_syn 613)));
+    Test.make ~name:"E10/range-sum-from-synopsis:1024-b128"
+      (Staged.stage (fun () -> ignore (Range_query.range_sum read_cold_syn ~lo:137 ~hi:801)));
     Test.make ~name:"E10/quantile-from-synopsis:1024-b128"
       (Staged.stage (fun () -> ignore (Quantiles.search_synopsis read_cold_syn ~q:0.37)));
     Test.make ~name:"E11/stream-update:4096"

@@ -5,9 +5,9 @@
     is the smallest domain value whose cumulative frequency reaches a
     [q] fraction of the total. Cumulative frequencies are prefix range
     sums, which the synopsis answers from the error-tree path of one
-    cell in O(log N log B). The binary search over them descends the
-    error tree once, seeking each descent node's coefficient once, so
-    a quantile costs O(log N log B + log² N) — no data access. *)
+    cell in O(log N). The binary search over them descends the error
+    tree once, looking each descent node's coefficient up once, so a
+    quantile costs O(log² N) — no data access. *)
 
 val cumulative : Wavesyn_synopsis.Synopsis.t -> int -> float
 (** Estimated cumulative frequency of domain values [0 .. i]. *)
@@ -33,7 +33,7 @@ val search_synopsis :
 (** {!search} over {!cumulative} of the synopsis, with the same result
     when the retained values are finite, computed by
     {!Wavesyn_synopsis.Range_query.prefix_crossing} in
-    O(log N log B + log² N): no closure, and nothing allocated but the
+    O(log² N): no closure, and nothing allocated but the
     result. An infinite retained value turns neither the total nor a
     probe NaN where it only adds [inf * 0] to the full path sum. *)
 

@@ -150,6 +150,8 @@ let prune ~dir ~keep gens =
   in
   drop 0 gens
 
+type written = { gen : int; intact : bool }
+
 let write ?(fault = Fault.none) ?(keep = 3) ?(sync = true) ~dir state =
   if keep < 1 then invalid_arg "Snapshot.write: keep must be at least 1";
   match list ~dir with
@@ -171,10 +173,10 @@ let write ?(fault = Fault.none) ?(keep = 3) ?(sync = true) ~dir state =
             ignore (write_payload ~sync:false final prefix);
             raise (Fault.Injected Fault.Torn_write)
         | None -> (
-            let payload =
+            let payload, intact =
               match Fault.flip_bit fault payload with
-              | Some corrupted -> corrupted
-              | None -> payload
+              | Some corrupted -> (corrupted, false)
+              | None -> (payload, true)
             in
             let tmp = final ^ ".tmp" in
             match write_payload ~sync tmp payload with
@@ -189,7 +191,7 @@ let write ?(fault = Fault.none) ?(keep = 3) ?(sync = true) ~dir state =
                     Log.debug (fun m ->
                         m "wrote generation %d (seq %d, kept %d)" gen state.seq
                           (List.length kept));
-                    Ok gen))
+                    Ok { gen; intact }))
       end
 
 type recovery = {

@@ -63,22 +63,32 @@ val list : dir:string -> (int list, Validate.error) result
 val decode_file : string -> (state, Validate.error) result
 (** Read and {!decode} one generation file. *)
 
+type written = {
+  gen : int;  (** the generation written *)
+  intact : bool;
+      (** [false] when an injected [Bit_flip] corrupted the bytes on
+          disk, which {!decode} then rejects *)
+}
+
 val write :
   ?fault:Fault.t ->
   ?keep:int ->
   ?sync:bool ->
   dir:string ->
   state ->
-  (int, Validate.error) result
+  (written, Validate.error) result
 (** Atomically persist a new generation and prune to the [keep]
-    (default 3, at least 1) newest; returns the generation written.
+    (default 3, at least 1) newest; returns the generation written,
+    and whether it went to disk intact, so a writer knows which
+    retained generations verify without reading them back.
     [sync] (default true) controls fsync — tests disable it for speed.
 
     Fault points, in order: [Io_flaky] returns an [Io_error] having
     written nothing; [Torn_write] persists a prefix of the payload
     under the {e final} name and raises {!Fault.Injected} (the
     simulated mid-write kill); [Bit_flip] silently corrupts one bit
-    and reports success — only {!read_latest}'s CRC check can tell. *)
+    and reports success with [intact = false] — a reader can tell
+    only by {!read_latest}'s CRC check. *)
 
 type recovery = {
   state : state option;  (** newest generation that verified, if any *)

@@ -175,7 +175,8 @@ let rebuild ~dir ~n =
         corrupt_generations = snap.Snapshot.corrupt;
         replayed = List.length replay.Journal.records;
         truncated = replay.Journal.truncated;
-      } )
+      },
+      snap )
 
 type recovered = {
   r_config : config;
@@ -192,7 +193,7 @@ let recover ~dir =
   else
     let* n, budget, metric, epsilon = read_manifest dir in
     let cfg = config ~epsilon ~dir ~n ~budget metric in
-    let* stream, seq, recovery = rebuild ~dir ~n in
+    let* stream, seq, recovery, _ = rebuild ~dir ~n in
     Ok { r_config = cfg; r_stream = stream; r_seq = seq; r_recovery = recovery }
 
 (* --- telemetry ---
@@ -353,6 +354,13 @@ type t = {
   mutable checkpoint_failures : int;
   mutable last_generation : int option;
   mutable last_error : Validate.error option;
+  mutable retained : (int * int Lazy.t) list;
+      (* The snapshot generations on disk, newest first, each with the
+         seq the journal is compacted through while it is the oldest:
+         its own seq when it verifies, else 0 (torn, or written with a
+         flipped bit). A generation recovery did not read is decoded
+         when first forced. *)
+  mutable keep_after : int;
   recovery : recovery;
 }
 
@@ -393,7 +401,27 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
     | Error (Validate.Io_error _) -> write_manifest cfg
     | Error _ as e -> e
   in
-  let* stream, seq, recovery = rebuild ~dir:cfg.dir ~n:cfg.n in
+  let* stream, seq, recovery, snap = rebuild ~dir:cfg.dir ~n:cfg.n in
+  (* Recovery read the generation it restored and the newer ones it
+     rejected; the older ones stay unread until one is the oldest. *)
+  let* gens = Snapshot.list ~dir:cfg.dir in
+  let retained =
+    List.map
+      (fun g ->
+        match snap.Snapshot.state with
+        | Some st when snap.Snapshot.generation = Some g ->
+            (g, Lazy.from_val st.Snapshot.seq)
+        | _ when List.mem g snap.Snapshot.corrupt -> (g, Lazy.from_val 0)
+        | _ ->
+            ( g,
+              lazy
+                (match
+                   Snapshot.decode_file (Snapshot.file_of_generation cfg.dir g)
+                 with
+                | Ok s -> s.Snapshot.seq
+                | Error _ -> 0) ))
+      gens
+  in
   (* Clear any torn/corrupt tail before appending: a new record glued
      onto a partial line would itself be unreadable. *)
   let* _ =
@@ -441,6 +469,8 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
       checkpoint_failures = 0;
       last_generation = None;
       last_error = None;
+      retained;
+      keep_after = 0;
       recovery;
     }
 
@@ -450,6 +480,7 @@ let role t = t.role
 let last_recovery t = t.recovery
 let last_served t = t.served
 let last_error t = t.last_error
+let keep_after t = t.keep_after
 
 let promote t =
   if t.role = Follower then begin
@@ -555,7 +586,10 @@ let recut t = section t (fun m -> m.recut_ms) "recut" recut_body () ()
 
 (* A retried [Snapshot.write] of [state], recorded as the newest
    generation: the step [checkpoint] and a follower's
-   [install_snapshot] share. *)
+   [install_snapshot] share. [retained] follows the directory as
+   [Snapshot.write] leaves it: the new generation in front, pruned to
+   [keep]. A torn write is the simulated death of the process: the
+   store is reopened, and [open_store] reads the directory afresh. *)
 let persist t state =
   match
     Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
@@ -565,12 +599,15 @@ let persist t state =
   | Error e ->
       t.last_error <- Some e;
       Error e
-  | Ok gen as ok ->
+  | Ok { Snapshot.gen; intact } ->
+      let seq = Lazy.from_val (if intact then state.Snapshot.seq else 0) in
+      t.retained <-
+        List.filteri (fun k _ -> k < t.cfg.keep) ((gen, seq) :: t.retained);
       t.last_generation <- Some gen;
       (match t.obs with
       | None -> ()
       | Some m -> Metric.set m.checkpoint_generation (float_of_int gen));
-      ok
+      Ok gen
 
 (* Drop the journal's records at or before [keep_after]. Rotation is
    space management, not correctness: on failure the journal simply
@@ -594,16 +631,11 @@ let checkpoint_body t () () =
       bump t (fun m -> m.checkpoint_completed);
       (* The journal must keep reaching back to the *oldest* retained
          generation, so a corrupt newer one can still fall back. *)
-      let keep_after =
-        match Snapshot.list ~dir:t.cfg.dir with
-        | Error _ | Ok [] -> 0
-        | Ok gens -> (
-            let oldest = List.hd (List.rev gens) in
-            match Snapshot.decode_file (Snapshot.file_of_generation t.cfg.dir oldest) with
-            | Ok s -> s.Snapshot.seq
-            | Error _ -> 0)
-      in
-      compact t ~keep_after ~what:"rotation";
+      t.keep_after <-
+        (match List.rev t.retained with
+        | [] -> 0
+        | (_, seq) :: _ -> Lazy.force seq);
+      compact t ~keep_after:t.keep_after ~what:"rotation";
       ok
 
 let checkpoint t =

@@ -115,7 +115,18 @@ val recut :
 val checkpoint : t -> (int, Validate.error) result
 (** Snapshot the current state (atomically, rotated) and compact the
     journal back to the oldest retained generation; returns the new
-    generation. Failures are also recorded in {!stats}. *)
+    generation. Failures are also recorded in {!stats}. The store
+    keeps each retained generation's seq, and whether it verifies, as
+    it writes it (recovery's generations are seeded at {!open_store}),
+    so a checkpoint neither lists the snapshot directory nor reads a
+    generation back; one recovery left unread is decoded once, the
+    first time it is the oldest. *)
+
+val keep_after : t -> int
+(** The seq the last successful {!checkpoint} compacted the journal
+    through: the oldest retained generation's seq, or [0] (nothing
+    dropped) when that generation does not verify. [0] before the
+    first checkpoint. *)
 
 val stream : t -> Wavesyn_stream.Stream_synopsis.t
 (** The live coefficient state (do not mutate behind the loop's back —

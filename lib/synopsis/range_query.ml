@@ -28,32 +28,30 @@ let[@inline] term s t ~lo ~hi =
 
 (* The sum over [lo, hi] from the error-tree paths of its two ends
    (Section 2.2): c0, then at each level the ancestor of [lo] and, when
-   it differs, the ancestor of [hi], each looked up among the level's
-   slots, the second from the first's position on. Any other
-   coefficient's support lies inside or outside [lo, hi], so its term
-   is [c * 0]; adding that to a sum that starts at [+0.] never changes
-   it. Path indices grow level by level, and [anc lo <= anc hi] within
-   a level, so the remaining terms come in the ascending order of the
-   full O(B) loop: the same bits whenever the retained values are
-   finite. *)
+   it differs, the ancestor of [hi], each found by one rank lookup.
+   Any other coefficient's support lies inside or outside [lo, hi], so
+   its term is [c * 0]; adding that to a sum that starts at [+0.] never
+   changes it. Path indices grow level by level, and [anc lo <= anc hi]
+   within a level, so the remaining terms come in the ascending order
+   of the full O(B) loop: the same bits whenever the retained values
+   are finite. *)
 let range_sum syn ~lo ~hi =
   let n = Synopsis.n syn in
   check_range ~n ~lo ~hi;
   let s = Synopsis.supports syn in
-  let { Synopsis.index; level; _ } = s in
+  let level = s.Synopsis.level in
   let levels = Array.length level - 1 in
   let acc = ref 0. in
   if level.(0) > 0 then acc := !acc +. term s 0 ~lo ~hi;
   for l = 0 to levels - 1 do
-    let shift = levels - l and until = level.(l + 1) in
+    let shift = levels - l in
     let a = (n + lo) lsr shift and b = (n + hi) lsr shift in
-    let from = ref level.(l) in
-    for e = 0 to if b = a then 0 else 1 do
-      let j = if e = 0 then a else b in
-      let slot = Synopsis.seek index ~from:!from ~until j in
-      if slot < until && index.(slot) = j then acc := !acc +. term s slot ~lo ~hi;
-      from := slot
-    done
+    let p = Synopsis.slot s a in
+    if p >= 0 then acc := !acc +. term s p ~lo ~hi;
+    if b <> a then begin
+      let p = Synopsis.slot s b in
+      if p >= 0 then acc := !acc +. term s p ~lo ~hi
+    end
   done;
   !acc
 
@@ -64,42 +62,69 @@ let[@inline] total syn =
   if s.Synopsis.level.(0) > 0 then term s 0 ~lo:0 ~hi:(Synopsis.n syn - 1)
   else 0.
 
-(* One slot per detail level: the slot of the descent's node at that
-   level, or -1 when it is not retained. Per domain, because servers
-   evaluate under [Pool.map_chunked]; 63 levels cover any [n]. *)
-let descent_slots = Domain.DLS.new_key (fun () -> Array.make 63 (-1))
+(* The descent's nodes, one entry per detail level: [slot] is the
+   node's slot, or -1 when it is not retained. Once the descent has
+   left a node for one of its halves, every later probe covers
+   [0, cover) with [cover] inside that half, so the node's term is its
+   value times [base + sign * cover]: [cover - start] under the left
+   half, [(mid - start) - (cover - mid)] under the right one. (c0's
+   term is its value times [cover], the probed node's its value times
+   [cover - lo], its left half.) Per domain, because servers evaluate
+   under [Pool.map_chunked]; 63 levels cover any [n]. *)
+type descent = { slot : int array; base : int array; sign : int array }
+
+let descent_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        slot = Array.make 63 (-1);
+        base = Array.make 63 0;
+        sign = Array.make 63 0;
+      })
 
 (* [Wavesyn_aqp.Quantiles.search]'s bisection as one descent of the
    error tree (Section 2.2). On [[lo, hi]], a node at level [k], the
    probe [mid] is the last cell of the node's left half, so in the sum
    over [[0, mid]] only c0 and the descent's nodes at levels [0 .. k]
    have a term that is not [c * 0]: every other coefficient's support
-   lies wholly inside or outside [[0, mid]]. Each node's slot is sought
-   once, when the descent reaches it, and each probe adds c0's term and
-   those nodes' terms in level order: the order {!range_sum} adds them
-   in, so the same bits whenever the retained values are finite. *)
+   lies wholly inside or outside [[0, mid]]. Each node's slot is looked
+   up once, when the descent reaches it, and each probe adds c0's term
+   and those nodes' terms in level order: the order {!range_sum} adds
+   them in, each the same product of its value and the same integer
+   overlap difference, so the same bits whenever the retained values
+   are finite. *)
 let prefix_crossing syn ~q =
   let total = total syn in
   if total <= 0. then -1
   else begin
     let target = q *. total in
     let s = Synopsis.supports syn in
-    let { Synopsis.index; level; _ } = s in
+    let { Synopsis.level; value; _ } = s in
     let levels = Array.length level - 1 in
-    let slots = Domain.DLS.get descent_slots in
+    let { slot; base; sign } = Domain.DLS.get descent_key in
     let lo = ref 0 and hi = ref (Synopsis.n syn - 1) and k = ref 0 in
     while !lo < !hi do
-      let mid = (!lo + !hi) / 2 and until = level.(!k + 1) in
-      let j = (1 lsl !k) + (!lo lsr (levels - !k)) in
-      let slot = Synopsis.seek index ~from:level.(!k) ~until j in
-      slots.(!k) <- (if slot < until && index.(slot) = j then slot else -1);
+      let mid = (!lo + !hi) / 2 in
+      let cover = mid + 1 in
+      let here = Synopsis.slot s ((1 lsl !k) + (!lo lsr (levels - !k))) in
+      slot.(!k) <- here;
       let acc = ref 0. in
-      if level.(0) > 0 then acc := !acc +. term s 0 ~lo:0 ~hi:mid;
-      for l = 0 to !k do
-        let t = slots.(l) in
-        if t >= 0 then acc := !acc +. term s t ~lo:0 ~hi:mid
+      if level.(0) > 0 then acc := !acc +. (value.(0) *. float_of_int cover);
+      for l = 0 to !k - 1 do
+        let t = slot.(l) in
+        if t >= 0 then
+          acc := !acc +. (value.(t) *. float_of_int (base.(l) + (sign.(l) * cover)))
       done;
-      if !acc >= target then hi := mid else lo := mid + 1;
+      if here >= 0 then acc := !acc +. (value.(here) *. float_of_int (cover - !lo));
+      if !acc >= target then begin
+        base.(!k) <- - !lo;
+        sign.(!k) <- 1;
+        hi := mid
+      end
+      else begin
+        base.(!k) <- (2 * cover) - !lo;
+        sign.(!k) <- -1;
+        lo := cover
+      end;
       incr k
     done;
     !lo

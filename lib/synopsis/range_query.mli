@@ -6,15 +6,15 @@
     over any rectangle costs O(B) (times D for multi-dimensional data)
     instead of touching the data. In one dimension only the retained
     coefficients on the error-tree paths of the range's two ends
-    contribute, so a range sum reads O(log N) of them, each found by
-    an O(log B) binary search. *)
+    contribute, so a range sum reads O(log N) of them, each found in
+    O(1) through the synopsis's rank index ({!Synopsis.slot}). *)
 
 val range_sum_exact : float array -> lo:int -> hi:int -> float
 (** Exact sum of [data.(lo .. hi)] (inclusive bounds). *)
 
 val range_sum : Synopsis.t -> lo:int -> hi:int -> float
 (** Approximate sum of the reconstructed values over [lo .. hi]
-    (inclusive), in O(log N log B), allocating only the boxed result.
+    (inclusive), in O(log N), allocating only the boxed result.
     Each retained coefficient on the error-tree path of [lo] or [hi]
     contributes [c * (overlap with its positive half - overlap with
     its negative half)]; every other one would contribute [c * 0].
@@ -31,8 +31,8 @@ val prefix_crossing : Synopsis.t -> q:float -> int
     the prefix sums dip), with the same probes and comparisons.
     The bisection is one descent of the error tree: the probe at a
     level-[k] node sums c0 and the descent's nodes at levels [0 .. k],
-    each node's coefficient sought once, and the total is c0's term
-    alone. O(log N log B + log² N); allocation-free. With finite
+    each node's coefficient looked up once, and the total is c0's term
+    alone. O(log² N); allocation-free. With finite
     retained values every probe equals its {!range_sum} bit for bit.
     An infinite retained value deeper on a probe's path, whose two
     halves the probe covers, no longer turns that probe NaN

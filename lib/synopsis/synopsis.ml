@@ -11,6 +11,7 @@ type supports = {
   mid : int array;
   stop : int array;
   level : int array;
+  rank : int array;
 }
 
 type t = { n : int; coeffs : (int * float) list; supports : supports }
@@ -36,6 +37,21 @@ let rec fill s ~n t = function
       end;
       fill s ~n (t + 1) rest
 
+let[@inline] popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f0f in
+  ((x * 0x01010101) lsr 24) land 0xff
+
+(* Block [b] of [rank] covers indices [32b .. 32b + 31]: its low 32
+   bits mark the retained ones, the 30 bits above them in a 63-bit
+   int count the retained indices below [32b] (B < 2^30 keeps them
+   exact: six B-entry arrays would take 48 GiB first). A retained
+   index's slot is that count plus the marked bits below its own. *)
+let[@inline] slot s j =
+  let w = s.rank.(j lsr 5) and bit = 1 lsl (j land 31) in
+  if w land bit = 0 then -1 else (w lsr 32) + popcount32 (w land (bit - 1))
+
 (* Each retained coefficient's value and Haar support, hoisted out of
    the evaluation walks: computed once here instead of once per query.
    The average c0 gets [0, n) with its midpoint at n, so the detail
@@ -52,6 +68,7 @@ let supports_of ~n coeffs =
       mid = Array.make k 0;
       stop = Array.make k 0;
       level = Array.make (Float_util.log2i n + 1) k;
+      rank = Array.make ((n + 31) / 32) 0;
     }
   in
   fill s ~n 0 coeffs;
@@ -61,6 +78,17 @@ let supports_of ~n coeffs =
       decr first
     done;
     s.level.(l) <- !first
+  done;
+  let rank = s.rank in
+  for t = 0 to k - 1 do
+    let j = s.index.(t) in
+    rank.(j lsr 5) <- rank.(j lsr 5) lor (1 lsl (j land 31))
+  done;
+  let below = ref 0 in
+  for b = 0 to Array.length rank - 1 do
+    let mask = rank.(b) in
+    rank.(b) <- mask lor (!below lsl 32);
+    below := !below + popcount32 mask
   done;
   s
 
@@ -108,45 +136,33 @@ let size t = List.length t.coeffs
 let coeffs t = t.coeffs
 let supports t = t.supports
 
-(* Binary search over [index.(from) .. index.(until - 1)]: the first
-   slot whose index is at least [j], or [until] when there is none. *)
-let seek index ~from ~until j =
-  let lo = ref from and hi = ref until in
-  while !lo < !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if index.(mid) < j then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let mem t i =
-  let index = t.supports.index in
-  let k = Array.length index in
-  let slot = seek index ~from:0 ~until:k i in
-  slot < k && index.(slot) = i
+let mem t i = i >= 0 && i < t.n && slot t.supports i >= 0
 
 (* The error-tree path of cell [i] (Section 2.2): c0, then at level l
-   the ancestor [(n + i) lsr (levels - l)] of leaf [n + i], looked up
-   among level l's slots only. Every other coefficient has sign 0 at
-   [i], and adding its [0 * c] to the sum leaves it unchanged; the
-   path's indices grow level by level, so its terms come in the
-   ascending order of [Haar1d.point_from_set]'s fold. The two agree bit
-   for bit when the retained values are finite. *)
+   the ancestor [(n + i) lsr (levels - l)] of leaf [n + i], found by
+   one rank lookup. Every other coefficient has sign 0 at [i], and
+   adding its [0 * c] to the sum leaves it unchanged; the path's
+   indices grow level by level, so its terms come in the ascending
+   order of [Haar1d.point_from_set]'s fold. The two agree bit for bit
+   when the retained values are finite. *)
 let reconstruct_point t i =
-  let { index; value; mid; level; _ } = t.supports in
+  let ({ index; value; mid; level; _ } as s) = t.supports and n = t.n in
   let levels = Array.length level - 1 in
-  if (i < 0 || i >= t.n) && Array.length index > 0 then
-    invalid_arg "Synopsis.reconstruct_point: cell out of range";
-  let acc = ref 0. in
-  if level.(0) > 0 then acc := value.(0);
-  for l = 0 to levels - 1 do
-    let j = (t.n + i) lsr (levels - l) and until = level.(l + 1) in
-    let slot = seek index ~from:level.(l) ~until j in
-    if slot < until && index.(slot) = j then begin
-      let sign = if i < mid.(slot) then 1 else -1 in
-      acc := !acc +. (float_of_int sign *. value.(slot))
-    end
-  done;
-  !acc
+  if Array.length index = 0 then 0.
+  else begin
+    if i < 0 || i >= n then
+      invalid_arg "Synopsis.reconstruct_point: cell out of range";
+    let acc = ref 0. in
+    if level.(0) > 0 then acc := value.(0);
+    for l = 0 to levels - 1 do
+      let p = slot s ((n + i) lsr (levels - l)) in
+      if p >= 0 then begin
+        let sign = if i < mid.(p) then 1 else -1 in
+        acc := !acc +. (float_of_int sign *. value.(p))
+      end
+    done;
+    !acc
+  end
 
 let reconstruct t =
   let w = Array.make t.n 0. in

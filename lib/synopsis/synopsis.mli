@@ -38,30 +38,40 @@ type supports = {
           index is at least [2^l], so detail level [l] occupies slots
           [[level.(l), level.(l+1))], c0 (when retained) is slot 0
           below [level.(0)], and [level.(log2 n)] is B. *)
+  rank : int array;
+      (** The rank index, [ceil (n / 32)] entries: entry [b] holds in
+          its low 32 bits the membership mask of indices
+          [32b .. 32b + 31] (bit [j land 31] set iff [j] is retained)
+          and above them the number of retained indices below [32b].
+          Read through {!slot}. *)
 }
 (** The retained coefficients as parallel arrays in ascending index
     order, each with its {!Wavesyn_haar.Haar1d.support} [[start, stop)]
-    and midpoint, computed once by {!make}: O(B + log N) words. The
-    average [c0] has no negative half: its midpoint is [stop = n].
-    Read-only: the arrays are shared with the synopsis. *)
+    and midpoint, computed once by {!make}, plus the rank index that
+    maps a coefficient index to its slot: O(B + log N) words and
+    [ceil (N / 32)] for the index. That is a dense table, but 32 times
+    smaller than the O(N) data or coefficient array every serving
+    backend already holds, and it makes each lookup O(1). The average
+    [c0] has no negative half: its midpoint is [stop = n]. Read-only
+    and never changed after {!make}: the arrays are shared with the
+    synopsis, and any number of domains may read them at once. *)
 
 val supports : t -> supports
 (** Flat per-coefficient view that {!Range_query.range_sum} walks. O(1). *)
 
-val seek : int array -> from:int -> until:int -> int -> int
-(** [seek index ~from ~until j]: the first slot [s] in [[from, until)]
-    of the ascending [index] with [index.(s) >= j], or [until] when
-    there is none; [j] is retained there iff [s < until] and
-    [index.(s) = j]. Binary search, allocation-free. *)
+val slot : supports -> int -> int
+(** [slot s j], for [j] in [[0, n)]: the slot of coefficient [j]
+    (its position in [s.index]) when it is retained, else [-1]. One
+    load, one bit test and one popcount; allocation-free. *)
 
 val mem : t -> int -> bool
-(** Is this coefficient index retained? O(log B). *)
+(** Is this coefficient index retained? O(1). *)
 
 val reconstruct_point : t -> int -> float
 (** Approximate data value [d_i] from the retained coefficients on
-    cell [i]'s error-tree path only, each found by a binary search
-    among its level's slots: O(log N log B), allocating only the boxed
-    result. Equal bit for bit to
+    cell [i]'s error-tree path only, each found by one {!slot}
+    lookup: O(log N), allocating only the boxed result. Equal bit for
+    bit to
     {!Wavesyn_haar.Haar1d.point_from_set} over {!coeffs} when every
     retained value is finite. With an infinite value retained, cells
     outside its support stay finite (the full fold adds [0 * inf =

@@ -7,5 +7,5 @@ val prefix_crossing :
 (** [-1] when the full-path total [range_sum ~lo:0 ~hi:(n - 1)] is not
     positive, else the bisection for the smallest [i] with
     [range_sum ~lo:0 ~hi:i >= q *. total], each probe a full
-    [Range_query.range_sum] (both ends' error-tree paths, O(log N log B)).
+    [Range_query.range_sum] (both ends' error-tree paths, O(log N)).
     [probe mid sum] sees every probe's cell and prefix sum in order. *)

@@ -470,6 +470,81 @@ let test_shipped_matches_primary () =
           checki "three checkpoints each" 3
             (M.counter_value (R.counter reg_f "store.checkpoint.completed"))))
 
+(* A checkpoint compacts the journal through the oldest retained
+   generation's seq, which the store keeps as it writes generations.
+   Seeded schedules of torn writes, bit flips and flaky I/O, with a
+   crash and reopen every 29 updates and after every torn write, check
+   each successful checkpoint's [keep_after] against the value read
+   back from disk: the oldest listed generation's decoded seq, or 0
+   when it does not decode. *)
+let test_keep_after_matches_disk () =
+  let n = 16 and steps = 240 in
+  let decoded_keep_after dir =
+    match Snapshot.list ~dir with
+    | Error _ | Ok [] -> 0
+    | Ok gens -> (
+        let oldest = List.hd (List.rev gens) in
+        match Snapshot.decode_file (Snapshot.file_of_generation dir oldest) with
+        | Ok s -> s.Snapshot.seq
+        | Error _ -> 0)
+  in
+  let compared = ref 0 and unverified = ref 0 and kills = ref 0 in
+  List.iteri
+    (fun k seed ->
+      let ups = gen_updates ~n ~m:steps ~seed in
+      with_store (fun dir ->
+          let fault =
+            Fault.create
+              ~kinds:[ Fault.Bit_flip; Fault.Torn_write; Fault.Io_flaky ]
+              ~rate:0.1 ~seed ()
+          in
+          (* Flaky I/O can fail an open or an append after its retries;
+             the open is tried again, the update is simply not
+             acknowledged. *)
+          let rec reopen tries =
+            match
+              Supervisor.open_store ~fault
+                (cfg ~checkpoint_every:4 ~keep:(1 + (k mod 3)) dir ~n)
+            with
+            | Ok sup -> sup
+            | Error _ when tries > 0 -> reopen (tries - 1)
+            | Error e -> Alcotest.fail (Validate.to_string e)
+          in
+          let reopen () = reopen 8 in
+          let sup = ref (reopen ()) in
+          for step = 0 to steps - 1 do
+            let i, delta = ups.(step) in
+            let before = (Supervisor.stats !sup).Supervisor.checkpoints in
+            (match Supervisor.ingest !sup ~i ~delta with
+            | Ok _ ->
+                if (Supervisor.stats !sup).Supervisor.checkpoints > before
+                then begin
+                  incr compared;
+                  let want = decoded_keep_after dir in
+                  if want = 0 then incr unverified;
+                  checki
+                    (Printf.sprintf "seed %d step %d: keep_after" seed step)
+                    want
+                    (Supervisor.keep_after !sup)
+                end
+            | Error _ -> ()
+            | exception Fault.Injected Fault.Torn_write ->
+                incr kills;
+                Supervisor.crash !sup;
+                sup := reopen ());
+            if step mod 29 = 28 then begin
+              Supervisor.crash !sup;
+              sup := reopen ()
+            end
+          done;
+          Supervisor.close !sup))
+    [ 5; 13; 31; 77; 101; 4242 ];
+  check
+    (Printf.sprintf "%d checkpoints compared, %d keeping the whole WAL, %d kills"
+       !compared !unverified !kills)
+    true
+    (!compared > 50 && !unverified > 0 && !unverified < !compared && !kills > 0)
+
 let () =
   Alcotest.run "chaos-store"
     [
@@ -486,6 +561,8 @@ let () =
             test_bit_flip_on_journal;
           Alcotest.test_case "bit flip in snapshot generations" `Quick
             test_bit_flip_on_snapshot_falls_back;
+          Alcotest.test_case "checkpoint keep_after = decoded oldest seq"
+            `Quick test_keep_after_matches_disk;
         ] );
       ( "transients",
         [

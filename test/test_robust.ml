@@ -309,8 +309,9 @@ let test_snapshot_roundtrip () =
   let stream = sample_stream ~n:32 ~updates:25 ~seed:3 in
   let state = Snapshot.of_stream ~seq:25 stream in
   (match Snapshot.write ~sync:false ~dir state with
-  | Ok 1 -> ()
-  | Ok g -> Alcotest.fail (Printf.sprintf "first generation must be 1, got %d" g)
+  | Ok { Snapshot.gen = 1; intact = true } -> ()
+  | Ok { Snapshot.gen; _ } ->
+      Alcotest.fail (Printf.sprintf "first generation must be 1, got %d" gen)
   | Error e -> Alcotest.fail (Validate.to_string e));
   match Snapshot.read_latest ~dir with
   | Error e -> Alcotest.fail (Validate.to_string e)
@@ -332,7 +333,7 @@ let test_snapshot_corrupt_falls_back () =
   let stream = sample_stream ~n:16 ~updates:10 ~seed:4 in
   let write seq =
     match Snapshot.write ~sync:false ~dir (Snapshot.of_stream ~seq stream) with
-    | Ok g -> g
+    | Ok w -> w.Snapshot.gen
     | Error e -> Alcotest.fail (Validate.to_string e)
   in
   checki "gen 1" 1 (write 10);

@@ -546,6 +546,65 @@ let test_eval_allocation () =
         (a = b && a <= 2.))
     small large
 
+(* The rank index answers, for every cell j, the slot a linear scan of
+   [index] finds (or -1), over the descent's cases: every power-of-two
+   n from 1 to 4096, budgets 0, 1, n/8 and n, with and without c0, the
+   empty synopsis among them. [mem] agrees, and refuses indices
+   outside the domain. *)
+let test_rank_index () =
+  List.iter
+    (fun syn ->
+      let n = Synopsis.n syn in
+      let s = Synopsis.supports syn in
+      let index = s.Synopsis.index in
+      checki (Printf.sprintf "one rank entry per 32 cells (n=%d)" n)
+        ((n + 31) / 32)
+        (Array.length s.Synopsis.rank);
+      for j = 0 to n - 1 do
+        let want = ref (-1) in
+        Array.iteri (fun t i -> if i = j then want := t) index;
+        if Synopsis.slot s j <> !want then
+          Alcotest.failf "cell %d: slot %d, scan %d (n=%d b=%d)" j
+            (Synopsis.slot s j) !want n (Synopsis.size syn);
+        if Synopsis.mem syn j <> (!want >= 0) then
+          Alcotest.failf "cell %d: mem (n=%d b=%d)" j n (Synopsis.size syn)
+      done;
+      check "mem outside the domain" false
+        (Synopsis.mem syn (-1) || Synopsis.mem syn n))
+    (descent_cases ())
+
+(* [make] allocates exactly its layout and nothing else: five arrays
+   of the k retained entries (none when k = 0), the [log2 n + 1]-entry
+   level array, a 7-word supports record and the 4-word synopsis, all
+   with their headers (the [layout] words), plus the rank index:
+   ceil(n / 32) words, its header and its own record field. Every block
+   here is small enough for the minor heap, where [Gc.minor_words]
+   counts it. *)
+let test_make_allocation () =
+  let words f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let base = words (fun () -> ()) in
+  List.iter
+    (fun (n, k) ->
+      let coeffs =
+        List.init k (fun t -> (t * (n / max 1 k), 1.5 +. float_of_int t))
+      in
+      let layout =
+        (if k = 0 then 13 else (5 * k) + 18) + Float_util.log2i n
+      in
+      ignore (Synopsis.make ~n coeffs);
+      let got = words (fun () -> Synopsis.make ~n coeffs) -. base in
+      let want = layout + ((n + 31) / 32) + 2 in
+      check
+        (Printf.sprintf "n=%d k=%d: %.0f words, want %d" n k got want)
+        true
+        (got = float_of_int want))
+    [ (1, 0); (1, 1); (8, 3); (32, 4); (32, 32); (64, 8); (1024, 128);
+      (4096, 0); (4096, 40); (4096, 255) ]
+
 let test_selectivity_zero_total () =
   let s = Synopsis.make ~n:8 [] in
   checkf "zero total" 0. (Range_query.selectivity s ~lo:0 ~hi:3)
@@ -721,6 +780,9 @@ let () =
             test_quantile_descent_domains;
           Alcotest.test_case "evaluation allocates only its result" `Quick
             test_eval_allocation;
+          Alcotest.test_case "rank index = linear scan" `Quick test_rank_index;
+          Alcotest.test_case "make allocates the rank index and no more"
+            `Quick test_make_allocation;
           Alcotest.test_case "non-finite coefficient stays on its paths"
             `Quick test_non_finite_coefficient_stays_on_its_paths;
           Alcotest.test_case "md full synopsis" `Quick test_md_range_sum_full_synopsis;
