@@ -14,59 +14,45 @@ module Registry = Wavesyn_obs.Registry
 type kind = [ `Point | `Range | `Selectivity | `Quantile ]
 
 type t = {
-  mutable points : int;
-  mutable ranges : int;
-  mutable selectivities : int;
-  mutable quantiles : int;
-  c_points : Metric.counter option;
-  c_ranges : Metric.counter option;
-  c_selectivities : Metric.counter option;
-  c_quantiles : Metric.counter option;
+  c_points : Metric.counter;
+  c_ranges : Metric.counter;
+  c_selectivities : Metric.counter;
+  c_quantiles : Metric.counter;
 }
 
 let create ?obs () =
-  let instrument kind =
-    Option.map
-      (fun reg ->
-        Registry.counter reg
-          ~help:"queryable requests observed by the workload profiler"
-          ~unit_:"requests"
-          ~labels:[ ("kind", kind) ]
-          "adaptive.observed")
-      obs
+  let reg = match obs with Some r -> r | None -> Registry.create () in
+  let counter kind =
+    Registry.counter reg
+      ~help:"queryable requests observed by the workload profiler"
+      ~unit_:"requests"
+      ~labels:[ ("kind", kind) ]
+      "adaptive.observed"
   in
   {
-    points = 0;
-    ranges = 0;
-    selectivities = 0;
-    quantiles = 0;
-    c_points = instrument "point";
-    c_ranges = instrument "range";
-    c_selectivities = instrument "selectivity";
-    c_quantiles = instrument "quantile";
+    c_points = counter "point";
+    c_ranges = counter "range";
+    c_selectivities = counter "selectivity";
+    c_quantiles = counter "quantile";
   }
 
 let observe t (kind : kind) =
-  match kind with
-  | `Point ->
-      t.points <- t.points + 1;
-      Metric.incr_opt t.c_points
-  | `Range ->
-      t.ranges <- t.ranges + 1;
-      Metric.incr_opt t.c_ranges
-  | `Selectivity ->
-      t.selectivities <- t.selectivities + 1;
-      Metric.incr_opt t.c_selectivities
-  | `Quantile ->
-      t.quantiles <- t.quantiles + 1;
-      Metric.incr_opt t.c_quantiles
+  Metric.incr
+    (match kind with
+    | `Point -> t.c_points
+    | `Range -> t.c_ranges
+    | `Selectivity -> t.c_selectivities
+    | `Quantile -> t.c_quantiles)
 
 let observed t =
+  let v = Metric.counter_value in
   {
-    Workload.points = t.points;
-    ranges = t.ranges;
-    selectivities = t.selectivities;
-    quantiles = t.quantiles;
+    Workload.points = v t.c_points;
+    ranges = v t.c_ranges;
+    selectivities = v t.c_selectivities;
+    quantiles = v t.c_quantiles;
   }
 
-let total t = t.points + t.ranges + t.selectivities + t.quantiles
+let total t =
+  let v = Metric.counter_value in
+  v t.c_points + v t.c_ranges + v t.c_selectivities + v t.c_quantiles

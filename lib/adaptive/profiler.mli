@@ -17,8 +17,9 @@ type kind = [ `Point | `Range | `Selectivity | `Quantile ]
 type t
 
 val create : ?obs:Wavesyn_obs.Registry.t -> unit -> t
-(** An empty sketch. With [obs], registers the [adaptive.observed]
-    counters (labelled [kind=point/range/selectivity/quantile]). *)
+(** An empty sketch. Its counts are the [adaptive.observed] counters
+    (labelled [kind=point/range/selectivity/quantile]), registered in
+    [obs] when given, in a private registry otherwise. *)
 
 val observe : t -> kind -> unit
 (** Count one request of the given kind. *)

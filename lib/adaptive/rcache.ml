@@ -21,56 +21,42 @@ type ('k, 'v) t = {
   cap : int;
   table : ('k, 'v) Hashtbl.t;
   mutable epoch : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable invalidations : int;
-  c_hits : Metric.counter option;
-  c_misses : Metric.counter option;
-  c_invalidations : Metric.counter option;
-  g_size : Metric.gauge option;
+  c_hits : Metric.counter;
+  c_misses : Metric.counter;
+  c_invalidations : Metric.counter;
+  g_size : Metric.gauge;
 }
 
 let create ?obs ?(cap = 4096) () =
   if cap < 1 then invalid_arg "Rcache.create: cap must be at least 1";
-  let instrument f = Option.map (fun reg -> f reg) obs in
+  let reg = match obs with Some r -> r | None -> Registry.create () in
   {
     cap;
     table = Hashtbl.create 64;
     epoch = 0;
-    hits = 0;
-    misses = 0;
-    invalidations = 0;
     c_hits =
-      instrument (fun reg ->
-          Registry.counter reg ~help:"result cache hits" ~unit_:"requests"
-            "serve.cache.hits");
+      Registry.counter reg ~help:"result cache hits" ~unit_:"requests"
+        "serve.cache.hits";
     c_misses =
-      instrument (fun reg ->
-          Registry.counter reg ~help:"result cache misses" ~unit_:"requests"
-            "serve.cache.misses");
+      Registry.counter reg ~help:"result cache misses" ~unit_:"requests"
+        "serve.cache.misses";
     c_invalidations =
-      instrument (fun reg ->
-          Registry.counter reg
-            ~help:"whole-cache flushes (epoch advance or capacity)"
-            ~unit_:"flushes" "serve.cache.invalidations");
+      Registry.counter reg
+        ~help:"whole-cache flushes (epoch advance or capacity)"
+        ~unit_:"flushes" "serve.cache.invalidations";
     g_size =
-      instrument (fun reg ->
-          Registry.gauge reg ~help:"result cache entries" ~unit_:"entries"
-            "serve.cache.size");
+      Registry.gauge reg ~help:"result cache entries" ~unit_:"entries"
+        "serve.cache.size";
   }
 
-let set_size t =
-  Option.iter
-    (fun g -> Metric.set g (float_of_int (Hashtbl.length t.table)))
-    t.g_size
+let set_size t = Metric.set_int t.g_size (Hashtbl.length t.table)
 
 let flush t =
   if Hashtbl.length t.table > 0 then begin
     Hashtbl.reset t.table;
     set_size t
   end;
-  t.invalidations <- t.invalidations + 1;
-  Metric.incr_opt t.c_invalidations
+  Metric.incr t.c_invalidations
 
 let sync t ~epoch =
   if epoch <> t.epoch then begin
@@ -82,12 +68,10 @@ let find t ~epoch key =
   sync t ~epoch;
   match Hashtbl.find_opt t.table key with
   | Some _ as hit ->
-      t.hits <- t.hits + 1;
-      Metric.incr_opt t.c_hits;
+      Metric.incr t.c_hits;
       hit
   | None ->
-      t.misses <- t.misses + 1;
-      Metric.incr_opt t.c_misses;
+      Metric.incr t.c_misses;
       None
 
 let mem t ~epoch key = epoch = t.epoch && Hashtbl.mem t.table key
@@ -101,7 +85,7 @@ let add t ~epoch key value =
   end
 
 let size t = Hashtbl.length t.table
-let hits t = t.hits
-let misses t = t.misses
-let invalidations t = t.invalidations
+let hits t = Metric.counter_value t.c_hits
+let misses t = Metric.counter_value t.c_misses
+let invalidations t = Metric.counter_value t.c_invalidations
 let epoch t = t.epoch

@@ -18,10 +18,12 @@
 type ('k, 'v) t
 
 val create : ?obs:Wavesyn_obs.Registry.t -> ?cap:int -> unit -> ('k, 'v) t
-(** An empty cache holding at most [cap] entries (default 4096). With
-    [obs], registers the [serve.cache.hits] / [serve.cache.misses] /
-    [serve.cache.invalidations] counters and the [serve.cache.size]
-    gauge of docs/OBSERVABILITY.md. Raises [Invalid_argument] on
+(** An empty cache holding at most [cap] entries (default 4096). Its
+    [serve.cache.hits] / [serve.cache.misses] /
+    [serve.cache.invalidations] counters (which {!hits}, {!misses} and
+    {!invalidations} read) and [serve.cache.size] gauge of
+    docs/OBSERVABILITY.md are registered in [obs] when given, in a
+    private registry otherwise. Raises [Invalid_argument] on
     [cap < 1]. *)
 
 val find : ('k, 'v) t -> epoch:int -> 'k -> 'v option

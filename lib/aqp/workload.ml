@@ -7,12 +7,6 @@ type query =
   | Selectivity of int * int
   | Quantile of float
 
-let pp_query ppf = function
-  | Point i -> Format.fprintf ppf "point(%d)" i
-  | Range_sum (lo, hi) -> Format.fprintf ppf "sum[%d..%d]" lo hi
-  | Selectivity (lo, hi) -> Format.fprintf ppf "sel[%d..%d]" lo hi
-  | Quantile q -> Format.fprintf ppf "quantile(%g)" q
-
 type mix = { points : int; ranges : int; selectivities : int; quantiles : int }
 
 let default_mix = { points = 25; ranges = 25; selectivities = 25; quantiles = 25 }

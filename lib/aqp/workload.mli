@@ -12,9 +12,6 @@ type query =
   | Selectivity of int * int
   | Quantile of float
 
-val pp_query : Format.formatter -> query -> unit
-(** Render a query in the CLI's [kind(args)] notation. *)
-
 type mix = {
   points : int;
   ranges : int;

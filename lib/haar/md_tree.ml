@@ -128,7 +128,6 @@ let point_from_set t set cell =
     0. set
 
 let max_abs_coeff t = Ndarray.max_abs t.wavelet
-let cell_value t cell = Ndarray.get t.data cell
 
 let fold_cells t f acc =
   let acc = ref acc in

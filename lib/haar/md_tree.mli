@@ -65,8 +65,5 @@ val point_from_set : t -> (int * float) list -> int array -> float
 val max_abs_coeff : t -> float
 (** The paper's [R]. *)
 
-val cell_value : t -> int array -> float
-(** Original data value of a cell. *)
-
 val fold_cells : t -> ('a -> int array -> float -> 'a) -> 'a -> 'a
 (** Fold over all data cells (index array reused between calls). *)

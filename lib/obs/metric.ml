@@ -10,14 +10,13 @@ let incr ?(by = 1) t =
   if by < 0 then invalid_arg "Metric.incr: negative increment";
   t.c <- t.c + by
 
-let incr_opt = function Some t -> incr t | None -> ()
-
 let counter_value t = t.c
 
 type gauge = { mutable g : float }
 
 let gauge () = { g = 0. }
 let set t v = t.g <- v
+let set_int t i = t.g <- float_of_int i
 let gauge_value t = t.g
 
 type histogram = {

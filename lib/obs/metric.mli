@@ -19,11 +19,6 @@ val incr : ?by:int -> counter -> unit
 (** Add [by] (default 1). Raises [Invalid_argument] on negative [by] —
     counters only go up; use a {!gauge} for values that can fall. *)
 
-val incr_opt : counter option -> unit
-(** Add 1 to a flag-gated counter; nothing on [None]. Allocation-free,
-    unlike [Option.iter incr], which builds a wrapper closure for
-    [incr]'s optional argument on every call. *)
-
 val counter_value : counter -> int
 
 (** {1 Gauges} *)
@@ -33,6 +28,12 @@ type gauge
 
 val gauge : unit -> gauge
 val set : gauge -> float -> unit
+
+val set_int : gauge -> int -> unit
+(** [set_int g i] is [set g (float_of_int i)] without boxing the float
+    at the call site, so a per-request integer gauge costs no
+    allocation. *)
+
 val gauge_value : gauge -> float
 
 (** {1 Histograms} *)

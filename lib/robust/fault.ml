@@ -43,8 +43,6 @@ let all_kinds =
     Blackhole;
   ]
 
-let solver_kinds = [ Expire_deadline; Nan_coefficient; Alloc_pressure ]
-let io_kinds = [ Torn_write; Bit_flip; Io_flaky ]
 let conn_kinds = [ Conn_drop; Conn_delay; Conn_truncate; Corrupt_frame; Blackhole ]
 
 let kind_of_name name =

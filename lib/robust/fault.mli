@@ -53,12 +53,6 @@ val kind_name : kind -> string
 val all_kinds : kind list
 (** Every injectable kind, in declaration order. *)
 
-val solver_kinds : kind list
-(** The kinds consulted by {!Ladder.serve}'s fault points. *)
-
-val io_kinds : kind list
-(** The kinds consulted by {!Snapshot} / {!Journal} storage paths. *)
-
 val conn_kinds : kind list
 (** The network-level kinds consulted by the serving layer's
     connection fault points ({!Conn}, client-side chaos). *)

@@ -63,7 +63,7 @@ type t = {
   epsilon : float;
   frontier : int;  (* F: subtree roots are F .. 2F-1, globals 0 .. F-1 *)
   full_every : int;
-  obs : telemetry option;
+  m : telemetry;
   kept : Bytes.t;  (* '\001' at every retained coefficient index *)
   value : float array;  (* served value of each retained coefficient *)
   sub_budget : int array;  (* per-subtree retained share, index s - F *)
@@ -82,9 +82,6 @@ type t = {
   mutable tier : string;
   mutable bound : float;
   mutable synopsis : Synopsis.t;
-  mutable full_cuts : int;
-  mutable incrementals : int;
-  mutable subtrees_resolved : int;
 }
 
 let frontier_of n = Stdlib.max 1 (Stdlib.min 8 (n / 2))
@@ -165,7 +162,7 @@ let restate_bound t =
       if v > !b then b := v)
     t.sub_err;
   t.bound <- !b;
-  match t.obs with None -> () | Some m -> Metric.set m.g_bound !b
+  Metric.set t.m.g_bound t.bound
 
 (* Ascending index order, which [Synopsis.make] keeps without sorting. *)
 let rebuild_synopsis t =
@@ -197,9 +194,8 @@ let install_full t stream (served : Ladder.served) =
   restate_bound t;
   t.tier <- Ladder.tier_name served.Ladder.tier;
   t.since_full <- 0;
-  t.full_cuts <- t.full_cuts + 1;
   rebuild_synopsis t;
-  match t.obs with None -> () | Some m -> Metric.incr m.c_full
+  Metric.incr t.m.c_full
 
 let full_cut ?top t stream =
   match
@@ -228,7 +224,8 @@ let create ?obs ?(full_every = 32) ~budget ~metric ~epsilon stream =
       epsilon;
       frontier;
       full_every;
-      obs = Option.map telemetry obs;
+      m =
+        telemetry (match obs with Some r -> r | None -> Registry.create ());
       kept = Bytes.make n '\000';
       value = Array.make n 0.;
       sub_budget = Array.make frontier 0;
@@ -243,9 +240,6 @@ let create ?obs ?(full_every = 32) ~budget ~metric ~epsilon stream =
       tier = "none";
       bound = 0.;
       synopsis = Synopsis.make ~n [];
-      full_cuts = 0;
-      incrementals = 0;
-      subtrees_resolved = 0;
     }
   in
   ignore (full_cut t stream);
@@ -261,9 +255,7 @@ let[@inline] note t j amount =
   let prev = t.drift.(j) in
   t.drift.(j) <- prev +. amount;
   if j < 2 * t.frontier then Bytes.unsafe_set t.dirty j '\001';
-  match t.obs with
-  | Some m when prev = 0. -> Metric.incr m.c_dirty
-  | _ -> ()
+  if prev = 0. then Metric.incr t.m.c_dirty
 
 let note_update t ~i ~delta =
   if i >= 0 && i < t.n then begin
@@ -346,8 +338,7 @@ let resolve_subtree t stream s =
   done;
   t.sub_err.(s - t.frontier) <- measure_subtree t stream s;
   t.sub_slack.(s - t.frontier) <- 0.;
-  t.subtrees_resolved <- t.subtrees_resolved + 1;
-  match t.obs with None -> () | Some m -> Metric.incr m.c_subtrees
+  Metric.incr t.m.c_subtrees
 
 (* The incremental step: fold the dirty set into the served state. *)
 let refresh t stream =
@@ -374,8 +365,7 @@ let refresh t stream =
     Bytes.fill t.dirty 0 (2 * f) '\000';
     restate_bound t;
     rebuild_synopsis t;
-    t.incrementals <- t.incrementals + 1;
-    match t.obs with None -> () | Some m -> Metric.incr m.c_incremental
+    Metric.incr t.m.c_incremental
   end
 
 let synopsis t = t.synopsis
@@ -392,8 +382,8 @@ type stats = {
 
 let stats (t : t) =
   {
-    full_cuts = t.full_cuts;
-    incrementals = t.incrementals;
-    subtrees_resolved = t.subtrees_resolved;
+    full_cuts = Metric.counter_value t.m.c_full;
+    incrementals = Metric.counter_value t.m.c_incremental;
+    subtrees_resolved = Metric.counter_value t.m.c_subtrees;
     since_full = t.since_full;
   }

@@ -52,8 +52,9 @@ val create :
 (** Build the incremental state over a stream and run the initial full
     cut. [full_every] (default 32) is how many applied updates may
     accumulate before {!due_full} asks for a full re-cut; raises
-    [Invalid_argument] when below 1. [obs] registers the [recut.*]
-    metric family (see [docs/OBSERVABILITY.md]). *)
+    [Invalid_argument] when below 1. The [recut.*] metric family (see
+    [docs/OBSERVABILITY.md]), whose counters {!stats} reads, is
+    registered in [obs] when given, in a private registry otherwise. *)
 
 val note_update : t -> i:int -> delta:float -> unit
 (** Record one applied update: marks the [log2 N + 1] path coefficients

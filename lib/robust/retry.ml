@@ -59,33 +59,23 @@ module Breaker = struct
     | Open -> "open"
     | Half_open -> "half-open"
 
-  (* Exposition contract (docs/OBSERVABILITY.md): the state gauge is
-     ordered by badness so dashboards can threshold on it. *)
   let state_value = function Closed -> 0. | Half_open -> 1. | Open -> 2.
-
-  type tele = {
-    g_state : Metric.gauge;
-    c_trips : Metric.counter;
-    c_rejected : Metric.counter;
-  }
 
   type t = {
     threshold : int;
     cooldown_ms : float;
     clock : unit -> float;
-    tele : tele option;
+    g_state : Metric.gauge;
+    c_trips : Metric.counter;
+    c_rejected : Metric.counter;
     mutable st : state;
     mutable consecutive_failures : int;
     mutable opened_at_ms : float;
-    mutable trips : int;
-    mutable rejected : int;
   }
 
   let set_state t st =
     t.st <- st;
-    match t.tele with
-    | None -> ()
-    | Some tele -> Metric.set tele.g_state (state_value st)
+    Metric.set t.g_state (state_value st)
 
   let create ?(threshold = 3) ?(cooldown_ms = 1000.0) ?clock ?obs
       ?(name = "default") () =
@@ -93,36 +83,26 @@ module Breaker = struct
     if cooldown_ms < 0. then
       invalid_arg "Breaker.create: cooldown must be non-negative";
     let clock = Option.value clock ~default:Deadline.now_ms in
-    let tele =
-      match obs with
-      | None -> None
-      | Some reg ->
-          let labels = [ ("breaker", name) ] in
-          Some
-            {
-              g_state =
-                Registry.gauge reg ~labels
-                  ~help:"breaker state: 0 closed, 1 half-open, 2 open"
-                  "retry.breaker.state";
-              c_trips =
-                Registry.counter reg ~labels ~unit_:"trips"
-                  ~help:"times the breaker opened" "retry.breaker.trips";
-              c_rejected =
-                Registry.counter reg ~labels ~unit_:"calls"
-                  ~help:"calls refused while the breaker was open"
-                  "retry.breaker.rejected";
-            }
-    in
+    let reg = match obs with Some r -> r | None -> Registry.create () in
+    let labels = [ ("breaker", name) ] in
     {
       threshold;
       cooldown_ms;
       clock;
-      tele;
+      g_state =
+        Registry.gauge reg ~labels
+          ~help:"breaker state: 0 closed, 1 half-open, 2 open"
+          "retry.breaker.state";
+      c_trips =
+        Registry.counter reg ~labels ~unit_:"trips"
+          ~help:"times the breaker opened" "retry.breaker.trips";
+      c_rejected =
+        Registry.counter reg ~labels ~unit_:"calls"
+          ~help:"calls refused while the breaker was open"
+          "retry.breaker.rejected";
       st = Closed;
       consecutive_failures = 0;
       opened_at_ms = 0.;
-      trips = 0;
-      rejected = 0;
     }
 
   let refresh t =
@@ -133,16 +113,13 @@ module Breaker = struct
     refresh t;
     t.st
 
-  let trips t = t.trips
-  let rejected t = t.rejected
+  let trips t = Metric.counter_value t.c_trips
+  let rejected t = Metric.counter_value t.c_rejected
 
   let trip t =
     set_state t Open;
     t.opened_at_ms <- t.clock ();
-    t.trips <- t.trips + 1;
-    (match t.tele with
-    | None -> ()
-    | Some tele -> Metric.incr tele.c_trips);
+    Metric.incr t.c_trips;
     Log.info (fun m ->
         m "circuit opened after %d consecutive failures"
           t.consecutive_failures)
@@ -153,10 +130,7 @@ module Breaker = struct
     refresh t;
     match t.st with
     | Open ->
-        t.rejected <- t.rejected + 1;
-        (match t.tele with
-        | None -> ()
-        | Some tele -> Metric.incr tele.c_rejected);
+        Metric.incr t.c_rejected;
         Error Open_circuit
     | Closed | Half_open -> (
         let probing = t.st = Half_open in

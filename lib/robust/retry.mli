@@ -50,6 +50,11 @@ module Breaker : sig
   val state_name : state -> string
   (** ["closed"] / ["open"] / ["half-open"], for logs and stats. *)
 
+  val state_value : state -> float
+  (** The one gauge encoding of a breaker state, ordered by badness:
+      [0.] closed, [1.] half-open, [2.] open. Both
+      [retry.breaker.state] and [store.breaker.state] export it. *)
+
   type t
 
   val create :
@@ -65,8 +70,10 @@ module Breaker : sig
 
       With [obs], the breaker exposes itself under the [retry.*]
       family, labelled [{breaker=name}] (default ["default"]):
-      [retry.breaker.state] (gauge — 0 closed, 1 half-open, 2 open),
-      [retry.breaker.trips] and [retry.breaker.rejected] (counters).
+      [retry.breaker.state] (gauge, {!state_value}),
+      [retry.breaker.trips] and [retry.breaker.rejected] (counters);
+      without it they live in a private registry. {!trips} and
+      {!rejected} read those counters either way.
       State transitions update the gauge at the transition point, so a
       scrape between calls sees the current state, not the last
       queried one. *)

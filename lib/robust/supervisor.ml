@@ -199,14 +199,13 @@ let recover ~dir =
 (* --- telemetry ---
 
    Every instrument of the [store.*] / [stream.*] metric families from
-   docs/OBSERVABILITY.md, registered once at [open_store]. When no
-   registry is supplied the supervisor holds [None] and every
-   instrumentation point is a single immediate-value branch — the
-   pre-observability code path, allocation-free. *)
+   docs/OBSERVABILITY.md, registered once at [open_store] — into a
+   private registry when the caller supplies none, so the counters are
+   the store's own counts either way. What costs more than a store
+   (clock reads, ladder hooks, the stream observer) runs only for a
+   caller's registry. *)
 
 type telemetry = {
-  t_reg : Registry.t;  (* forwarded to Ladder.serve for dp.*/ladder.* *)
-  t_trace : Trace.sink option;
   ingest_ms : Metric.histogram;
   ingest_accepted : Metric.counter;
   ingest_rejected : Metric.counter;
@@ -229,13 +228,11 @@ type telemetry = {
   stream_coeff_touches : Metric.counter;
 }
 
-let telemetry ~trace reg =
+let telemetry reg =
   let c name ~help ~unit_ = Registry.counter reg ~help ~unit_ name in
   let g name ~help ~unit_ = Registry.gauge reg ~help ~unit_ name in
   let h name ~help = Registry.histogram reg ~help ~unit_:"ms" name in
   {
-    t_reg = reg;
-    t_trace = trace;
     ingest_ms =
       h "store.ingest.ms"
         ~help:
@@ -279,7 +276,7 @@ let telemetry ~trace reg =
         ~unit_:"recuts";
     breaker_state =
       g "store.breaker.state"
-        ~help:"circuit breaker state (0=closed, 1=open, 2=half-open)"
+        ~help:"circuit breaker state (0=closed, 1=half-open, 2=open)"
         ~unit_:"state";
     breaker_transitions =
       c "store.breaker.transitions" ~help:"breaker state changes"
@@ -298,17 +295,13 @@ let telemetry ~trace reg =
         ~unit_:"coefficients";
   }
 
-let breaker_code = function
-  | Retry.Breaker.Closed -> 0.
-  | Retry.Breaker.Open -> 1.
-  | Retry.Breaker.Half_open -> 2.
-
-(* Count live traffic into [stream.*]. Attached only once a state is
-   rebuilt or installed, so journal replay never counts as live. *)
-let observe_stream obs stream =
+(* Count live traffic into [stream.*] for a caller's registry. Attached
+   only once a state is rebuilt or installed, so journal replay never
+   counts as live. *)
+let observe_stream obs m stream =
   match obs with
   | None -> ()
-  | Some m ->
+  | Some _ ->
       Stream_synopsis.set_observer stream
         (Some
            (fun touches ->
@@ -340,18 +333,16 @@ type t = {
   retry : Retry.policy;
   retry_attempts : int;
   breaker : Retry.Breaker.t;
-  obs : telemetry option;
+  obs : Registry.t option;
+      (* the caller's registry: forwarded to Ladder.serve for
+         dp.*/ladder.*, and the gate on timing and tracing *)
+  trace : Trace.sink option;  (* honoured only with [obs] *)
+  m : telemetry;
   mutable role : role;
   mutable stream : Stream_synopsis.t;
   mutable journal : Journal.t;
   mutable seq : int;
-  mutable acked : int;
   mutable served : Ladder.served option;
-  mutable recuts_served : int;
-  mutable recuts_degraded : int;
-  mutable recuts_rejected : int;
-  mutable checkpoints : int;
-  mutable checkpoint_failures : int;
   mutable last_generation : int option;
   mutable last_error : Validate.error option;
   mutable retained : (int * int Lazy.t) list;
@@ -438,14 +429,14 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
   let breaker =
     match breaker with Some b -> b | None -> Retry.Breaker.create ()
   in
-  let obs = Option.map (telemetry ~trace) obs in
-  (match obs with
-  | None -> ()
-  | Some m ->
-      Metric.incr ~by:recovery.replayed m.recovery_replayed;
-      Metric.set m.seq_gauge (float_of_int seq);
-      Metric.set m.breaker_state (breaker_code (Retry.Breaker.state breaker)));
-  observe_stream obs stream;
+  let m =
+    telemetry (match obs with Some r -> r | None -> Registry.create ())
+  in
+  Metric.incr ~by:recovery.replayed m.recovery_replayed;
+  Metric.set_int m.seq_gauge seq;
+  Metric.set m.breaker_state
+    (Retry.Breaker.state_value (Retry.Breaker.state breaker));
+  observe_stream obs m stream;
   Log.info (fun m ->
       m "opened %s at seq %d (%a)" cfg.dir seq pp_recovery recovery);
   Ok
@@ -456,17 +447,13 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
       retry_attempts;
       breaker;
       obs;
+      trace = Option.bind obs (fun _ -> trace);
+      m;
       role;
       stream;
       journal;
       seq;
-      acked = 0;
       served = None;
-      recuts_served = 0;
-      recuts_degraded = 0;
-      recuts_rejected = 0;
-      checkpoints = 0;
-      checkpoint_failures = 0;
       last_generation = None;
       last_error = None;
       retained;
@@ -488,24 +475,22 @@ let promote t =
     Log.info (fun m -> m "promoted to primary at seq %d" t.seq)
   end
 
+let acked t = Metric.counter_value t.m.journal_appends
+
 let stats t =
+  let v = Metric.counter_value in
   {
     seq = t.seq;
     updates = Stream_synopsis.updates_seen t.stream;
-    acked = t.acked;
-    recuts_served = t.recuts_served;
-    recuts_degraded = t.recuts_degraded;
-    recuts_rejected = t.recuts_rejected;
-    checkpoints = t.checkpoints;
-    checkpoint_failures = t.checkpoint_failures;
+    acked = acked t;
+    recuts_served = v t.m.recut_served;
+    recuts_degraded = v t.m.recut_degraded;
+    recuts_rejected = v t.m.recut_rejected;
+    checkpoints = v t.m.checkpoint_completed;
+    checkpoint_failures = v t.m.checkpoint_failed;
     last_generation = t.last_generation;
     breaker = Retry.Breaker.state t.breaker;
   }
-
-(* [counter m] moves by one when telemetry is attached; the selectors
-   passed here close over nothing, so a site allocates nothing. *)
-let bump t counter =
-  match t.obs with None -> () | Some m -> Metric.incr (counter m)
 
 (* The one instrumented section: [f t a b], timed into the histogram
    [hist] selects and, with a trace sink, inside a [name] span. A
@@ -513,19 +498,18 @@ let bump t counter =
    span encloses the [recut] and [checkpoint] spans its cadences open.
    Two arguments spare [ingest] a tuple (the other sections pass
    units); without [obs] this is the bare call, no closure. *)
-let timed m hist f t a b =
+let timed hist f t a b =
   let c0 = Mclock.now_ns () in
   let r = f t a b in
-  Metric.observe (hist m) (Mclock.ms_since c0);
+  Metric.observe (hist t.m) (Mclock.ms_since c0);
   r
 
 let section t hist name f a b =
-  match t.obs with
-  | None -> f t a b
-  | Some m -> (
-      match m.t_trace with
-      | None -> timed m hist f t a b
-      | Some sink -> Trace.with_span sink name (fun () -> timed m hist f t a b))
+  match (t.obs, t.trace) with
+  | None, _ -> f t a b
+  | Some _, None -> timed hist f t a b
+  | Some _, Some sink ->
+      Trace.with_span sink name (fun () -> timed hist f t a b)
 
 (* A re-cut "fails" for the breaker when it degrades all the way to the
    greedy floor with every better tier timed out or broken: serving
@@ -534,9 +518,7 @@ let section t hist name f a b =
 let recut_body t () () =
   let attempt () =
     match
-      Ladder.serve
-        ?obs:(Option.map (fun m -> m.t_reg) t.obs)
-        ?trace:(Option.bind t.obs (fun m -> m.t_trace))
+      Ladder.serve ?obs:t.obs ?trace:t.trace
         ?deadline_ms:t.cfg.recut_deadline_ms ~epsilon:t.cfg.epsilon
         ~fault:t.fault
         ~data:(Stream_synopsis.current_data t.stream)
@@ -545,8 +527,7 @@ let recut_body t () () =
     | Error _ as e -> e
     | Ok served as ok ->
         t.served <- Some served;
-        t.recuts_served <- t.recuts_served + 1;
-        bump t (fun m -> m.recut_served);
+        Metric.incr t.m.recut_served;
         let degraded =
           served.Ladder.tier = Ladder.Greedy_maxerr
           && List.exists
@@ -554,8 +535,7 @@ let recut_body t () () =
                served.Ladder.attempts
         in
         if degraded then begin
-          t.recuts_degraded <- t.recuts_degraded + 1;
-          bump t (fun m -> m.recut_degraded);
+          Metric.incr t.m.recut_degraded;
           bad_shape "recut"
             ("degraded to the greedy floor: "
             ^ Ladder.describe_attempts served.Ladder.attempts)
@@ -566,17 +546,12 @@ let recut_body t () () =
      change (trip, probe, reset) shows up as exactly one transition. *)
   let before = Retry.Breaker.state t.breaker in
   let result = Retry.Breaker.call t.breaker attempt in
-  (match t.obs with
-  | None -> ()
-  | Some m ->
-      let after = Retry.Breaker.state t.breaker in
-      if after <> before then Metric.incr m.breaker_transitions;
-      Metric.set m.breaker_state (breaker_code after));
+  let after = Retry.Breaker.state t.breaker in
+  if after <> before then Metric.incr t.m.breaker_transitions;
+  Metric.set t.m.breaker_state (Retry.Breaker.state_value after);
   (match result with
   | Ok _ -> ()
-  | Error Retry.Breaker.Open_circuit ->
-      t.recuts_rejected <- t.recuts_rejected + 1;
-      bump t (fun m -> m.recut_rejected)
+  | Error Retry.Breaker.Open_circuit -> Metric.incr t.m.recut_rejected
   | Error (Retry.Breaker.Inner e) -> t.last_error <- Some e);
   result
 
@@ -604,9 +579,7 @@ let persist t state =
       t.retained <-
         List.filteri (fun k _ -> k < t.cfg.keep) ((gen, seq) :: t.retained);
       t.last_generation <- Some gen;
-      (match t.obs with
-      | None -> ()
-      | Some m -> Metric.set m.checkpoint_generation (float_of_int gen));
+      Metric.set_int t.m.checkpoint_generation gen;
       Ok gen
 
 (* Drop the journal's records at or before [keep_after]. Rotation is
@@ -614,7 +587,7 @@ let persist t state =
    stays longer, and [what] names the rotation in the warning. *)
 let compact t ~keep_after ~what =
   match Journal.rotate t.journal ~keep_after with
-  | Ok _ -> bump t (fun m -> m.journal_rotations)
+  | Ok _ -> Metric.incr t.m.journal_rotations
   | Error e ->
       t.last_error <- Some e;
       Log.warn (fun m -> m "%s failed: %s" what (Validate.to_string e))
@@ -622,13 +595,11 @@ let compact t ~keep_after ~what =
 let checkpoint_body t () () =
   match persist t (Snapshot.of_stream ~seq:t.seq t.stream) with
   | Error e as err ->
-      t.checkpoint_failures <- t.checkpoint_failures + 1;
-      bump t (fun m -> m.checkpoint_failed);
+      Metric.incr t.m.checkpoint_failed;
       Log.warn (fun m -> m "checkpoint failed: %s" (Validate.to_string e));
       err
   | Ok _ as ok ->
-      t.checkpoints <- t.checkpoints + 1;
-      bump t (fun m -> m.checkpoint_completed);
+      Metric.incr t.m.checkpoint_completed;
       (* The journal must keep reaching back to the *oldest* retained
          generation, so a corrupt newer one can still fall back. *)
       t.keep_after <-
@@ -668,13 +639,9 @@ let append ?expect t ~i ~delta =
                seq want)
       | _ ->
           t.seq <- seq;
-          t.acked <- t.acked + 1;
-          (match t.obs with
-          | None -> ()
-          | Some m ->
-              Metric.incr m.journal_appends;
-              if t.cfg.sync then Metric.incr m.journal_fsyncs;
-              Metric.set m.seq_gauge (float_of_int seq));
+          Metric.incr t.m.journal_appends;
+          if t.cfg.sync then Metric.incr t.m.journal_fsyncs;
+          Metric.set_int t.m.seq_gauge seq;
           if i < t.cfg.n then Stream_synopsis.update t.stream ~i ~delta;
           ok)
 
@@ -687,7 +654,7 @@ let ingest_body t i delta =
         (Validate.Bad_value
            {
              path = None;
-             line = t.acked + 1;
+             line = acked t + 1;
              token = string_of_int i;
              reason = Printf.sprintf "cell out of domain [0, %d)" t.cfg.n;
            })
@@ -696,7 +663,7 @@ let ingest_body t i delta =
         (Validate.Bad_value
            {
              path = None;
-             line = t.acked + 1;
+             line = acked t + 1;
              token = Printf.sprintf "%h" delta;
              reason = "not finite (NaN/Inf)";
            })
@@ -708,11 +675,8 @@ let ingest_body t i delta =
           if seq mod t.cfg.checkpoint_every = 0 then ignore (checkpoint t);
           ok
   in
-  (match t.obs with
-  | None -> ()
-  | Some m ->
-      Metric.incr
-        (match r with Ok _ -> m.ingest_accepted | Error _ -> m.ingest_rejected));
+  Metric.incr
+    (match r with Ok _ -> t.m.ingest_accepted | Error _ -> t.m.ingest_rejected);
   r
 
 let ingest t ~i ~delta =
@@ -758,7 +722,7 @@ let install_snapshot t (state : Snapshot.state) =
     | Error _ as e -> e
     | Ok gen -> (
         let stream = Snapshot.to_stream state in
-        observe_stream t.obs stream;
+        observe_stream t.obs t.m stream;
         t.stream <- stream;
         (* Re-align the WAL writer with the installed history: records
            at or before the snapshot are superseded, and the next
@@ -775,9 +739,7 @@ let install_snapshot t (state : Snapshot.state) =
             t.journal <- j;
             t.seq <- state.Snapshot.seq;
             compact t ~keep_after:t.seq ~what:"post-install rotation";
-            (match t.obs with
-            | None -> ()
-            | Some m -> Metric.set m.seq_gauge (float_of_int t.seq));
+            Metric.set_int t.m.seq_gauge t.seq;
             Log.info (fun m ->
                 m "installed shipped snapshot at seq %d (generation %d)"
                   t.seq gen);

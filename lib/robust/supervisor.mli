@@ -91,8 +91,9 @@ val open_store :
     [store.recovery.replayed]; only post-open traffic moves the live
     [stream.*] counters. [trace] (honoured only with [obs]) records
     [ingest] / [recut] / [checkpoint] / [tier:*] spans, nested. Without
-    [obs] the supervisor runs the exact uninstrumented path —
-    instrumentation sites cost a single branch and no allocation. *)
+    [obs] the [store.*] instruments live in a private registry, so
+    {!stats} reads the same counters either way, but no clock is read,
+    the ladder runs unhooked and [stream.*] is not fed. *)
 
 val ingest : t -> i:int -> delta:float -> (int, Validate.error) result
 (** Accept the point update [d_i += delta]: journal it durably (with
@@ -168,7 +169,10 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Counters since [open_store] (recovery work excluded). *)
+(** Counts since [open_store] (recovery work excluded), read from the
+    [store.*] counters. A registry passed to several opens keeps one
+    set of counters, so the later stores' counts include the earlier
+    ones'. *)
 
 val close : t -> unit
 (** Flush and close the journal (does {e not} checkpoint — call

@@ -19,73 +19,53 @@ type 'a t = {
   queue : 'a Queue.t;
   mutable pressure : int;
   mutable quiet_rounds : int;
-  mutable shed_total : int;
-  mutable admitted_total : int;
-  m_depth : Metric.gauge option;
-  m_pressure : Metric.gauge option;
-  m_shed : Metric.counter option;
-  m_admitted : Metric.counter option;
+  m_depth : Metric.gauge;
+  m_pressure : Metric.gauge;
+  m_shed : Metric.counter;
+  m_admitted : Metric.counter;
 }
 
 let create ?obs ~bound () =
   if bound < 1 then invalid_arg "Admit.create: bound must be at least 1";
-  let instrument f =
-    Option.map (fun reg -> f reg) obs
-  in
-  (match obs with
-  | None -> ()
-  | Some reg ->
-      Metric.set
-        (Registry.gauge reg ~help:"admission queue capacity"
-           ~unit_:"requests" "server.queue.bound")
-        (float_of_int bound));
+  let reg = match obs with Some r -> r | None -> Registry.create () in
+  Metric.set_int
+    (Registry.gauge reg ~help:"admission queue capacity" ~unit_:"requests"
+       "server.queue.bound")
+    bound;
   {
     bound;
     queue = Queue.create ();
     pressure = 0;
     quiet_rounds = 0;
-    shed_total = 0;
-    admitted_total = 0;
     m_depth =
-      instrument (fun reg ->
-          Registry.gauge reg ~help:"admission queue depth at last update"
-            ~unit_:"requests" "server.queue.depth");
+      Registry.gauge reg ~help:"admission queue depth at last update"
+        ~unit_:"requests" "server.queue.depth";
     m_pressure =
-      instrument (fun reg ->
-          Registry.gauge reg ~help:"admission pressure level (0..2)"
-            ~unit_:"level" "server.pressure");
+      Registry.gauge reg ~help:"admission pressure level (0..2)"
+        ~unit_:"level" "server.pressure";
     m_shed =
-      instrument (fun reg ->
-          Registry.counter reg ~help:"requests shed by admission control"
-            ~unit_:"requests" "server.shed");
+      Registry.counter reg ~help:"requests shed by admission control"
+        ~unit_:"requests" "server.shed";
     m_admitted =
-      instrument (fun reg ->
-          Registry.counter reg ~help:"requests admitted past the queue bound"
-            ~unit_:"requests" "server.admitted");
+      Registry.counter reg ~help:"requests admitted past the queue bound"
+        ~unit_:"requests" "server.admitted";
   }
 
 let depth t = Queue.length t.queue
 let bound t = t.bound
 let pressure t = t.pressure
-let shed_total t = t.shed_total
-let admitted_total t = t.admitted_total
-
-(* Runs per request: a match allocates nothing, a closure would. *)
-let set_depth t =
-  match t.m_depth with
-  | Some g -> Metric.set g (float_of_int (depth t))
-  | None -> ()
+let shed_total t = Metric.counter_value t.m_shed
+let admitted_total t = Metric.counter_value t.m_admitted
+let set_depth t = Metric.set_int t.m_depth (depth t)
 
 let offer t x =
   if Queue.length t.queue >= t.bound then begin
-    t.shed_total <- t.shed_total + 1;
-    Metric.incr_opt t.m_shed;
+    Metric.incr t.m_shed;
     false
   end
   else begin
     Queue.add x t.queue;
-    t.admitted_total <- t.admitted_total + 1;
-    Metric.incr_opt t.m_admitted;
+    Metric.incr t.m_admitted;
     set_depth t;
     true
   end
@@ -98,7 +78,7 @@ let take_batch t =
 
 let set_pressure t p =
   t.pressure <- p;
-  Option.iter (fun g -> Metric.set g (float_of_int p)) t.m_pressure
+  Metric.set_int t.m_pressure p
 
 let note_round t ~shed =
   let before = t.pressure in

@@ -17,10 +17,12 @@ type 'a t
 
 val create : ?obs:Wavesyn_obs.Registry.t -> bound:int -> unit -> 'a t
 (** [create ~bound ()] makes an empty queue admitting at most [bound]
-    requests between drains. With [obs], maintains the
-    [server.queue.bound], [server.queue.depth], [server.pressure]
-    gauges and [server.shed], [server.admitted] counters. Raises
-    [Invalid_argument] if [bound < 1]. *)
+    requests between drains. It keeps the [server.queue.bound],
+    [server.queue.depth], [server.pressure] gauges and the
+    [server.shed], [server.admitted] counters that {!shed_total} and
+    {!admitted_total} read, registered in [obs] when given and in a
+    private registry otherwise. Raises [Invalid_argument] if
+    [bound < 1]. *)
 
 val offer : 'a t -> 'a -> bool
 (** Enqueue one request; [false] means the queue is full and the

@@ -52,7 +52,6 @@ let create ?(fault = Fault.none) ~id ~now_ms fd =
 
 let fd t = t.fd
 let id t = t.id
-let is_text t = t.mode = Text
 let mark_closing t = t.closing <- true
 let closing t = t.closing
 

@@ -46,9 +46,6 @@ val fd : t -> Unix.file_descr
 
 val id : t -> int
 
-val is_text : t -> bool
-(** Whether mode detection has settled on text. *)
-
 val read : t -> now_ms:float -> event list * [ `More | `Eof ]
 (** Drain the socket without blocking and extract every complete
     request. Draining stops at the first read that leaves room in the

@@ -36,8 +36,6 @@ let parse s =
         | Some p -> Error (Printf.sprintf "tcp port %d out of range" p)
         | None -> Error (Printf.sprintf "tcp port is not an integer: %S" port))
 
-let is_tcp = function Tcp _ -> true | Unix_path _ -> false
-
 let domain = function
   | Unix_path _ -> Unix.PF_UNIX
   | Tcp _ -> Unix.PF_INET

@@ -25,9 +25,6 @@ val to_string : t -> string
 (** [to_string ep] renders the endpoint back to its string form;
     [parse (to_string ep)] round-trips. *)
 
-val is_tcp : t -> bool
-(** [is_tcp ep] is true exactly on [Tcp] endpoints. *)
-
 val domain : t -> Unix.socket_domain
 (** [domain ep] is the socket domain to create for this endpoint:
     [PF_UNIX] for paths, [PF_INET] for TCP. *)

@@ -179,9 +179,6 @@ type t = {
   mutable crashed : bool;
   mutable terminated : bool;
   mutable total_requests : int;
-  mutable total_errors : int;
-  mutable total_accepted : int;
-  mutable total_recuts : int;
   mutable total_updates : int;
   mutable bound : float;
   c_accepted : Metric.counter;
@@ -227,10 +224,7 @@ let recut ?(cadenced = false) t =
   let level = max (Admit.pressure t.admit) t.tier_floor in
   let top = Ladder.top_of_pressure level in
   let counted () =
-    if not cadenced then begin
-      t.total_recuts <- t.total_recuts + 1;
-      Metric.incr t.c_recuts
-    end
+    if not cadenced then Metric.incr t.c_recuts
   in
   let cut f = if cadenced then f () else with_span t "server.recut" f in
   match (t.backend, t.tiers_state) with
@@ -431,9 +425,6 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
       crashed = false;
       terminated = false;
       total_requests = 0;
-      total_errors = 0;
-      total_accepted = 0;
-      total_recuts = 0;
       total_updates = 0;
       bound = 0.;
       c_accepted =
@@ -484,12 +475,12 @@ let stats_text t =
 
 let stats t =
   {
-    accepted = t.total_accepted;
+    accepted = Metric.counter_value t.c_accepted;
     requests = t.total_requests;
     admitted = Admit.admitted_total t.admit;
     shed = Admit.shed_total t.admit;
-    errors = t.total_errors;
-    recuts = t.total_recuts;
+    errors = Metric.counter_value t.c_errors;
+    recuts = Metric.counter_value t.c_recuts;
     tier = t.tier_name;
     updates = t.total_updates;
     bound = t.bound;
@@ -565,11 +556,7 @@ let overload_reply t =
 
 (* The one place a slot gets its reply. *)
 let fill t slot reply =
-  (match reply with
-  | Wire.Error _ ->
-      t.total_errors <- t.total_errors + 1;
-      Metric.incr t.c_errors
-  | _ -> ());
+  (match reply with Wire.Error _ -> Metric.incr t.c_errors | _ -> ());
   slot.s_reply <- Some reply
 
 (* Answer a SYNC by shipping journal records from the store's WAL. A
@@ -966,7 +953,6 @@ let accept_ready t listen_fd ~now_ms =
         | Unix.ADDR_UNIX _ -> ());
         let id = t.next_id in
         t.next_id <- id + 1;
-        t.total_accepted <- t.total_accepted + 1;
         Metric.incr t.c_accepted;
         Hashtbl.replace t.conns id
           (Conn.create ~fault:t.cfg.conn_fault ~id ~now_ms fd);

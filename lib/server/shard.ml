@@ -162,7 +162,6 @@ let router ~n ?seqs ~ranges rpcs =
             got = Array.make shards [];
           }
 
-let shard_count t = Array.length t.ranges
 let ranges t = Array.to_list t.ranges
 let seq t = Array.fold_left ( + ) 0 t.seqs
 

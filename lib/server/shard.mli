@@ -51,9 +51,6 @@ val router :
     it defaults to all zeros. Errors on a range list that fails
     {!check_ranges} or does not match the backend count. *)
 
-val shard_count : t -> int
-(** Number of shards behind the router. *)
-
 val ranges : t -> range list
 (** The partition map, in shard-index order. *)
 

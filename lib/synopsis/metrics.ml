@@ -2,10 +2,6 @@ module Ndarray = Wavesyn_util.Ndarray
 
 type error_metric = Abs | Rel of { sanity : float }
 
-let pp_metric ppf = function
-  | Abs -> Format.fprintf ppf "absolute"
-  | Rel { sanity } -> Format.fprintf ppf "relative(s=%g)" sanity
-
 let check_metric = function
   | Abs -> ()
   | Rel { sanity } ->

@@ -13,8 +13,6 @@ type error_metric =
   | Abs  (** maximum absolute error *)
   | Rel of { sanity : float }  (** maximum relative error, sanity bound > 0 *)
 
-val pp_metric : Format.formatter -> error_metric -> unit
-
 val denominator : error_metric -> float -> float
 (** [denominator metric d] is the paper's [r]: [max (|d|, s)] for
     relative error, [1] for absolute error. *)

@@ -409,7 +409,7 @@ let test_ingest_allocation () =
       true (words <= limit)
   in
   pinned "bare" (ingest_words ()) 149.11;
-  pinned "obs" (ingest_words ~obs:(Wavesyn_obs.Registry.create ()) ()) 160.11
+  pinned "obs" (ingest_words ~obs:(Wavesyn_obs.Registry.create ()) ()) 158.11
 
 (* A primary's updates, shipped and applied on a follower, leave the
    same store behind: WAL bytes, sequence, coefficient bits, and the

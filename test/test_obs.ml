@@ -4,7 +4,7 @@
    interpolation, NaN hygiene), registry naming rules (idempotent
    lookup, loud collisions), the trace ring buffer, both exposition
    formats — and the property the whole layer stands on: enabling
-   metrics never changes an answer. *)
+   metrics never changes an answer or a count. *)
 
 module Metric = Wavesyn_obs.Metric
 module Registry = Wavesyn_obs.Registry
@@ -16,6 +16,12 @@ module Stream_synopsis = Wavesyn_stream.Stream_synopsis
 module Synopsis = Wavesyn_synopsis.Synopsis
 module Metrics = Wavesyn_synopsis.Metrics
 module Prng = Wavesyn_util.Prng
+module Retry = Wavesyn_robust.Retry
+module Fault = Wavesyn_robust.Fault
+module Incremental = Wavesyn_robust.Incremental
+module Rcache = Wavesyn_adaptive.Rcache
+module Profiler = Wavesyn_adaptive.Profiler
+module Admit = Wavesyn_server.Admit
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -409,6 +415,264 @@ let test_supervisor_metrics () =
         (counter_value reg2 "stream.updates");
       Supervisor.close sup2)
 
+(* --- neutrality: a count does not depend on the registry ---
+
+   Each schedule runs twice, with and without a registry. Every
+   accessor and [stats] field is listed as [(cell, value)]: [cell]
+   names the registered counter the value must equal, [None] a value
+   no counter owns. Both runs must list the same values. *)
+
+type count = { cell : (string * Registry.labels) option; value : int }
+
+let owned ?(labels = []) name value = { cell = Some (name, labels); value }
+let unowned value = { cell = None; value }
+
+let cells_match reg counts =
+  List.for_all
+    (fun c ->
+      match c.cell with
+      | None -> true
+      | Some (name, labels) -> counter_value reg ~labels name = c.value)
+    counts
+
+let neutral_counts ?(covered = fun _ -> true) run seed =
+  let plain = run None seed in
+  let reg = Registry.create () in
+  let observed = run (Some reg) seed in
+  covered plain
+  && List.map (fun c -> c.value) plain = List.map (fun c -> c.value) observed
+  && cells_match reg observed
+
+let component_counts obs seed =
+  let rng = Prng.create ~seed in
+  let cache = Rcache.create ?obs ~cap:4 () in
+  let epoch = ref 0 in
+  for _ = 1 to 200 do
+    if Prng.int rng 16 = 0 then incr epoch;
+    let key = Prng.int rng 8 in
+    match Rcache.find cache ~epoch:!epoch key with
+    | Some _ -> ()
+    | None -> Rcache.add cache ~epoch:!epoch key key
+  done;
+  let admit = Admit.create ?obs ~bound:4 () in
+  for _ = 1 to 40 do
+    let shed = ref 0 in
+    for _ = 1 to Prng.int rng 8 do
+      if not (Admit.offer admit ()) then incr shed
+    done;
+    ignore (Admit.take_batch admit);
+    ignore (Admit.note_round admit ~shed:!shed)
+  done;
+  let now = ref 0. in
+  let breaker =
+    Retry.Breaker.create ~threshold:2 ~cooldown_ms:3.
+      ~clock:(fun () -> !now)
+      ?obs ~name:"neutral" ()
+  in
+  for _ = 1 to 100 do
+    now := !now +. 1.;
+    let ok = Prng.int rng 3 > 0 in
+    ignore
+      (Retry.Breaker.call breaker (fun () -> if ok then Ok () else Error ()))
+  done;
+  let stream = Stream_synopsis.create ~n:32 in
+  let inc =
+    Incremental.create ?obs ~full_every:8 ~budget:4 ~metric:Metrics.Abs
+      ~epsilon:0.25 stream
+  in
+  for _ = 1 to 60 do
+    let i = Prng.int rng 32 and delta = float_of_int (Prng.int rng 9 - 4) in
+    Stream_synopsis.update stream ~i ~delta;
+    Incremental.note_update inc ~i ~delta;
+    if Incremental.due_full inc then ignore (Incremental.full_cut inc stream)
+    else if Prng.int rng 3 = 0 then Incremental.refresh inc stream
+  done;
+  let profiler = Profiler.create ?obs () in
+  let kinds = [| `Point; `Range; `Selectivity; `Quantile |] in
+  for _ = 1 to 50 do
+    Profiler.observe profiler kinds.(Prng.int rng 4)
+  done;
+  let inc_st = Incremental.stats inc and mix = Profiler.observed profiler in
+  let observed kind = owned ~labels:[ ("kind", kind) ] "adaptive.observed" in
+  let breaker_labels = [ ("breaker", "neutral") ] in
+  [
+    owned "serve.cache.hits" (Rcache.hits cache);
+    owned "serve.cache.misses" (Rcache.misses cache);
+    owned "serve.cache.invalidations" (Rcache.invalidations cache);
+    unowned (Rcache.size cache);
+    owned "server.shed" (Admit.shed_total admit);
+    owned "server.admitted" (Admit.admitted_total admit);
+    unowned (Admit.pressure admit);
+    unowned (Admit.depth admit);
+    owned ~labels:breaker_labels "retry.breaker.trips"
+      (Retry.Breaker.trips breaker);
+    owned ~labels:breaker_labels "retry.breaker.rejected"
+      (Retry.Breaker.rejected breaker);
+    unowned
+      (int_of_float
+         (Retry.Breaker.state_value (Retry.Breaker.state breaker)));
+    owned "recut.full" inc_st.Incremental.full_cuts;
+    owned "recut.incremental" inc_st.Incremental.incrementals;
+    owned "recut.subtrees" inc_st.Incremental.subtrees_resolved;
+    unowned inc_st.Incremental.since_full;
+    observed "point" mix.Wavesyn_aqp.Workload.points;
+    observed "range" mix.Wavesyn_aqp.Workload.ranges;
+    observed "selectivity" mix.Wavesyn_aqp.Workload.selectivities;
+    observed "quantile" mix.Wavesyn_aqp.Workload.quantiles;
+    unowned (Profiler.total profiler);
+  ]
+
+let prop_component_counts_neutral =
+  QCheck.Test.make
+    ~name:
+      "registry-neutral counts: cache, admission, breaker, incremental, \
+       profiler"
+    ~count:40 (QCheck.int_bound 10_000)
+    (neutral_counts component_counts)
+
+(* A store under a one-strike breaker whose re-cut tiers time out, and
+   whose journal appends and snapshot writes fail, each with
+   probability 1/2 and no retry. *)
+let supervisor_counts obs seed =
+  with_store (fun dir ->
+      let now = ref 0. in
+      let breaker =
+        Retry.Breaker.create ~threshold:1 ~cooldown_ms:5.
+          ~clock:(fun () -> !now)
+          ?obs ~name:"store" ()
+      in
+      let fault =
+        Fault.create
+          ~kinds:[ Fault.Expire_deadline; Fault.Io_flaky ]
+          ~rate:0.5 ~seed ()
+      in
+      let cfg =
+        Supervisor.config ~checkpoint_every:4 ~recut_every:2 ~sync:false ~dir
+          ~n:16 ~budget:4 Metrics.Abs
+      in
+      let sup =
+        match
+          Supervisor.open_store ?obs ~fault ~breaker ~retry_attempts:1 cfg
+        with
+        | Ok s -> s
+        | Error e -> Alcotest.fail (Wavesyn_robust.Validate.to_string e)
+      in
+      let rng = Prng.create ~seed in
+      let ingest () =
+        now := !now +. 1.;
+        ignore
+          (Supervisor.ingest sup ~i:(Prng.int rng 16)
+             ~delta:(float_of_int (Prng.int rng 9 - 4)))
+      in
+      (* Run until the plan has degraded a re-cut, had one refused and
+         failed a checkpoint. The stop depends only on counts, so both
+         runs stop at the same update unless a count differs. *)
+      let covered () =
+        let st = Supervisor.stats sup in
+        st.Supervisor.recuts_degraded > 0
+        && st.Supervisor.recuts_rejected > 0
+        && st.Supervisor.checkpoint_failures > 0
+      in
+      let k = ref 0 in
+      while !k < 2_000 && not (covered ()) do
+        ingest ();
+        incr k
+      done;
+      for _ = 1 to 16 do
+        ingest ()
+      done;
+      let st = Supervisor.stats sup in
+      Supervisor.close sup;
+      let breaker_labels = [ ("breaker", "store") ] in
+      [
+        owned "store.journal.appends" st.Supervisor.acked;
+        owned "store.recut.served" st.Supervisor.recuts_served;
+        owned "store.recut.degraded" st.Supervisor.recuts_degraded;
+        owned "store.recut.rejected" st.Supervisor.recuts_rejected;
+        owned "store.checkpoint.completed" st.Supervisor.checkpoints;
+        owned "store.checkpoint.failed" st.Supervisor.checkpoint_failures;
+        owned ~labels:breaker_labels "retry.breaker.trips"
+          (Retry.Breaker.trips breaker);
+        owned ~labels:breaker_labels "retry.breaker.rejected"
+          (Retry.Breaker.rejected breaker);
+        unowned st.Supervisor.seq;
+        unowned st.Supervisor.updates;
+        unowned (Option.value st.Supervisor.last_generation ~default:(-1));
+        unowned
+          (int_of_float (Retry.Breaker.state_value st.Supervisor.breaker));
+      ])
+
+let prop_supervisor_counts_neutral =
+  QCheck.Test.make ~name:"registry-neutral counts: supervisor under faults"
+    ~count:12 (QCheck.int_bound 10_000)
+    (neutral_counts supervisor_counts ~covered:(fun counts ->
+         let value name =
+           (List.find (fun c -> c.cell = Some (name, [])) counts).value
+         in
+         value "store.recut.degraded" > 0
+         && value "store.recut.rejected" > 0
+         && value "store.checkpoint.failed" > 0))
+
+(* Both breaker gauges encode a state as {!Retry.Breaker.state_value}.
+   The breaker trips on a re-cut every better tier of which times out,
+   fails its half-open probe the same way, reads half-open once its
+   cooldown has passed, and closes on a probe that succeeds: a reopen
+   of the store with no faults, sharing breaker and registry. *)
+let test_breaker_gauges () =
+  with_store (fun dir ->
+      let reg = Registry.create () in
+      let now = ref 0. in
+      let breaker =
+        Retry.Breaker.create ~threshold:1 ~cooldown_ms:10.
+          ~clock:(fun () -> !now)
+          ~obs:reg ~name:"store" ()
+      in
+      let cfg =
+        Supervisor.config ~checkpoint_every:1_000 ~recut_every:1_000
+          ~sync:false ~dir ~n:16 ~budget:4 Metrics.Abs
+      in
+      let open_store fault =
+        match Supervisor.open_store ~obs:reg ~fault ~breaker cfg with
+        | Ok s -> s
+        | Error e -> Alcotest.fail (Wavesyn_robust.Validate.to_string e)
+      in
+      let both what state =
+        let v = Retry.Breaker.state_value state in
+        checkf (what ^ ": store.breaker.state") v
+          (Metric.gauge_value (Registry.gauge reg "store.breaker.state"));
+        checkf (what ^ ": retry.breaker.state") v
+          (Metric.gauge_value
+             (Registry.gauge reg ~labels:[ ("breaker", "store") ]
+                "retry.breaker.state"))
+      in
+      let sup =
+        open_store
+          (Fault.create ~kinds:[ Fault.Expire_deadline ] ~rate:1.0 ~seed:3 ())
+      in
+      for i = 0 to 15 do
+        ignore (Supervisor.ingest sup ~i ~delta:(float_of_int ((i * 7) mod 5)))
+      done;
+      both "closed at open" Retry.Breaker.Closed;
+      ignore (Supervisor.recut sup);
+      both "open after a trip" Retry.Breaker.Open;
+      ignore (Supervisor.recut sup);
+      both "open while cooling down" Retry.Breaker.Open;
+      now := 10.;
+      ignore (Supervisor.recut sup);
+      both "open after a failed probe" Retry.Breaker.Open;
+      checki "two trips" 2 (Retry.Breaker.trips breaker);
+      checki "one rejection" 1
+        (Supervisor.stats sup).Supervisor.recuts_rejected;
+      Supervisor.close sup;
+      now := 20.;
+      let sup = open_store Fault.none in
+      both "half-open once cooled down" Retry.Breaker.Half_open;
+      (match Supervisor.recut sup with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "a fault-free probe must succeed");
+      both "closed after a good probe" Retry.Breaker.Closed;
+      Supervisor.close sup)
+
 let () =
   Alcotest.run "wavesyn-obs"
     [
@@ -446,10 +710,16 @@ let () =
           QCheck_alcotest.to_alcotest prop_stream_observer_neutral;
           Alcotest.test_case "observer reports path length" `Quick
             test_observer_reports_path_length;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            prop_component_counts_neutral;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            prop_supervisor_counts_neutral;
         ] );
       ( "supervisor",
         [
           Alcotest.test_case "metrics mirror stats" `Quick
             test_supervisor_metrics;
+          Alcotest.test_case "breaker gauges share one encoding" `Quick
+            test_breaker_gauges;
         ] );
     ]
