@@ -10,8 +10,8 @@
 
    Usage: dune exec bench/smoke.exe -- [OUT.json]
    (default output path: BENCH_obs.json in the current directory).
-   The PAR and SRV rows also go to BENCH_par.json and BENCH_server.json
-   in OUT's directory. *)
+   OUT is the one recording: every row, under a header that notes the
+   host's core count. *)
 
 open Bechamel
 open Toolkit
@@ -229,8 +229,8 @@ let kernel_states () =
 (* Sequential-vs-pooled pairs for the deterministic solver pool
    (docs/PARALLELISM.md). The pooled runs return bit-identical results;
    only the wall clock may differ, and only on multicore hosts — the
-   recorded BENCH_par.json notes the host's core count so a 1-core
-   container's numbers are not read as a parallelism regression. *)
+   recording notes the host's core count so a 1-core container's
+   numbers are not read as a parallelism regression. *)
 (* The shared fan-out inputs, drawn once so the seq and pool4 passes
    time the same data. *)
 let par_inputs () =
@@ -289,8 +289,8 @@ let par_pool_cases pool4 (grid, measures, _) =
 (* Wire-protocol and admission-control hot paths of the serving
    subsystem (docs/SERVING.md). All pure in-process work: framing a
    request, decoding a framed reply (CRC check included), and a full
-   offer/drain cycle through the bounded admission queue. Recorded in
-   BENCH_server.json so later protocol changes show up as perf moves. *)
+   offer/drain cycle through the bounded admission queue. Recorded so
+   later protocol changes show up as perf moves. *)
 (* One scatter-gather round through the Shard router (in-process rpc
    stubs answering exact sums, so the row isolates routing and merge
    overhead): a point, a cross-shard range and a quantile bisection,
@@ -507,29 +507,14 @@ let () =
   in
   let states = kernel_states () in
   let oc = open_out out in
-  write_rows oc ~schema:"wavesyn-bench-smoke/2" ~extra:"" ~states rows;
-  close_out oc;
-  (* The PAR pairs also land in their own file, tagged with the host's
-     core count: on a 1-core container the pooled numbers legitimately
-     match (or slightly trail) the sequential ones. *)
-  let par_rows =
-    List.filter (fun (name, _, _) -> String.starts_with ~prefix:"smoke/PAR/" name)
-      rows
-  in
-  let oc = open_out (Filename.concat (Filename.dirname out) "BENCH_par.json") in
-  write_rows oc ~schema:"wavesyn-bench-par/1"
+  (* The host's core count: on a 1-core container the pooled PAR
+     numbers legitimately match (or slightly trail) the sequential
+     ones, and benchgate's pooled gate skips. *)
+  write_rows oc ~schema:"wavesyn-bench-smoke/2"
     ~extra:
       (Printf.sprintf "\n  \"host_recommended_domains\": %d,"
          (Domain.recommended_domain_count ()))
-    par_rows;
-  close_out oc;
-  (* Serving-subsystem cases in their own file (docs/SERVING.md). *)
-  let srv_rows =
-    List.filter (fun (name, _, _) -> String.starts_with ~prefix:"smoke/SRV/" name)
-      rows
-  in
-  let oc = open_out (Filename.concat (Filename.dirname out) "BENCH_server.json") in
-  write_rows oc ~schema:"wavesyn-bench-server/1" ~extra:"" srv_rows;
+    ~states rows;
   close_out oc;
   List.iter
     (fun (name, ns, words) ->

@@ -1270,28 +1270,16 @@ let server_cmd =
         | None, None -> config ~budget ~metric ~epsilon (source.load ())
         | Some primary, Some dir ->
             let client = connect_client ~wait_ms primary in
-            let sup, scfg, manifest, progress =
+            let { Replica.store; config = scfg; manifest; progress } =
               Fun.protect ~finally:(fun () -> Client.close client) @@ fun () ->
-              let _, manifest = ok_or_die (Replica.handshake client) in
-              let scfg =
-                ok_or_die (Supervisor.config_of_manifest ~dir manifest)
-              in
-              let sup =
-                ok_or_die
-                  (Supervisor.open_store ~obs ~role:Supervisor.Follower scfg)
-              in
-              match Replica.sync client sup with
-              | Ok progress -> (sup, scfg, manifest, progress)
-              | Error e ->
-                  Supervisor.close sup;
-                  die e
+              ok_or_die (Replica.bootstrap ~obs ~dir client)
             in
             Printf.printf
               "follower: synced from %s seq=%d (batches=%d records=%d \
                snapshots=%d)\n"
               primary progress.Replica.final_seq progress.Replica.batches
               progress.Replica.records progress.Replica.snapshots;
-            live_config ~dir ~manifest sup scfg
+            live_config ~dir ~manifest store scfg
         | None, Some dir ->
             (* Open the store for writing: this server is live — UPDATE /
                INGEST frames journal through it. Re-cut cadence is owned

@@ -88,4 +88,3 @@ let size t = Hashtbl.length t.table
 let hits t = Metric.counter_value t.c_hits
 let misses t = Metric.counter_value t.c_misses
 let invalidations t = Metric.counter_value t.c_invalidations
-let epoch t = t.epoch

@@ -52,6 +52,3 @@ val misses : _ t -> int
 val invalidations : _ t -> int
 (** Whole-table flushes since creation (epoch advances observed at an
     operation, plus capacity flushes). *)
-
-val epoch : _ t -> int
-(** The epoch the table last synced to. *)

@@ -35,9 +35,6 @@ val size : t -> int
 val n : t -> int
 (** Domain size. *)
 
-val point : t -> int -> float
-(** Representative value for a cell, O(log B). *)
-
 val reconstruct : t -> float array
 
 val range_sum : t -> lo:int -> hi:int -> float

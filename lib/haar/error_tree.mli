@@ -17,10 +17,6 @@ type t
 val of_data : float array -> t
 (** Build the tree (computes the wavelet transform). O(N). *)
 
-val of_parts : data:float array -> coeffs:float array -> t
-(** Wrap precomputed parts; [coeffs] must be the Haar transform of
-    [data] (unchecked beyond length equality). *)
-
 val n : t -> int
 (** Number of data cells. *)
 

@@ -25,11 +25,6 @@ val point : wavelet:Wavesyn_util.Ndarray.t -> int array -> float
 (** Reconstruct one cell in O((log N)^D) by combining the per-dimension
     path signs. *)
 
-val normalization : Wavesyn_util.Ndarray.t -> int array -> float
-(** L2 normalization multiplier of the coefficient at a position: the
-    product of the per-dimension 1-D normalizations, times the scaling
-    that equalizes basis-vector norms. *)
-
 val threshold_l2 :
   data:Wavesyn_util.Ndarray.t -> budget:int -> (int * float) list
 (** Conventional thresholding in the standard basis: the [budget]

@@ -25,10 +25,6 @@ type children = Nodes of node list | Cells of int array list
 val of_data : Wavesyn_util.Ndarray.t -> t
 (** Build the tree (computes the nonstandard transform). *)
 
-val of_parts :
-  data:Wavesyn_util.Ndarray.t -> wavelet:Wavesyn_util.Ndarray.t -> t
-(** Wrap precomputed parts (shapes must agree). *)
-
 val data : t -> Wavesyn_util.Ndarray.t
 val wavelet : t -> Wavesyn_util.Ndarray.t
 val ndim : t -> int

@@ -1,3 +1,2 @@
 let now_ns () = Monotonic_clock.now ()
-let now_ms () = Int64.to_float (now_ns ()) /. 1e6
 let ms_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6

@@ -11,10 +11,6 @@ val now_ns : unit -> int64
 (** Nanoseconds from an arbitrary fixed origin; strictly
     non-decreasing. *)
 
-val now_ms : unit -> float
-(** {!now_ns} scaled to milliseconds (the unit every latency
-    instrument in this library records). *)
-
 val ms_since : int64 -> float
 (** [ms_since t0] is the elapsed time in milliseconds since the
     {!now_ns} stamp [t0]. *)

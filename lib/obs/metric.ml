@@ -73,7 +73,6 @@ let hist_count t = t.count
 let hist_sum t = t.sum
 let hist_min t = t.min_v
 let hist_max t = t.max_v
-let bounds t = Array.copy t.bnds
 let bucket_counts t = Array.copy t.counts
 
 let cumulative t =

@@ -46,13 +46,10 @@ type histogram
     inside the covering bucket ({!quantile}). *)
 
 val histogram : ?bounds:float array -> unit -> histogram
-(** [bounds] are strictly increasing, finite upper bounds (default
-    {!default_latency_bounds_ms}). Raises [Invalid_argument] if empty,
-    non-finite or not strictly increasing. *)
-
-val default_latency_bounds_ms : float array
-(** Log-spaced 10µs … 10s in milliseconds — wide enough for a journal
-    fsync and a full MinMaxErr DP alike:
+(** [bounds] are strictly increasing, finite upper bounds. Raises
+    [Invalid_argument] if empty, non-finite or not strictly increasing.
+    The default is log-spaced 10µs … 10s in milliseconds — wide enough
+    for a journal fsync and a full MinMaxErr DP alike:
     [0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100,
     250, 500, 1000, 2500, 10000]. *)
 
@@ -69,9 +66,6 @@ val hist_min : histogram -> float
 
 val hist_max : histogram -> float
 (** Largest finite observation; [nan] before the first one. *)
-
-val bounds : histogram -> float array
-(** The finite bucket upper bounds (a copy). *)
 
 val bucket_counts : histogram -> int array
 (** Per-bucket (non-cumulative) counts; one extra trailing cell for the

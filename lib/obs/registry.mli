@@ -48,7 +48,7 @@ val histogram :
   ?bounds:float array ->
   string ->
   Metric.histogram
-(** [bounds] defaults to {!Metric.default_latency_bounds_ms}; all
+(** [bounds] defaults to {!Metric.histogram}'s latency layout; all
     instruments of one family share the layout of the first
     registration (a differing [bounds] on a later call is a
     collision). *)

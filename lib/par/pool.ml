@@ -203,9 +203,6 @@ let map_chunked ?(grain = 1) t n f =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let reduce_ordered ?grain t ~n ~task ~merge ~init =
-  Array.fold_left merge init (map_chunked ?grain t n task)
-
 let shutdown t =
   Mutex.lock t.mutex;
   t.stop <- true;

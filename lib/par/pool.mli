@@ -64,21 +64,6 @@ val map_chunked : ?grain:int -> t -> int -> (int -> 'a) -> 'a array
     Raises [Invalid_argument] on [n < 0], [grain < 1], or a pool that
     was already {!shutdown}. *)
 
-val reduce_ordered :
-  ?grain:int ->
-  t ->
-  n:int ->
-  task:(int -> 'a) ->
-  merge:('b -> 'a -> 'b) ->
-  init:'b ->
-  'b
-(** [reduce_ordered pool ~n ~task ~merge ~init] computes
-    [merge (… (merge init (task 0)) …) (task (n-1))]: tasks run across
-    the pool, the merge runs on the calling thread in ascending index
-    order. Because the fold order is fixed, a non-commutative or
-    tie-sensitive [merge] (e.g. strictly-less "keep the first best")
-    gives exactly the sequential answer. *)
-
 val shutdown : t -> unit
 (** Drain in-flight work, stop and join every worker domain.
     Idempotent: further calls return immediately. Submitting to a pool

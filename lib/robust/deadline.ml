@@ -3,7 +3,6 @@ type stats = {
   states : int;
   checks : int;
   budget_ms : float option;
-  state_cap : int option;
 }
 
 exception Deadline_exceeded of stats
@@ -11,7 +10,6 @@ exception Deadline_exceeded of stats
 type t = {
   started_ns : int64;
   budget_ms : float option;
-  state_cap : int option;
   probe : (stats -> bool) option;
   mutable states : int;
   mutable checks : int;
@@ -21,11 +19,10 @@ type t = {
 let now_ns () = Monotonic_clock.now ()
 let now_ms () = Int64.to_float (now_ns ()) /. 1e6
 
-let create ?ms ?state_cap ?probe () =
+let create ?ms ?probe () =
   {
     started_ns = now_ns ();
     budget_ms = ms;
-    state_cap;
     probe;
     states = 0;
     checks = 0;
@@ -43,12 +40,10 @@ let stats t =
     states = t.states;
     checks = t.checks;
     budget_ms = t.budget_ms;
-    state_cap = t.state_cap;
   }
 
 let over t =
   t.tripped
-  || (match t.state_cap with Some cap -> t.states > cap | None -> false)
   || (match t.budget_ms with
      | Some ms -> elapsed_ms t > ms
      | None -> false)

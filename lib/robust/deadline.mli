@@ -3,8 +3,8 @@
     The exact DP is optimal but [O(N^2 B log B)] (Theorem 3.1) — at
     serving time a caller needs a way to say "give up after t ms (or
     after s DP states) and let me fall back". A [Deadline.t] combines a
-    monotonic-clock budget with a DP-state counter cap; solvers thread
-    {!tick} through their memo loops via their [?on_state] hooks
+    monotonic-clock budget with a probe on the DP-state count; solvers
+    thread {!tick} through their memo loops via their [?on_state] hooks
     ([Minmax_dp.solve], [Approx_additive.solve], [Md_dp.run]).
 
     Expiry raises {!Deadline_exceeded} carrying partial-progress
@@ -17,21 +17,20 @@ type stats = {
   states : int;  (** DP states computed before expiry *)
   checks : int;  (** number of {!tick} calls made *)
   budget_ms : float option;  (** the configured time budget *)
-  state_cap : int option;  (** the configured state cap *)
 }
 
 exception Deadline_exceeded of stats
 
 type t
 
-val create :
-  ?ms:float -> ?state_cap:int -> ?probe:(stats -> bool) -> unit -> t
+val create : ?ms:float -> ?probe:(stats -> bool) -> unit -> t
 (** Start the clock now. [ms] is a wall-clock budget on a monotonic
-    clock (immune to system-time jumps); [state_cap] bounds the number
-    of {!tick}s (i.e. DP states); [probe], if given, is consulted on
-    every tick and forces expiry by returning [true] — the fault
-    injection hook used by {!Fault}. With no arguments the deadline
-    never expires on its own. *)
+    clock (immune to system-time jumps); [probe], if given, is
+    consulted on every tick (after the state is counted) and forces
+    expiry by returning [true] — the fault injection hook used by
+    {!Fault}, and a deterministic state budget
+    ([fun st -> st.states > cap]). With no arguments the deadline never
+    expires on its own. *)
 
 val unlimited : unit -> t
 (** A deadline that never expires (but still counts states). *)

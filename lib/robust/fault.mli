@@ -50,9 +50,6 @@ exception Injected of kind
 val kind_name : kind -> string
 (** Stable lower-snake name, used in chaos-test output. *)
 
-val all_kinds : kind list
-(** Every injectable kind, in declaration order. *)
-
 val conn_kinds : kind list
 (** The network-level kinds consulted by the serving layer's
     connection fault points ({!Conn}, client-side chaos). *)
@@ -63,7 +60,7 @@ val kind_of_name : string -> kind option
 type t
 
 val create : ?kinds:kind list -> ?rate:float -> seed:int -> unit -> t
-(** A plan arming [kinds] (default {!all_kinds}), each firing
+(** A plan arming [kinds] (default: every injectable kind), each firing
     independently with probability [rate] (default 1.0 — always fire)
     at every fault point, driven by a PRNG seeded with [seed]. *)
 

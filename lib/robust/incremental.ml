@@ -371,8 +371,6 @@ let refresh t stream =
 let synopsis t = t.synopsis
 let bound t = t.bound
 let tier t = t.tier
-let frontier t = t.frontier
-
 type stats = {
   full_cuts : int;
   incrementals : int;

@@ -95,9 +95,6 @@ val tier : t -> string
 (** {!Ladder.tier_name} of the last full cut ([+ "+inc"] is the
     caller's business to render if desired). *)
 
-val frontier : t -> int
-(** The frontier width [F] (number of subtrees), fixed at creation. *)
-
 type stats = {
   full_cuts : int;
   incrementals : int;  (** refreshes that had dirty work *)

@@ -235,8 +235,6 @@ let open_writer ?(fault = Fault.none) ?(sync = true) ~dir ~next_seq () =
   | Error _ as e -> e
   | Ok oc -> Ok { dir; sync; fault; oc = Some oc; seq = next_seq - 1 }
 
-let next_seq t = t.seq + 1
-
 let channel t =
   match t.oc with
   | Some oc -> Ok oc

@@ -119,9 +119,6 @@ val open_writer :
     record gets sequence [next_seq] (>= 1). [sync] (default true)
     fsyncs every append. *)
 
-val next_seq : t -> int
-(** Sequence number the next {!append} will be assigned. *)
-
 val append : t -> i:int -> delta:float -> (int, Validate.error) result
 (** Durably append one update and return its sequence number.
 

@@ -106,7 +106,7 @@ let describe_attempts attempts =
 let slices = [ 0.5; 0.25; 0.125 ]
 let min_slice_ms = 0.01
 
-let serve ?obs ?trace ?deadline_ms ?state_cap ?(epsilon = 0.25)
+let serve ?obs ?trace ?deadline_ms ?(epsilon = 0.25)
     ?(top = `Minmax) ?(fault = Fault.none) ~data ~budget metric =
   let ( let* ) = Result.bind in
   let* data = Validate.data ~what:"Ladder.serve" ~require_pow2:true data in
@@ -145,14 +145,14 @@ let serve ?obs ?trace ?deadline_ms ?state_cap ?(epsilon = 0.25)
           Fault.corrupt_data fault data
         else data
       in
-      (* No slice, no state cap and no deadline fault: nothing can
-         expire, so each DP state costs nothing here. *)
+      (* No slice and no deadline fault: nothing can expire, so each DP
+         state costs nothing here. *)
       let probe = if faulted then Fault.deadline_probe fault else None in
       let tick =
-        match (slice_ms, state_cap, probe) with
-        | None, None, None -> None
+        match (slice_ms, probe) with
+        | None, None -> None
         | _ ->
-            let d = Deadline.create ?ms:slice_ms ?state_cap ?probe () in
+            let d = Deadline.create ?ms:slice_ms ?probe () in
             Some (fun () -> Deadline.tick d)
       in
       (* DP-state counting composes onto the existing [on_state] hook at

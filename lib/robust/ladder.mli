@@ -43,9 +43,6 @@ type outcome =
   | Timed_out of Deadline.stats  (** its deadline slice expired *)
   | Failed of string  (** solver raised, or the answer was unsound *)
 
-val outcome_name : outcome -> string
-(** ["served"], ["deadline"], ["failed"]. *)
-
 type attempt = { tier : tier; outcome : outcome; elapsed_ms : float }
 
 type served = {
@@ -68,7 +65,6 @@ val serve :
   ?obs:Wavesyn_obs.Registry.t ->
   ?trace:Wavesyn_obs.Trace.sink ->
   ?deadline_ms:float ->
-  ?state_cap:int ->
   ?epsilon:float ->
   ?top:[ `Minmax | `Approx | `Greedy ] ->
   ?fault:Fault.t ->
@@ -80,16 +76,14 @@ val serve :
 
     [deadline_ms] is the total time budget, sliced across tiers as
     documented above; absent, tiers run to completion (so the answer is
-    the exact {!Minmax} optimum unless a fault degrades it).
-    [state_cap] additionally caps each bounded tier at that many DP
-    states — a deterministic budget useful in tests. [epsilon]
+    the exact {!Minmax} optimum unless a fault degrades it). [epsilon]
     (default 0.25) seeds the approximation tier. [top] (default
     [`Minmax]) enters the ladder below its top: [`Approx] skips the
     exact DP, [`Greedy] goes straight to the floor — how an overloaded
     serving layer sheds build cost while keeping the exact degradation
     semantics (skipped tiers are not attempted and record nothing).
     [fault] (default {!Fault.none}) injects faults at this ladder's
-    fault points. With no [deadline_ms], no [state_cap] and no armed
+    fault points. With no [deadline_ms] and no armed
     [Expire_deadline] fault nothing can expire, so unless [obs] counts
     states the solvers get no per-state hook at all.
 

@@ -8,17 +8,15 @@ type policy = {
   base_ms : float;
   factor : float;
   max_ms : float;
-  jitter : float;
   rng : Prng.t;
 }
 
-let policy ?(base_ms = 1.0) ?(factor = 2.0) ?(max_ms = 1000.0) ?(jitter = 0.25)
-    ~seed () =
+let jitter = 0.25
+
+let policy ?(base_ms = 1.0) ?(factor = 2.0) ?(max_ms = 1000.0) ~seed () =
   if base_ms < 0. || factor < 1. || max_ms < base_ms then
     invalid_arg "Retry.policy: need base_ms >= 0, factor >= 1, max_ms >= base_ms";
-  if jitter < 0. || jitter > 1. then
-    invalid_arg "Retry.policy: jitter must lie in [0, 1]";
-  { base_ms; factor; max_ms; jitter; rng = Prng.create ~seed }
+  { base_ms; factor; max_ms; rng = Prng.create ~seed }
 
 let delay_ms p ~attempt =
   if attempt < 1 then invalid_arg "Retry.delay_ms: attempts count from 1";
@@ -29,7 +27,7 @@ let delay_ms p ~attempt =
   (* Full deterministic jitter: scale by a seeded draw from
      [1-jitter, 1+jitter]. *)
   let u = Prng.float p.rng 2.0 -. 1.0 in
-  raw *. (1.0 +. (p.jitter *. u))
+  raw *. (1.0 +. (jitter *. u))
 
 let with_retries ?(sleep = fun (_ : float) -> ()) p ~attempts f =
   if attempts < 1 then invalid_arg "Retry.with_retries: attempts must be >= 1";
@@ -53,11 +51,6 @@ module Breaker = struct
   module Metric = Wavesyn_obs.Metric
 
   type state = Closed | Open | Half_open
-
-  let state_name = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half-open"
 
   let state_value = function Closed -> 0. | Half_open -> 1. | Open -> 2.
 

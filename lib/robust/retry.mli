@@ -11,15 +11,13 @@ val policy :
   ?base_ms:float ->
   ?factor:float ->
   ?max_ms:float ->
-  ?jitter:float ->
   seed:int ->
   unit ->
   policy
 (** Exponential backoff: attempt [k] (counting from 1) waits
     [min max_ms (base_ms * factor^(k-1))], scaled by a seeded jitter
-    draw from [[1-jitter, 1+jitter]]. Defaults: 1ms base, factor 2,
-    1s cap, 0.25 jitter. Raises [Invalid_argument] on nonsensical
-    parameters. *)
+    draw from [[0.75, 1.25]]. Defaults: 1ms base, factor 2, 1s cap.
+    Raises [Invalid_argument] on nonsensical parameters. *)
 
 val delay_ms : policy -> attempt:int -> float
 (** The (jittered) delay after failed attempt [attempt >= 1]. Consumes
@@ -46,9 +44,6 @@ val with_retries :
     recloses the breaker, failure reopens it for another cooldown. *)
 module Breaker : sig
   type state = Closed | Open | Half_open
-
-  val state_name : state -> string
-  (** ["closed"] / ["open"] / ["half-open"], for logs and stats. *)
 
   val state_value : state -> float
   (** The one gauge encoding of a breaker state, ordered by badness:

@@ -344,7 +344,6 @@ type t = {
   mutable seq : int;
   mutable served : Ladder.served option;
   mutable last_generation : int option;
-  mutable last_error : Validate.error option;
   mutable retained : (int * int Lazy.t) list;
       (* The snapshot generations on disk, newest first, each with the
          seq the journal is compacted through while it is the oldest:
@@ -455,7 +454,6 @@ let open_store ?obs ?trace ?(fault = Fault.none) ?retry ?(retry_attempts = 4)
       seq;
       served = None;
       last_generation = None;
-      last_error = None;
       retained;
       keep_after = 0;
       recovery;
@@ -466,7 +464,6 @@ let seq t = t.seq
 let role t = t.role
 let last_recovery t = t.recovery
 let last_served t = t.served
-let last_error t = t.last_error
 let keep_after t = t.keep_after
 
 let promote t =
@@ -550,9 +547,8 @@ let recut_body t () () =
   if after <> before then Metric.incr t.m.breaker_transitions;
   Metric.set t.m.breaker_state (Retry.Breaker.state_value after);
   (match result with
-  | Ok _ -> ()
   | Error Retry.Breaker.Open_circuit -> Metric.incr t.m.recut_rejected
-  | Error (Retry.Breaker.Inner e) -> t.last_error <- Some e);
+  | Ok _ | Error (Retry.Breaker.Inner _) -> ());
   result
 
 let recut t = section t (fun m -> m.recut_ms) "recut" recut_body () ()
@@ -571,9 +567,7 @@ let persist t state =
         Snapshot.write ~fault:t.fault ~keep:t.cfg.keep ~sync:t.cfg.sync
           ~dir:t.cfg.dir state)
   with
-  | Error e ->
-      t.last_error <- Some e;
-      Error e
+  | Error _ as e -> e
   | Ok { Snapshot.gen; intact } ->
       let seq = Lazy.from_val (if intact then state.Snapshot.seq else 0) in
       t.retained <-
@@ -589,7 +583,6 @@ let compact t ~keep_after ~what =
   match Journal.rotate t.journal ~keep_after with
   | Ok _ -> Metric.incr t.m.journal_rotations
   | Error e ->
-      t.last_error <- Some e;
       Log.warn (fun m -> m "%s failed: %s" what (Validate.to_string e))
 
 let checkpoint_body t () () =
@@ -626,9 +619,7 @@ let append ?expect t ~i ~delta =
     Retry.with_retries t.retry ~attempts:t.retry_attempts (fun () ->
         Journal.append t.journal ~i ~delta)
   with
-  | Error e ->
-      t.last_error <- Some e;
-      Error e
+  | Error _ as e -> e
   | Ok seq as ok -> (
       match expect with
       | Some want when want <> seq ->
@@ -732,9 +723,7 @@ let install_snapshot t (state : Snapshot.state) =
           Journal.open_writer ~fault:t.fault ~sync:t.cfg.sync ~dir:t.cfg.dir
             ~next_seq:(state.Snapshot.seq + 1) ()
         with
-        | Error e ->
-            t.last_error <- Some e;
-            Error e
+        | Error _ as e -> e
         | Ok j ->
             t.journal <- j;
             t.seq <- state.Snapshot.seq;

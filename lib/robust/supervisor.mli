@@ -99,10 +99,11 @@ val ingest : t -> i:int -> delta:float -> (int, Validate.error) result
 (** Accept the point update [d_i += delta]: journal it durably (with
     retries), apply it to the in-memory state, and return its sequence
     number. On the configured cadences this also re-cuts the served
-    synopsis and checkpoints — failures there are absorbed into
-    {!stats} / {!last_error}, never failing the ingest itself. An
-    [Error] means the update was {e not} acknowledged (invalid input,
-    or the journal could not be written after all retries). *)
+    synopsis and checkpoints — failures there are counted in {!stats}
+    (and a failed checkpoint is logged), never failing the ingest
+    itself. An [Error] means the update was {e not} acknowledged
+    (invalid input, or the journal could not be written after all
+    retries). *)
 
 val recut :
   t -> (Ladder.served, Validate.error Retry.Breaker.rejection) result
@@ -151,9 +152,6 @@ val last_served : t -> Ladder.served option
 
 val last_recovery : t -> recovery
 (** What {!open_store} recovered. *)
-
-val last_error : t -> Validate.error option
-(** Most recent absorbed (non-fatal) failure, for observability. *)
 
 type stats = {
   seq : int;

@@ -11,12 +11,6 @@ type t =
 
 let tcp_prefix = "tcp:"
 
-let tcp ~host ~port = Printf.sprintf "%s%s:%d" tcp_prefix host port
-
-let to_string = function
-  | Unix_path p -> p
-  | Tcp { host; port } -> tcp ~host ~port
-
 let parse s =
   let plen = String.length tcp_prefix in
   if String.length s < plen || String.sub s 0 plen <> tcp_prefix then

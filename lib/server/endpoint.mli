@@ -17,14 +17,6 @@ val parse : string -> (t, string) result
     missing, non-numeric or out of [1, 65535]. An empty TCP host
     means the IPv4 loopback. *)
 
-val tcp : host:string -> port:int -> string
-(** [tcp ~host ~port] renders the canonical ["tcp:HOST:PORT"]
-    endpoint string for a TCP address. *)
-
-val to_string : t -> string
-(** [to_string ep] renders the endpoint back to its string form;
-    [parse (to_string ep)] round-trips. *)
-
 val domain : t -> Unix.socket_domain
 (** [domain ep] is the socket domain to create for this endpoint:
     [PF_UNIX] for paths, [PF_INET] for TCP. *)

@@ -24,7 +24,7 @@ let bad reason = Error (Validate.Bad_shape { what = "sync"; reason })
 
 let handshake client =
   match Client.request_one client (Wire.Sync { since = 0; max = 0 }) with
-  | Ok (Wire.Ship { last_seq; manifest; _ }) -> Ok (last_seq, manifest)
+  | Ok (Wire.Ship { manifest; _ }) -> Ok manifest
   | Ok (Wire.Error { message; _ }) ->
       bad ("primary refused the SYNC probe: " ^ message)
   | Ok reply -> bad ("unexpected SYNC reply: " ^ Wire.describe_reply reply)
@@ -97,18 +97,25 @@ let sync ?(batch = 64) client sup =
     loop ()
   end
 
+type follower = {
+  store : Supervisor.t;
+  config : Supervisor.config;
+  manifest : string;
+  progress : progress;
+}
+
 let bootstrap ?obs ?batch ~dir client =
   match handshake client with
   | Error _ as e -> e
-  | Ok (_, manifest) -> (
+  | Ok manifest -> (
       match Supervisor.config_of_manifest ~dir manifest with
       | Error _ as e -> e
-      | Ok cfg -> (
-          match Supervisor.open_store ?obs ~role:Supervisor.Follower cfg with
+      | Ok config -> (
+          match Supervisor.open_store ?obs ~role:Supervisor.Follower config with
           | Error _ as e -> e
-          | Ok sup -> (
-              match sync ?batch client sup with
+          | Ok store -> (
+              match sync ?batch client store with
               | Error e ->
-                  Supervisor.close sup;
+                  Supervisor.close store;
                   Error e
-              | Ok progress -> Ok (sup, progress))))
+              | Ok progress -> Ok { store; config; manifest; progress })))

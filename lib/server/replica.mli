@@ -17,12 +17,6 @@ type progress = {
   final_seq : int;  (** the follower's sequence when current *)
 }
 
-val handshake :
-  Client.t -> (int * string, Wavesyn_robust.Validate.error) result
-(** Probe the primary ([SYNC since=0 max=0]): its authoritative
-    sequence and manifest text. [Bad_shape] when the peer has no ship
-    source (it was not started from a store). *)
-
 val sync :
   ?batch:int ->
   Client.t ->
@@ -33,15 +27,22 @@ val sync :
     [Follower] ([Bad_option] otherwise). On a mid-sync failure the
     store keeps every record applied so far — safe to call again. *)
 
+type follower = {
+  store : Wavesyn_robust.Supervisor.t;  (** open; the caller closes it *)
+  config : Wavesyn_robust.Supervisor.config;  (** parsed from [manifest] *)
+  manifest : string;  (** the primary's manifest text, byte-exact *)
+  progress : progress;  (** the catch-up {!sync} *)
+}
+
 val bootstrap :
   ?obs:Wavesyn_obs.Registry.t ->
   ?batch:int ->
   dir:string ->
   Client.t ->
-  ( Wavesyn_robust.Supervisor.t * progress,
-    Wavesyn_robust.Validate.error )
-  result
-(** Create (or re-open) a follower store at [dir] from the primary's
-    shipped manifest — so domain, budget, metric and epsilon match
-    exactly — then {!sync} it current. The store is returned open; the
-    caller closes it. *)
+  (follower, Wavesyn_robust.Validate.error) result
+(** Probe the primary ([SYNC since=0 max=0]) for its manifest — a
+    [Bad_shape] when the peer has no ship source (it was not started
+    from a store) — create (or re-open) a follower store at [dir] from
+    it, so domain, budget, metric and epsilon match exactly, then
+    {!sync} it current. On a failed sync the store is closed before
+    the error returns. *)

@@ -47,8 +47,6 @@ type role = Standalone | Primary | Follower
 let roles =
   [ ("standalone", Standalone); ("primary", Primary); ("follower", Follower) ]
 
-let role_name role = fst (List.find (fun (_, r) -> r = role) roles)
-
 type config = {
   path : string;
   data : float array;
@@ -169,7 +167,6 @@ type t = {
          then and its state stays a pure function of the request
          schedule *)
   mutable rounds_seen : int;  (* request-carrying rounds, for cadences *)
-  mutable role : role;
   mutable tier_floor : int;
   mutable synopsis : Synopsis.t;
   mutable tier_name : string;
@@ -179,7 +176,9 @@ type t = {
   mutable crashed : bool;
   mutable terminated : bool;
   mutable total_requests : int;
-  mutable total_updates : int;
+  mutable routed_updates : int;
+      (* a front-end's updates acked by its shards; a live server's
+         count is its [update.applied] counter *)
   mutable bound : float;
   c_accepted : Metric.counter;
   g_open : Metric.gauge;
@@ -303,7 +302,7 @@ let live_backend obs cfg sup =
     Registry.gauge obs ~help:"last durable journal sequence acknowledged"
       ~unit_:"seq" "update.seq"
   in
-  Metric.set g_seq (float_of_int (Supervisor.seq sup));
+  Metric.set_int g_seq (Supervisor.seq sup);
   let tele =
     {
       c_applied =
@@ -415,7 +414,6 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
       tiers_state = None;
       epoch = 0;
       rounds_seen = 0;
-      role = cfg.role;
       tier_floor = 0;
       synopsis = Synopsis.make ~n:(Array.length cfg.data) [];
       tier_name = "none";
@@ -425,7 +423,7 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
       crashed = false;
       terminated = false;
       total_requests = 0;
-      total_updates = 0;
+      routed_updates = 0;
       bound = 0.;
       c_accepted =
         Registry.counter obs ~help:"connections accepted" ~unit_:"connections"
@@ -482,7 +480,10 @@ let stats t =
     errors = Metric.counter_value t.c_errors;
     recuts = Metric.counter_value t.c_recuts;
     tier = t.tier_name;
-    updates = t.total_updates;
+    updates =
+      (match t.backend with
+      | Live l -> Metric.counter_value l.tele.c_applied
+      | Router _ | Static _ -> t.routed_updates);
     bound = t.bound;
   }
 
@@ -647,13 +648,12 @@ let wire_error_of_validate = function
 
 (* One accepted delta: journal-before-apply through the supervisor,
    then mark the incremental solver's dirty set. *)
-let apply_one t l ~i ~delta =
+let apply_one l ~i ~delta =
   match Supervisor.ingest l.sup ~i ~delta with
   | Ok seq ->
       Incremental.note_update l.inc ~i ~delta;
-      t.total_updates <- t.total_updates + 1;
       Metric.incr l.tele.c_applied;
-      Metric.set l.tele.g_seq (float_of_int seq);
+      Metric.set_int l.tele.g_seq seq;
       Ok seq
   | Error err ->
       Metric.incr l.tele.c_rejected;
@@ -666,7 +666,7 @@ let apply_one t l ~i ~delta =
    only the store can then stop a storm mid-way, leaving the applied
    prefix durable (the error reply tells the client its resume cursor
    is the last ACKED sequence). *)
-let write_reply t l ~storm deltas =
+let write_reply l ~storm deltas =
   let n = Wavesyn_stream.Stream_synopsis.n (Supervisor.stream l.sup) in
   match Wire.storm_refusal ~n deltas with
   | Some refusal ->
@@ -676,7 +676,7 @@ let write_reply t l ~storm deltas =
       let rec go last = function
         | [] -> Wire.Acked { seq = last }
         | (i, delta) :: tl -> (
-            match apply_one t l ~i ~delta with
+            match apply_one l ~i ~delta with
             | Ok seq -> go seq tl
             | Error err -> wire_error_of_validate err)
       in
@@ -694,27 +694,27 @@ let routed_writes t r writes =
       let reply = Shard.write r req in
       (match (reply, req) with
       | Wire.Acked _, Wire.Update _ ->
-          t.total_updates <- t.total_updates + 1;
+          t.routed_updates <- t.routed_updates + 1;
           bump_epoch t
       | Wire.Acked _, Wire.Ingest deltas ->
-          t.total_updates <- t.total_updates + List.length deltas;
+          t.routed_updates <- t.routed_updates + List.length deltas;
           bump_epoch t
       | _ -> ());
       fill t slot reply)
     writes
 
 let live_writes t l writes =
-  let before = t.total_updates in
+  let before = Metric.counter_value l.tele.c_applied in
   List.iter
     (fun (slot, req) ->
       fill t slot
         (match req with
         | Wire.Update { i; delta } ->
-            write_reply t l ~storm:false [ (i, delta) ]
-        | Wire.Ingest deltas -> write_reply t l ~storm:true deltas
+            write_reply l ~storm:false [ (i, delta) ]
+        | Wire.Ingest deltas -> write_reply l ~storm:true deltas
         | _ -> Wire.Error { code = Wire.Internal; message = "not a write" }))
     writes;
-  if t.total_updates > before then
+  if Metric.counter_value l.tele.c_applied > before then
     if Incremental.due_full l.inc then recut ~cadenced:true t
     else begin
       Incremental.refresh l.inc (Supervisor.stream l.sup);
@@ -791,7 +791,7 @@ let rec dispatch t round conn request =
       Conn.mark_closing conn
   | Wire.Sync { since; max } -> push t round conn (sync_reply t ~since ~max)
   | Wire.Handoff ->
-      (* Promotion: flip to primary and acknowledge with the store's
+      (* Promotion: acknowledge as primary with the store's
          authoritative sequence, so the client can check it lost no
          acked write across the failover. *)
       let seq =
@@ -804,7 +804,6 @@ let rec dispatch t round conn request =
         | None, (Static _ | Router _) -> (
             match t.cfg.ship with Some s -> s.ship_seq | None -> 0)
       in
-      t.role <- Primary;
       (* A live standby's store may have been caught up — journal
          records shipped straight into the supervisor — behind the
          incremental solver's back while it was a read-only follower.
@@ -814,10 +813,10 @@ let rec dispatch t round conn request =
       (match t.backend with Live _ -> recut t | Static _ | Router _ -> ());
       (match t.repl with
       | Some r ->
-          Metric.set r.g_role (role_gauge_value t.role);
+          Metric.set r.g_role (role_gauge_value Primary);
           Metric.incr r.c_handoffs
       | None -> ());
-      push t round conn (Wire.Handoff_ack { seq; role = role_name t.role })
+      push t round conn (Wire.Handoff_ack { seq; role = "primary" })
   | Wire.Batch reqs ->
       List.iter
         (fun r ->

@@ -162,7 +162,8 @@ let router ~n ?seqs ~ranges rpcs =
             got = Array.make shards [];
           }
 
-let ranges t = Array.to_list t.ranges
+(* The global journal sequence: the sum of the per-shard sequences last
+   acknowledged through this router. *)
 let seq t = Array.fold_left ( + ) 0 t.seqs
 
 let set_cache t ~cap = t.memo <- Some (Rcache.create ~cap ())

@@ -51,17 +51,6 @@ val router :
     it defaults to all zeros. Errors on a range list that fails
     {!check_ranges} or does not match the backend count. *)
 
-val ranges : t -> range list
-(** The partition map, in shard-index order. *)
-
-val owner : t -> int -> int
-(** [owner t i] is the index of the shard whose range contains cell
-    [i], which must be inside the domain. *)
-
-val seq : t -> int
-(** The global journal sequence: the sum of the per-shard sequences
-    last acknowledged through this router. *)
-
 val set_cache : t -> cap:int -> unit
 (** Install a sub-range sum memo of at most [cap] entries
     ({!Wavesyn_adaptive.Rcache}, keyed [(shard, lo, hi)] in

@@ -15,8 +15,9 @@
     of a connection picks the mode, since no text verb starts with the
     magic's ['W']. *)
 
-(** Structured failure classes carried by {!reply.Error}; see
-    {!error_code_name} for the stable wire names. *)
+(** Structured failure classes carried by {!reply.Error}. Each has a
+    stable lowercase name in text mode (e.g. ["out-of-range"]) and a
+    one-byte tag (1..5) in binary frames. *)
 type error_code =
   | Bad_request  (** malformed or unparseable request *)
   | Out_of_range  (** cell, range or quantile outside the domain *)
@@ -114,15 +115,6 @@ val magic : string
 val max_payload : int
 (** Upper bound on a frame's payload length (1 MiB); larger lengths
     are [`Corrupt] without buffering the payload. *)
-
-val error_code_name : error_code -> string
-(** Stable lowercase wire name, e.g. ["out-of-range"]. *)
-
-val error_code_byte : error_code -> int
-(** One-byte wire tag (1..5). *)
-
-val error_code_of_byte : int -> error_code option
-(** Inverse of {!error_code_byte}. *)
 
 val encode_storm : (int * float) list -> string
 (** The update-storm artifact of an [Ingest] payload: a counted sealed

@@ -19,9 +19,6 @@ let iter_masks w f =
     f m
   done
 
-let mem mask i = mask land (1 lsl i) <> 0
-let set mask i = mask lor (1 lsl i)
-
 let to_list mask =
   let rec go acc i m =
     if m = 0 then List.rev acc

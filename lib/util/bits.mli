@@ -11,11 +11,5 @@ val iter_masks : int -> (int -> unit) -> unit
 (** [iter_masks w f] calls [f] on every mask of [w] bits,
     i.e. [0 .. 2^w - 1]. *)
 
-val mem : int -> int -> bool
-(** [mem mask i] is true when bit [i] of [mask] is set. *)
-
-val set : int -> int -> int
-(** [set mask i] sets bit [i]. *)
-
 val to_list : int -> int list
 (** Indices of the set bits, ascending. *)

@@ -2,8 +2,6 @@ let approx_equal ?(eps = 1e-9) a b =
   let diff = Float.abs (a -. b) in
   diff <= eps || diff <= eps *. Float.max (Float.abs a) (Float.abs b)
 
-let is_finite x = Float.is_finite x
-
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0

@@ -5,9 +5,6 @@ val approx_equal : ?eps:float -> float -> float -> bool
     in absolute terms, or by [eps] relative to the larger magnitude.
     Default [eps] is [1e-9]. *)
 
-val is_finite : float -> bool
-(** True for every float except [nan], [infinity] and [neg_infinity]. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] limits [x] to the closed interval [lo, hi]. *)
 

@@ -90,8 +90,6 @@ let iteri f t =
     if flat < n - 1 then bump (d - 1)
   done
 
-let fold f acc t = Array.fold_left f acc t.data
-
 let init ~dims f =
   let t = create ~dims 0. in
   let d = Array.length t.dims in
@@ -124,34 +122,3 @@ let equal ?eps a b =
      end
 
 let max_abs t = Float_util.max_abs t.data
-
-let pp ppf t =
-  match t.dims with
-  | [| _ |] ->
-      Format.fprintf ppf "[@[%a@]]"
-        (Format.pp_print_array
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           (fun ppf x -> Format.fprintf ppf "%g" x))
-        t.data
-  | [| rows; cols |] ->
-      Format.fprintf ppf "@[<v>";
-      for r = 0 to rows - 1 do
-        Format.fprintf ppf "[";
-        for c = 0 to cols - 1 do
-          if c > 0 then Format.fprintf ppf "; ";
-          Format.fprintf ppf "%g" t.data.((r * cols) + c)
-        done;
-        Format.fprintf ppf "]";
-        if r < rows - 1 then Format.fprintf ppf "@,"
-      done;
-      Format.fprintf ppf "@]"
-  | dims ->
-      Format.fprintf ppf "ndarray%a[@[%a@]]"
-        (Format.pp_print_array
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf "x")
-           Format.pp_print_int)
-        dims
-        (Format.pp_print_array
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-           (fun ppf x -> Format.fprintf ppf "%g" x))
-        t.data

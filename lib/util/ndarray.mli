@@ -60,13 +60,8 @@ val map : (float -> float) -> t -> t
 val iteri : (int array -> float -> unit) -> t -> unit
 (** Iterate in row-major order; the index array is reused between calls. *)
 
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
-
 val equal : ?eps:float -> t -> t -> bool
 (** Shape equality plus cellwise {!Float_util.approx_equal}. *)
 
 val max_abs : t -> float
 (** Largest absolute cell value. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer (flattens arrays of dimension three or more). *)

@@ -2,10 +2,6 @@ type t = Random.State.t
 
 let create ~seed = Random.State.make [| seed; 0x9e3779b9; seed lxor 0x5bd1e995 |]
 
-let split t =
-  let seed = Random.State.bits t in
-  Random.State.make [| seed; Random.State.bits t |]
-
 let float t bound = Random.State.float t bound
 
 let int t bound =

@@ -10,9 +10,6 @@ type t
 val create : seed:int -> t
 (** Fresh stream from an integer seed. *)
 
-val split : t -> t
-(** Derive an independent child stream (consumes state from the parent). *)
-
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [[0, bound)]. *)
 

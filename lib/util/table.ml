@@ -43,5 +43,3 @@ let to_string ?title t =
       Buffer.add_char buf '\n')
     (List.rev t.rows);
   Buffer.contents buf
-
-let print ?(oc = stdout) ?title t = output_string oc (to_string ?title t)

@@ -14,8 +14,5 @@ val add_float_row : t -> ?decimals:int -> string -> float list -> unit
     and remaining cells are [xs] printed with [decimals] (default 4)
     digits. The table must have [1 + List.length xs] columns. *)
 
-val print : ?oc:out_channel -> ?title:string -> t -> unit
-(** Render the table with aligned columns and an optional title line. *)
-
 val to_string : ?title:string -> t -> string
-(** Same rendering as {!print}, as a string. *)
+(** Render the table with aligned columns and an optional title line. *)

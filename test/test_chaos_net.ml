@@ -162,12 +162,12 @@ let test_replica_bootstrap () =
   @@ fun () ->
   let c = connect path in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (* The handshake reports the primary's sequence and exact manifest. *)
-  let seq, manifest = must (Replica.handshake c) in
-  checki "handshake seq" 20 seq;
-  checks "handshake manifest" (Supervisor.manifest_text scfg) manifest;
-  (* Bootstrap pages the whole journal across SYNC batches. *)
-  let sup_f, progress = must (Replica.bootstrap ~batch:8 ~dir:dir_f c) in
+  (* Bootstrap carries the primary's exact manifest and pages the whole
+     journal across SYNC batches. *)
+  let { Replica.store = sup_f; progress; manifest; _ } =
+    must (Replica.bootstrap ~batch:8 ~dir:dir_f c)
+  in
+  checks "shipped manifest" (Supervisor.manifest_text scfg) manifest;
   Fun.protect ~finally:(fun () -> Supervisor.close sup_f) @@ fun () ->
   checki "paged batches" 3 progress.Replica.batches;
   checki "every record shipped" 20 progress.Replica.records;
@@ -213,7 +213,9 @@ let test_replica_snapshot_bootstrap () =
   @@ fun () ->
   let c = connect path in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let sup_f, progress = must (Replica.bootstrap ~dir:dir_f c) in
+  let { Replica.store = sup_f; progress; _ } =
+    must (Replica.bootstrap ~dir:dir_f c)
+  in
   Fun.protect ~finally:(fun () -> Supervisor.close sup_f) @@ fun () ->
   checki "bootstrapped through a snapshot" 1 progress.Replica.snapshots;
   checki "journal suffix shipped on top" 5 progress.Replica.records;
@@ -357,7 +359,7 @@ let failover_transcript ~dir ~domains ~seed ~requests ~batch ~crash_after =
   let runner_p = spawn_server primary in
   (* Bootstrap the warm standby from the live primary. *)
   let c = connect path_p in
-  let sup_f, _ = must (Replica.bootstrap ~dir:dir_f c) in
+  let sup_f = (must (Replica.bootstrap ~dir:dir_f c)).Replica.store in
   Client.close c;
   Fun.protect ~finally:(fun () -> Supervisor.close sup_f) @@ fun () ->
   let standby =

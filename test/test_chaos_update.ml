@@ -491,7 +491,7 @@ let failover_run ~dir ~domains ~crash_after ~wseed ~wframes ~rseed ~requests
   (* Bootstrap the warm standby from the live primary, then serve it
      {e live} (its own store) so it can accept writes once promoted. *)
   let c = connect path_p in
-  let sup_f, _ = must (Replica.bootstrap ~dir:dir_f c) in
+  let sup_f = (must (Replica.bootstrap ~dir:dir_f c)).Replica.store in
   Client.close c;
   Fun.protect ~finally:(fun () -> Supervisor.close sup_f) @@ fun () ->
   let standby_config ?crash_after path =

@@ -278,12 +278,15 @@ let prop_ladder_obs_neutral =
     (fun (seed, budget) ->
       let rng = Prng.create ~seed in
       let data = Array.init 64 (fun _ -> float_of_int (Prng.int rng 100)) in
-      let plain =
-        Ladder.serve ~state_cap:2000 ~data ~budget Metrics.Abs
+      (* The same seeded plan on both sides: about half the bounded
+         tiers expire, so degraded tiers are compared too. *)
+      let fault () =
+        Fault.create ~kinds:[ Fault.Expire_deadline ] ~rate:0.5 ~seed ()
       in
+      let plain = Ladder.serve ~fault:(fault ()) ~data ~budget Metrics.Abs in
       let reg = Registry.create () in
       let observed =
-        Ladder.serve ~obs:reg ~trace:(Trace.sink ()) ~state_cap:2000 ~data
+        Ladder.serve ~obs:reg ~trace:(Trace.sink ()) ~fault:(fault ()) ~data
           ~budget Metrics.Abs
       in
       match (plain, observed) with

@@ -36,26 +36,6 @@ let test_map_chunked_identity () =
             [ 0; 1; 7; 64; 1000 ]))
     jobs_list
 
-let test_reduce_ordered () =
-  List.iter
-    (fun domains ->
-      with_pool ~domains (fun p ->
-          let got =
-            Pool.reduce_ordered p ~n:100
-              ~task:(fun i -> string_of_int i)
-              ~merge:(fun acc s -> acc ^ "," ^ s)
-              ~init:""
-          in
-          let want =
-            Array.fold_left
-              (fun acc s -> acc ^ "," ^ s)
-              ""
-              (Array.init 100 string_of_int)
-          in
-          check (Printf.sprintf "domains=%d merge order" domains) true
-            (got = want)))
-    jobs_list
-
 let test_nested_submit () =
   List.iter
     (fun domains ->
@@ -192,7 +172,6 @@ let () =
         [
           Alcotest.test_case "map_chunked identity" `Quick
             test_map_chunked_identity;
-          Alcotest.test_case "reduce_ordered order" `Quick test_reduce_ordered;
           Alcotest.test_case "nested submit" `Quick test_nested_submit;
           Alcotest.test_case "exception lowest index wins" `Quick
             test_exception_lowest_index_wins;

@@ -922,8 +922,9 @@ let test_write_path_digest () =
 
 (* --- Deadline --- *)
 
+(* A deterministic state budget is a probe on the state count. *)
 let test_deadline_state_cap () =
-  let d = Deadline.create ~state_cap:10 () in
+  let d = Deadline.create ~probe:(fun st -> st.Deadline.states > 10) () in
   let raised = ref None in
   (try
      for _ = 1 to 100 do
@@ -934,7 +935,11 @@ let test_deadline_state_cap () =
   | Some st ->
       checki "expired on the state after the cap" 11 st.Deadline.states;
       check "partial progress recorded" true (st.Deadline.checks = 11);
-      check "cap echoed" true (st.Deadline.state_cap = Some 10)
+      check "no time budget reported" true (st.Deadline.budget_ms = None);
+      check "stays expired" true (Deadline.expired d);
+      (match Deadline.tick d with
+      | () -> Alcotest.fail "a tick after expiry must raise again"
+      | exception Deadline.Deadline_exceeded _ -> ())
   | None -> Alcotest.fail "state cap must trip"
 
 let test_deadline_unlimited () =
@@ -971,7 +976,7 @@ let sample_data n =
 
 let test_minmax_deadline_threading () =
   let data = sample_data 64 in
-  let d = Deadline.create ~state_cap:5 () in
+  let d = Deadline.create ~probe:(fun st -> st.Deadline.states > 5) () in
   match
     Minmax_dp.solve
       ~on_state:(fun () -> Deadline.tick d)
@@ -983,7 +988,7 @@ let test_minmax_deadline_threading () =
 
 let test_approx_deadline_threading () =
   let data = sample_data 64 in
-  let d = Deadline.create ~state_cap:3 () in
+  let d = Deadline.create ~probe:(fun st -> st.Deadline.states > 3) () in
   match
     Approx_additive.solve_1d
       ~on_state:(fun () -> Deadline.tick d)
@@ -1027,7 +1032,7 @@ let test_ladder_no_deadline_is_exact () =
       check "max_err equals Minmax_dp.solve's" true
         (Float_util.approx_equal ~eps:1e-12 s.Ladder.max_err exact)
 
-(* With no slice, no state cap and no deadline fault nothing can
+(* With no slice and no deadline fault nothing can
    expire, so the ladder passes no per-state hook: an exact serve
    allocates O(n) minor words (the solve's bookkeeping, the synopsis
    and its re-measure), not a deadline check per DP state. *)
@@ -1246,24 +1251,22 @@ let prop_ladder_serves_random_inputs =
           && Float_util.approx_equal ~eps:1e-9 s.Ladder.max_err
                (Metrics.of_synopsis Metrics.Abs ~data s.Ladder.synopsis))
 
-let prop_ladder_state_cap_still_serves =
-  QCheck.Test.make ~name:"state-capped ladder always serves" ~count:40
+let prop_ladder_expired_still_serves =
+  QCheck.Test.make ~name:"deadline-expired ladder always serves" ~count:40
     QCheck.(
-      pair
+      triple
         (array_of_size (Gen.oneofl [ 16; 32; 64 ]) (float_range (-50.) 50.))
-        (int_bound 10))
-    (fun (data, budget) ->
+        (int_bound 10) (int_bound 1000))
+    (fun (data, budget, seed) ->
       let invalid =
         Array.length data = 0 || not (Float_util.is_pow2 (Array.length data))
       in
-      match Ladder.serve ~state_cap:20 ~data ~budget Metrics.Abs with
+      (* Every bounded tier expires at its first DP state. *)
+      let fault = Fault.create ~kinds:[ Fault.Expire_deadline ] ~seed () in
+      match Ladder.serve ~fault ~data ~budget Metrics.Abs with
       | Error _ -> invalid
       | Ok s ->
-          (* 20 states cannot finish the exact DP on 32+ cells with a
-             non-trivial budget (budget 0 collapses to one state per
-             node). *)
-          (Array.length data < 32 || budget = 0
-          || s.Ladder.tier <> Ladder.Minmax)
+          s.Ladder.tier = Ladder.Greedy_maxerr
           && Float.is_finite s.Ladder.max_err)
 
 (* Ladder invariants: tiers are tried in their canonical degradation
@@ -1290,12 +1293,10 @@ let prop_ladder_attempt_order =
       in
       let epsilon = 0.25 in
       let fault = Fault.create ~rate:0.4 ~seed () in
-      (* A small state cap makes upper tiers time out on bigger inputs,
-         so the order property is exercised across real degradations. *)
-      match
-        Ladder.serve ~state_cap:(16 + (seed mod 64)) ~epsilon ~fault ~data
-          ~budget Metrics.Abs
-      with
+      (* The plan arms [Expire_deadline] with the other kinds, so upper
+         tiers time out and the order property is exercised across real
+         degradations. *)
+      match Ladder.serve ~epsilon ~fault ~data ~budget Metrics.Abs with
       | Error _ -> invalid
       | Ok s ->
           let ranks =
@@ -1339,9 +1340,7 @@ let prop_ladder_guarantee_is_remeasured =
       let metric =
         if seed mod 2 = 0 then Metrics.Abs else Metrics.Rel { sanity = 1.0 }
       in
-      match
-        Ladder.serve ~state_cap:(16 + (seed mod 64)) ~fault ~data ~budget metric
-      with
+      match Ladder.serve ~fault ~data ~budget metric with
       | Error _ -> invalid
       | Ok s ->
           (* Bit-exact: the ladder promises a *measured* guarantee, not
@@ -1444,7 +1443,7 @@ let () =
           Alcotest.test_case "pressure to tier map" `Quick
             test_ladder_top_of_pressure;
           QCheck_alcotest.to_alcotest prop_ladder_serves_random_inputs;
-          QCheck_alcotest.to_alcotest prop_ladder_state_cap_still_serves;
+          QCheck_alcotest.to_alcotest prop_ladder_expired_still_serves;
           QCheck_alcotest.to_alcotest prop_ladder_attempt_order;
           QCheck_alcotest.to_alcotest prop_ladder_guarantee_is_remeasured;
         ] );

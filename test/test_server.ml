@@ -7,6 +7,7 @@ module Server = Wavesyn_server.Server
 module Client = Wavesyn_server.Client
 module Loadgen = Wavesyn_server.Loadgen
 module Registry = Wavesyn_obs.Registry
+module Metric = Wavesyn_obs.Metric
 module Validate = Wavesyn_robust.Validate
 module Supervisor = Wavesyn_robust.Supervisor
 module Stream_synopsis = Wavesyn_stream.Stream_synopsis
@@ -484,18 +485,17 @@ let test_config_role () =
       | exception Invalid_argument _ -> ())
     [ "primray"; "Primary"; "" ]
 
-(* HANDOFF with no [on_handoff] hook over a follower's live store: the
-   server promotes the store itself, acks its sequence, and takes
-   writes from then on. *)
-let test_handoff_promotes_live_follower () =
-  let must = function
-    | Ok v -> v
-    | Error e -> Alcotest.fail (Validate.to_string e)
-  in
+let must = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Validate.to_string e)
+
+(* A fresh store directory [wavesyn-<name>-<pid>] for [f], removed
+   afterwards. *)
+let with_store_dir name f =
   let dir =
-    Printf.sprintf "%s/wavesyn-handoff-%d"
+    Printf.sprintf "%s/wavesyn-%s-%d"
       (Filename.get_temp_dir_name ())
-      (Unix.getpid ())
+      name (Unix.getpid ())
   in
   let rm_dir () =
     if Sys.file_exists dir then begin
@@ -504,7 +504,72 @@ let test_handoff_promotes_live_follower () =
     end
   in
   rm_dir ();
-  Fun.protect ~finally:rm_dir @@ fun () ->
+  Fun.protect ~finally:rm_dir (fun () -> f dir)
+
+(* A live server's write count has one owner, the [update.applied]
+   counter: [stats.updates] reads it, and it moves in step with the
+   journal sequence and the [update.seq] gauge across an UPDATE, an
+   INGEST and refused writes. *)
+let test_updates_one_count () =
+  with_store_dir "updates" @@ fun dir ->
+  let scfg =
+    Supervisor.config ~checkpoint_every:1_000_000 ~recut_every:1_000_000
+      ~sync:false ~dir ~n:16 ~budget:8 Metrics.Abs
+  in
+  let sup = must (Supervisor.open_store scfg) in
+  Fun.protect ~finally:(fun () -> Supervisor.close sup) @@ fun () ->
+  let path = sock_path () in
+  let server =
+    Server.create
+      (Server.config ~store:sup ~path
+         (Stream_synopsis.current_data (Supervisor.stream sup)))
+  in
+  let reg = Server.registry server in
+  let runner = Domain.spawn (fun () -> Server.run server) in
+  let client =
+    match Client.connect ~wait_ms:5000. path with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (Validate.to_string e)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Client.request_one client Wire.Shutdown);
+      Client.close client;
+      ignore (Domain.join runner))
+  @@ fun () ->
+  let agree what want =
+    checki (what ^ ": stats.updates") want (Server.stats server).Server.updates;
+    checki (what ^ ": update.applied") want
+      (Metric.counter_value (Registry.counter reg "update.applied"));
+    checki (what ^ ": journal seq") want (Supervisor.seq sup);
+    checkf (what ^ ": update.seq") (float_of_int want)
+      (Metric.gauge_value (Registry.gauge reg "update.seq"))
+  in
+  (match expect_one client (Wire.Update { i = 1; delta = 2. }) with
+  | Wire.Acked { seq } -> checki "update acked" 1 seq
+  | r -> Alcotest.fail ("update: " ^ Wire.describe_reply r));
+  agree "after UPDATE" 1;
+  (match
+     expect_one client (Wire.Ingest [ (2, 1.); (3, -1.5); (4, 0.25) ])
+   with
+  | Wire.Acked { seq } -> checki "ingest acked" 4 seq
+  | r -> Alcotest.fail ("ingest: " ^ Wire.describe_reply r));
+  agree "after INGEST" 4;
+  (match expect_one client (Wire.Update { i = 99; delta = 1. }) with
+  | Wire.Error { code = Wire.Out_of_range; _ } -> ()
+  | r -> Alcotest.fail ("refused update: " ^ Wire.describe_reply r));
+  (match expect_one client (Wire.Ingest [ (5, 1.); (16, 1.) ]) with
+  | Wire.Error { code = Wire.Out_of_range; _ } -> ()
+  | r -> Alcotest.fail ("refused ingest: " ^ Wire.describe_reply r));
+  agree "after refused writes" 4;
+  checki "update.rejected" 2
+    (Metric.counter_value (Registry.counter reg "update.rejected"))
+
+(* HANDOFF with no [on_handoff] hook over a follower's live store: the
+   server promotes the store itself, acks its sequence, and takes
+   writes from then on. *)
+let test_handoff_promotes_live_follower () =
+  with_store_dir "handoff" @@ fun dir ->
   let scfg =
     Supervisor.config ~checkpoint_every:1_000_000 ~recut_every:1_000_000
       ~sync:false ~dir ~n:16 ~budget:8 Metrics.Abs
@@ -725,6 +790,8 @@ let () =
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
           Alcotest.test_case "connect error" `Quick test_client_connect_error;
           Alcotest.test_case "config role" `Quick test_config_role;
+          Alcotest.test_case "updates have one count" `Quick
+            test_updates_one_count;
           Alcotest.test_case "handoff promotes a live follower" `Quick
             test_handoff_promotes_live_follower;
         ] );

@@ -974,7 +974,7 @@ let sharded_failover_run ~domains ~crash () =
   (* Bootstrap the warm standby from the live shard-1 primary, then
      serve it live so it can take writes once promoted. *)
   let c = connect path1p in
-  let sup_f, _ = must (Replica.bootstrap ~dir:dir_f c) in
+  let sup_f = (must (Replica.bootstrap ~dir:dir_f c)).Replica.store in
   Client.close c;
   let standby =
     Server.create

@@ -1,6 +1,6 @@
-(* Performance gate over the recorded bench JSON (BENCH_par.json).
+(* Performance gate over the recorded bench JSON (BENCH_obs.json).
 
-   Two checks, both driven by the file's own contents so the gate is
+   Four checks, both driven by the file's own contents so the gate is
    deterministic and runnable offline (no benchmark is executed here):
 
    - pooled gate: every "-seq" case must be beaten (or at least
@@ -18,7 +18,7 @@
 
    - cache gate: every "-nocache" case must be beaten (or at least
      matched, scaled by --min-cache-speedup) by its "-cache" twin —
-     the result-cache A/B rows of BENCH_server.json
+     the SRV result-cache A/B rows
      (docs/ADAPTIVE.md). A cache whose hits cost more than the
      evaluation they skip is a regression, and fails here.
 
@@ -63,7 +63,7 @@ let die fmt = Printf.ksprintf (fun s -> prerr_endline ("benchgate: " ^ s); exit 
 (* --- minimal JSON field scanning ---
 
    The bench files are machine-written by bench/smoke.ml with a fixed
-   shape (schema wavesyn-bench-par/2), so a dependency-free field
+   shape (schema wavesyn-bench-smoke/2), so a dependency-free field
    scanner is enough: find every string value of "name", the number
    that follows its sibling "ns_per_run" and, when the row records it,
    its "words_per_run"; plus the two top-level scalar fields. *)
