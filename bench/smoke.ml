@@ -332,10 +332,11 @@ let srv_shard_case ~shards =
    per-request range evaluation over a hot set of 8 distinct ranges
    asked 64 times — the repeated traffic a cache exists for. The
    nocache row evaluates every probe with [Range_query.range_sum], the
-   server's path; the cache row consults an Rcache first, like the server's
-   cache check. wavesyn-benchgate requires the cache row to beat its
-   nocache twin — a cache that does not pay for its lookups fails the
-   gate. *)
+   server's path; the cache row consults an Rcache keyed as the
+   server's is (RANGE requests under [Wire.read_hash] /
+   [Wire.read_equal]) first. wavesyn-benchgate requires the cache row
+   to beat its nocache twin — a cache that does not pay for its lookups
+   fails the gate. *)
 let srv_cache_case ~cache =
   let n = 256 in
   let data = Array.init n (fun i -> float_of_int (((i * 37) mod 101) + 3)) in
@@ -353,14 +354,17 @@ let srv_cache_case ~cache =
              ignore (eval hot.(i land 7))
            done))
   else
-    let c : (int * int, float) Rcache.t = Rcache.create ~cap:64 () in
+    let keys = Array.map (fun (lo, hi) -> Wire.Range { lo; hi }) hot in
+    let c : (Wire.request, float) Rcache.t =
+      Rcache.create ~cap:64 ~hash:Wire.read_hash ~equal:Wire.read_equal ()
+    in
     Test.make ~name:"SRV/range-eval-cache:64"
       (Staged.stage (fun () ->
            for i = 0 to 63 do
-             let key = hot.(i land 7) in
+             let key = keys.(i land 7) in
              match Rcache.find c ~epoch:0 key with
              | Some v -> ignore v
-             | None -> Rcache.add c ~epoch:0 key (eval key)
+             | None -> Rcache.add c ~epoch:0 key (eval hot.(i land 7))
            done))
 
 let srv_cases =

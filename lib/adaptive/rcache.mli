@@ -13,12 +13,24 @@
 
     Capacity is bounded by flush-on-full: inserting a fresh key into a
     full table clears the table first. The eviction pattern therefore
-    depends only on the insert sequence, never on recency clocks. *)
+    depends only on the insert sequence, never on recency clocks.
+
+    Each {!find}, {!mem} and {!add} hashes its key exactly once, with
+    the [hash] given to {!create}, and compares it with that [equal]
+    only against entries of the same hash: {!add} is one find-or-insert. *)
 
 type ('k, 'v) t
 
-val create : ?obs:Wavesyn_obs.Registry.t -> ?cap:int -> unit -> ('k, 'v) t
-(** An empty cache holding at most [cap] entries (default 4096). Its
+val create :
+  ?obs:Wavesyn_obs.Registry.t ->
+  ?cap:int ->
+  ?hash:('k -> int) ->
+  ?equal:('k -> 'k -> bool) ->
+  unit ->
+  ('k, 'v) t
+(** An empty cache holding at most [cap] entries (default 4096), keyed
+    by [equal] (default [( = )]) under [hash] (default [Hashtbl.hash]);
+    keys that are [equal] must have equal hashes. Its
     [serve.cache.hits] / [serve.cache.misses] /
     [serve.cache.invalidations] counters (which {!hits}, {!misses} and
     {!invalidations} read) and [serve.cache.size] gauge of

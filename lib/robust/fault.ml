@@ -54,6 +54,7 @@ let create ?(kinds = all_kinds) ?(rate = 1.0) ~seed () =
   { rng = Some (Prng.create ~seed); kinds; rate }
 
 let none = { rng = None; kinds = []; rate = 0. }
+let armed t = Option.is_some t.rng
 
 let fires t kind =
   match t.rng with

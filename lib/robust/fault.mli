@@ -67,6 +67,10 @@ val create : ?kinds:kind list -> ?rate:float -> seed:int -> unit -> t
 val none : t
 (** The empty plan: no kind armed, nothing ever fires. *)
 
+val armed : t -> bool
+(** Whether any fault point of this plan can fire (or draw): false for
+    {!none}, so a caller may skip preparing a fault point's input. *)
+
 val fires : t -> kind -> bool
 (** Draw from the plan: [true] when [kind] is armed and its coin comes
     up. Consumes PRNG state, so call sites must be deterministic. *)

@@ -57,10 +57,19 @@ let connect ?(wait_ms = 0.) ?timeout_ms target =
              pre-connection failure: a Unix socket still binding
              (ENOENT/ECONNREFUSED), a TCP listener not yet up
              (ECONNREFUSED), an interrupted or timed-out handshake
-             (EINTR/ETIMEDOUT). Deterministic delays, bounded by the
-             caller's [wait_ms]. *)
+             (EINTR/ETIMEDOUT). Deterministic delays, none past the
+             caller's [wait_ms]. A Unix socket is a local file whose
+             appearance costs nothing to poll, so its delay is capped
+             at 1 ms: a server that binds late is found within a
+             millisecond, not one backoff step later. *)
           let policy =
             Retry.policy ~base_ms:2. ~factor:2. ~max_ms:50. ~seed:0x1009 ()
+          in
+          let delay_ms attempt =
+            let d = Retry.delay_ms policy ~attempt in
+            match ep with
+            | Endpoint.Unix_path _ -> Float.min 1. d
+            | Endpoint.Tcp _ -> d
           in
           let rec go attempt =
             let fd = Unix.socket (Endpoint.domain ep) Unix.SOCK_STREAM 0 in
@@ -93,8 +102,9 @@ let connect ?(wait_ms = 0.) ?timeout_ms target =
             | () -> Ok { fd; timeout_ms; rbuf = Bytes.create 4096; rlen = 0 }
             | exception Unix.Unix_error (e, _, _) ->
                 (try Unix.close fd with Unix.Unix_error _ -> ());
-                if Deadline.now_ms () < deadline then begin
-                  Unix.sleepf (Retry.delay_ms policy ~attempt /. 1000.);
+                let left_ms = deadline -. Deadline.now_ms () in
+                if left_ms > 0. then begin
+                  Unix.sleepf (Float.min left_ms (delay_ms attempt) /. 1000.);
                   go (attempt + 1)
                 end
                 else io_error (Unix.error_message e)

@@ -16,6 +16,8 @@ val connect :
 (** [connect path] opens the server's Unix-domain socket. [wait_ms]
     (default 0) keeps retrying a refused or missing socket for that
     long — the standard way to race a server that is still binding.
+    Retries back off from 2 ms up to 50 ms for TCP, and poll a Unix
+    socket at least every 1 ms; no sleep runs past [wait_ms].
     [timeout_ms] (absent: wait forever) arms a kernel deadline on
     every read and write, so a blackholed or wedged server surfaces as
     a structured {!Wavesyn_robust.Validate.Timeout} instead of a hang.

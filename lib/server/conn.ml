@@ -3,9 +3,10 @@
 
    The first byte of a connection picks the mode: the binary magic
    starts with 'W', no text verb does. A connection never changes mode.
-   Reply bytes are queued whole and flushed as the socket drains, so a
-   slow reader never blocks the serving loop; an overloaded server
-   replies (with OVERLOAD frames) instead of dropping the peer. *)
+   Replies are framed straight into the connection's output buffer and
+   flushed as the socket drains, so a slow reader never blocks the
+   serving loop; an overloaded server replies (with OVERLOAD frames)
+   instead of dropping the peer. *)
 
 module Fault = Wavesyn_robust.Fault
 
@@ -23,9 +24,12 @@ type t = {
   mutable mode : mode;
   mutable rbuf : Bytes.t;
   mutable rlen : int;
-  mutable wbuf : string list; (* pending output, reversed *)
-  mutable wpending : string; (* partially written head *)
-  mutable woff : int;
+  mutable obuf : Bytes.t;
+  mutable olen : int;  (* obuf[0, olen) is queued output *)
+  mutable burst : int;
+      (* obuf[0, burst) is the burst the write fault points drew on
+         (0: none in flight); replies queued since wait behind it *)
+  mutable ooff : int;  (* bytes of the burst already written *)
   mutable last_ms : float;
   mutable closing : bool; (* close once the write queue drains *)
   mutable dead : bool;
@@ -42,9 +46,10 @@ let create ?(fault = Fault.none) ~id ~now_ms fd =
     mode = Unknown;
     rbuf = Bytes.create chunk;
     rlen = 0;
-    wbuf = [];
-    wpending = "";
-    woff = 0;
+    obuf = Bytes.create chunk;
+    olen = 0;
+    burst = 0;
+    ooff = 0;
     last_ms = now_ms;
     closing = false;
     dead = false;
@@ -177,35 +182,54 @@ let read t ~now_ms =
 
 (* --- writing --- *)
 
-let queue_reply t reply =
-  let bytes =
-    match t.mode with
-    | Text -> Wire.render_text_reply reply
-    | Binary | Unknown -> Wire.encode_reply reply
-  in
-  t.wbuf <- bytes :: t.wbuf
+let reserve t k =
+  if t.olen + k > Bytes.length t.obuf then begin
+    let bigger = Bytes.create (max (2 * Bytes.length t.obuf) (t.olen + k)) in
+    Bytes.blit t.obuf 0 bigger 0 t.olen;
+    t.obuf <- bigger
+  end
 
-let wants_write t =
-  t.wpending <> "" || t.wbuf <> []
+let queue_reply t reply =
+  match t.mode with
+  | Text ->
+      let s = Wire.render_text_reply reply in
+      reserve t (String.length s);
+      Bytes.blit_string s 0 t.obuf t.olen (String.length s);
+      t.olen <- t.olen + String.length s
+  | Binary | Unknown ->
+      reserve t (Wire.reply_frame_length reply);
+      t.olen <- Wire.frame_reply t.obuf ~pos:t.olen reply
+
+let wants_write t = t.olen > 0
+
+(* The burst is out: what was queued behind it moves to the front, and
+   a buffer a large reply grew is given back once empty. *)
+let burst_done t =
+  let rest = t.olen - t.burst in
+  Bytes.blit t.obuf t.burst t.obuf 0 rest;
+  t.olen <- rest;
+  t.burst <- 0;
+  t.ooff <- 0;
+  if rest = 0 && Bytes.length t.obuf > 16 * chunk then
+    t.obuf <- Bytes.create chunk
 
 let rec flush t =
-  if t.wpending = "" then
-    if t.wbuf = [] then `Drained
+  if t.burst = 0 then
+    if t.olen = 0 then `Drained
     else begin
-      (* Coalesce the queued chunks into one pending string. The
-         connection fault points draw here, once per coalesced burst,
-         in a fixed order (delay, truncate, corrupt) so a chaos run is
-         reproducible from the plan's seed. *)
-      let pending = String.concat "" (List.rev t.wbuf) in
-      t.wbuf <- [];
-      t.woff <- 0;
-      if Fault.fires t.fault Fault.Conn_delay then begin
+      (* Everything queued is one burst. The connection fault points
+         draw here, once per burst, in a fixed order (delay, truncate,
+         corrupt) so a chaos run is reproducible from the plan's seed;
+         an unarmed plan draws nothing, so no copy of the bytes is
+         made for it. *)
+      t.burst <- t.olen;
+      if Fault.fires t.fault Fault.Conn_delay then
         (* Deferred: the bytes stay queued and go out on the next
            writable round — latency without reordering. *)
-        t.wpending <- pending;
         `More
-      end
+      else if not (Fault.armed t.fault) then flush t
       else
+        let pending = Bytes.sub_string t.obuf 0 t.burst in
         match Fault.conn_truncate t.fault pending with
         | Some prefix ->
             (* A strict prefix reaches the wire, then the connection
@@ -214,29 +238,25 @@ let rec flush t =
                ignore
                  (Unix.write_substring t.fd prefix 0 (String.length prefix))
              with Unix.Unix_error _ -> ());
-            t.wpending <- "";
+            t.olen <- 0;
+            t.burst <- 0;
             `Peer_gone
         | None ->
-            t.wpending <-
-              (match Fault.corrupt_frame t.fault pending with
-              | Some corrupted -> corrupted
-              | None -> pending);
+            Option.iter
+              (fun corrupted -> Bytes.blit_string corrupted 0 t.obuf 0 t.burst)
+              (Fault.corrupt_frame t.fault pending);
             flush t
     end
   else
-    let len = String.length t.wpending in
     let rec go () =
-      if t.woff >= len then begin
-        t.wpending <- "";
-        t.woff <- 0;
+      if t.ooff >= t.burst then begin
+        burst_done t;
         flush t
       end
       else
-        match
-          Unix.write_substring t.fd t.wpending t.woff (len - t.woff)
-        with
+        match Unix.write t.fd t.obuf t.ooff (t.burst - t.ooff) with
         | k ->
-            t.woff <- t.woff + k;
+            t.ooff <- t.ooff + k;
             go ()
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _)
           ->

@@ -3,7 +3,8 @@
 
     The first byte received picks the connection's mode for its whole
     lifetime — the binary magic starts with ['W'], no text verb does.
-    Writes are queued whole and flushed as the socket drains, so a
+    Replies are framed straight into a per-connection output buffer
+    and flushed as the socket drains, so a
     slow reader never blocks the serving loop, and an overloaded
     server answers (with [OVERLOAD] frames) rather than dropping the
     peer. Timestamps are caller-supplied monotonic milliseconds
@@ -56,15 +57,19 @@ val read : t -> now_ms:float -> event list * [ `More | `Eof ]
     Refreshes the idle stamp when bytes arrive. *)
 
 val queue_reply : t -> Wire.reply -> unit
-(** Append one reply, encoded for the connection's mode, to the write
-    queue. Nothing is written until {!flush}. *)
+(** Append one reply, encoded for the connection's mode, to the
+    connection's output buffer — a binary reply is framed in place
+    ({!Wire.frame_reply}), with no per-reply string. Nothing is written
+    until {!flush}. *)
 
 val wants_write : t -> bool
 (** Whether queued output remains — the caller adds the descriptor to
     its write set exactly when this holds. *)
 
 val flush : t -> [ `Drained | `More | `Peer_gone ]
-(** Write queued output until the socket would block. [`Peer_gone]
+(** Write queued output until the socket would block. Everything queued
+    when a flush finds no burst in flight becomes one burst, which the
+    write fault points see whole, once. [`Peer_gone]
     means the peer vanished mid-write (e.g. [EPIPE]) and the
     connection should be dropped. *)
 

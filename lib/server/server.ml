@@ -147,6 +147,41 @@ type live = { sup : Supervisor.t; inc : Incremental.t; tele : upd_tele }
    shard servers. Every mode-dependent step is one match on it. *)
 type backend = Static of float array | Live of live | Router of Shard.t
 
+type slot = { s_conn : Conn.t; mutable s_reply : Wire.reply option }
+
+(* A growable array kept across rounds: clearing only resets the count,
+   so cells past it hold stale entries (at most the round's high-water
+   count) until reused. *)
+type 'a stack = { mutable items : 'a array; mutable len : int }
+
+let stack () = { items = [||]; len = 0 }
+
+let push_item st x =
+  if st.len = Array.length st.items then begin
+    let bigger = Array.make (max 16 (2 * st.len)) x in
+    Array.blit st.items 0 bigger 0 st.len;
+    st.items <- bigger
+  end;
+  st.items.(st.len) <- x;
+  st.len <- st.len + 1
+
+(* What one select round gathered, in arrival order: every request's
+   slot, the admitted reads (slot and request at the same index), and
+   the staged writes (newest first). The server keeps one and clears
+   it at the start of each round. *)
+type round = {
+  slots : slot stack;
+  eval_slots : slot stack;
+  eval_reqs : Wire.request stack;
+  mutable writes : (slot * Wire.request) list;
+}
+
+let clear_round round =
+  round.slots.len <- 0;
+  round.eval_slots.len <- 0;
+  round.eval_reqs.len <- 0;
+  round.writes <- []
+
 type t = {
   cfg : config;
   backend : backend;
@@ -186,6 +221,7 @@ type t = {
   c_recuts : Metric.counter;
   h_round : Metric.histogram;
   c_kind : Wire.request -> Metric.counter;
+  round : round;
 }
 
 let with_span t name f =
@@ -410,7 +446,12 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
          without them registers exactly the historical metric families
          (the stats tables the cram suite pins byte for byte). *)
       profiler = (if cfg.tiers > 0 then Some (Profiler.create ~obs ()) else None);
-      cache = (if cfg.cache then Some (Rcache.create ~obs ()) else None);
+      cache =
+        (if cfg.cache then
+           Some
+             (Rcache.create ~obs ~hash:Wire.read_hash ~equal:Wire.read_equal
+                ())
+         else None);
       tiers_state = None;
       epoch = 0;
       rounds_seen = 0;
@@ -441,6 +482,13 @@ let create ?obs ?trace ?pool ?on_handoff ?on_drain ?router cfg =
         Registry.histogram obs ~help:"serving round latency" ~unit_:"ms"
           "server.round.ms";
       c_kind = kind_counter;
+      round =
+        {
+          slots = stack ();
+          eval_slots = stack ();
+          eval_reqs = stack ();
+          writes = [];
+        };
     }
   in
   (match backend with
@@ -510,11 +558,12 @@ let eval_one t req =
 
 (* --- the result cache (RANGE / QUANTILE replies, epoch-guarded) --- *)
 
-(* Keys are the request values themselves, so two requests share an
-   entry exactly when they are equal (QUANTILE q compared bit for bit
-   up to the sign of zero). Only successful
-   replies are stored: errors are cheap to recompute and overload
-   replies are round state, not synopsis state. *)
+(* Keys are the request values themselves, hashed once per operation
+   by [Wire.read_hash] and compared by [Wire.read_equal]: RANGE on
+   [lo] and [hi], QUANTILE by [Float.equal] on [q], so 0.0 and -0.0
+   share an entry. Only successful replies are stored: errors are cheap
+   to recompute and overload replies are round state, not synopsis
+   state. *)
 let cacheable_req = function
   | Wire.Range _ | Wire.Quantile _ -> true
   | _ -> false
@@ -523,12 +572,6 @@ let cacheable_reply = function
   | Wire.Value _ | Wire.Quantile_pos _ -> true
   | _ -> false
 
-let cache_find t req =
-  match t.cache with
-  | Some c when cacheable_req req ->
-      Rcache.find c ~epoch:t.epoch req
-  | _ -> None
-
 let cache_store t req reply =
   match t.cache with
   | Some c when cacheable_req req && cacheable_reply reply ->
@@ -536,16 +579,6 @@ let cache_store t req reply =
   | _ -> ()
 
 (* --- the serving round --- *)
-
-type slot = { s_conn : Conn.t; mutable s_reply : Wire.reply option }
-
-(* What one select round gathered, each list newest first: every
-   request's slot, the admitted reads, and the staged writes. *)
-type round = {
-  mutable slots : slot list;
-  mutable evals : (slot * Wire.request) list;
-  mutable writes : (slot * Wire.request) list;
-}
 
 let overload_reply t =
   Wire.Overload
@@ -735,13 +768,13 @@ let apply_writes t writes =
   | Static _ -> ()
 
 (* Every incoming request takes a slot in its round's [slots], in
-   arrival order (the lists are newest first). [push] fills a slot at
-   once; an admitted read also joins [evals] and a staged write
-   [writes], and those slots are filled after the crash check. *)
+   arrival order. [push] fills a slot at once; an admitted read also
+   joins the round's evals and a staged write [writes], and those
+   slots are filled after the crash check. *)
 let push t round conn reply =
   let slot = { s_conn = conn; s_reply = None } in
   fill t slot reply;
-  round.slots <- slot :: round.slots
+  push_item round.slots slot
 
 let admit t round conn request =
   (* The profiler observes the queryable stream itself — shed requests
@@ -757,8 +790,11 @@ let admit t round conn request =
       | _ -> ())
   | None -> ());
   let slot = { s_conn = conn; s_reply = None } in
-  round.slots <- slot :: round.slots;
-  if Admit.offer t.admit () then round.evals <- (slot, request) :: round.evals
+  push_item round.slots slot;
+  if Admit.offer t.admit () then begin
+    push_item round.eval_slots slot;
+    push_item round.eval_reqs request
+  end
   else fill t slot (overload_reply t)
 
 let read_only_refusal =
@@ -775,7 +811,7 @@ let stage_write t round conn request =
   | Static _ -> push t round conn read_only_refusal
   | Live _ | Router _ ->
       let slot = { s_conn = conn; s_reply = None } in
-      round.slots <- slot :: round.slots;
+      push_item round.slots slot;
       round.writes <- (slot, request) :: round.writes
 
 (* The one per-request dispatch: a top-level frame and each BATCH entry
@@ -840,58 +876,57 @@ let process_request t round conn request =
   Metric.incr (t.c_kind request);
   dispatch t round conn request
 
-(* Evaluate the round's admitted requests ([evals], newest first). One
-   pass for every backend: results land in their slots, so
-   per-connection reply order is request order however the work is
-   scheduled.
+(* Evaluate the round's admitted requests, in one pass over them in
+   arrival order. Results land in their slots, so per-connection reply
+   order is request order however the work is scheduled.
 
-   The result cache is consulted in a single-threaded pre-pass in
-   arrival order (so its hit/miss counters are schedule-deterministic,
-   and a key repeated within the round misses on every copy), and
-   filled from the misses' replies afterwards, also in arrival order.
-   A hit short-circuits {e only} the evaluation: the request already
-   took its admission slot, so the shed schedule — and with it the
-   pressure trajectory — is byte-identical cache-on vs cache-off.
+   The result cache is probed in that single-threaded pass (so its
+   hit/miss counters are schedule-deterministic, and a key repeated
+   within the round misses on every copy); a hit fills its slot, a miss
+   moves down to the front of the round's eval arrays. The misses are
+   evaluated together, then filled and stored in the cache, also in
+   arrival order. A hit short-circuits {e only} the evaluation: the
+   request already took its admission slot, so the shed schedule — and
+   with it the pressure trajectory — is byte-identical cache-on vs
+   cache-off.
 
    A router's misses are one scatter-gather round, not pool work: each
    shard gets one frame, in shard-index order, and replies compose in
    arrival order, so the merged transcript is independent of this
    front-end's [--jobs]. Otherwise the misses fan out positionally over
    the pool. *)
-let evaluate_round t evals =
+let evaluate_round t round =
   ignore (Admit.take_batch t.admit);
-  let arrivals = List.rev evals in
+  let slots = round.eval_slots.items and reqs = round.eval_reqs.items in
   let misses =
     match t.cache with
-    | None -> arrivals
-    | Some _ ->
-        List.filter
-          (fun (slot, req) ->
-            match cache_find t req with
-            | Some reply ->
-                fill t slot reply;
-                false
-            | None -> true)
-          arrivals
+    | None -> round.eval_reqs.len
+    | Some c ->
+        let misses = ref 0 in
+        for i = 0 to round.eval_reqs.len - 1 do
+          let req = reqs.(i) in
+          match
+            if cacheable_req req then Rcache.find c ~epoch:t.epoch req
+            else None
+          with
+          | Some reply -> fill t slots.(i) reply
+          | None ->
+              slots.(!misses) <- slots.(i);
+              reqs.(!misses) <- req;
+              incr misses
+        done;
+        !misses
   in
-  let misses = Array.of_list misses in
   let replies =
     match t.backend with
-    | Router r -> Shard.eval_round r (Array.map snd misses)
+    | Router r -> Shard.eval_round ~len:misses r reqs
     | Static _ | Live _ ->
-        Pool.map_chunked t.pool (Array.length misses) (fun i ->
-            eval_one t (snd misses.(i)))
+        Pool.map_chunked t.pool misses (fun i -> eval_one t reqs.(i))
   in
-  Array.iteri (fun i (slot, _) -> fill t slot replies.(i)) misses;
-  match t.cache with
-  | None -> ()
-  | Some _ ->
-      Array.iter
-        (fun (slot, req) ->
-          match slot.s_reply with
-          | Some reply -> cache_store t req reply
-          | None -> ())
-        misses
+  for i = 0 to misses - 1 do
+    fill t slots.(i) replies.(i);
+    cache_store t reqs.(i) replies.(i)
+  done
 
 (* --- the select loop --- *)
 
@@ -1044,7 +1079,8 @@ let run_exn t =
     (* Gather this round's requests in connection-arrival order. The
        iteration order is the connection id, so rounds are reproducible
        given the request schedule. *)
-    let round = { slots = []; evals = []; writes = [] } in
+    let round = t.round in
+    clear_round round;
     let shed_before = Admit.shed_total t.admit in
     let active =
       List.sort
@@ -1081,16 +1117,16 @@ let run_exn t =
     end
     else begin
       apply_writes t (List.rev round.writes);
-      (if round.evals <> [] then
-         with_span t "server.round" @@ fun () -> evaluate_round t round.evals);
+      (if round.eval_reqs.len > 0 then
+         with_span t "server.round" @@ fun () -> evaluate_round t round);
       let shed = Admit.shed_total t.admit - shed_before in
       (* Flush every filled slot in per-connection request order. *)
-      List.iter
-        (fun slot ->
-          match slot.s_reply with
-          | Some reply -> Conn.queue_reply slot.s_conn reply
-          | None -> ())
-        (List.rev round.slots);
+      for i = 0 to round.slots.len - 1 do
+        let slot = round.slots.items.(i) in
+        match slot.s_reply with
+        | Some reply -> Conn.queue_reply slot.s_conn reply
+        | None -> ()
+      done;
       List.iter
         (fun conn ->
           if Conn.wants_write conn || List.memq (Conn.fd conn) writable then
@@ -1110,7 +1146,7 @@ let run_exn t =
          idle select timeouts are invisible to it, so the pressure
          trajectory — and with it every OVERLOAD reply and re-cut — is a
          pure function of the request schedule, not of timing. *)
-      if round.slots <> [] then begin
+      if round.slots.len > 0 then begin
         Metric.observe t.h_round (Deadline.now_ms () -. t0);
         t.rounds_seen <- t.rounds_seen + 1;
         if Admit.note_round t.admit ~shed then recut t;

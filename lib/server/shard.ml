@@ -117,9 +117,9 @@ type t = {
          unsharded sequence when every write lands on exactly one
          shard. *)
   mutable level : int;  (* last pressure level broadcast via RETIER *)
-  mutable memo : (int * int * int, float) Rcache.t option;
-      (* optional sub-range sum memo, keyed (shard, lo, hi) in
-         shard-local coordinates; see {!set_cache} *)
+  mutable memo : (int, float) Rcache.t option;
+      (* optional sub-range sum memo, keyed by {!memo_key}; see
+         {!set_cache} *)
   mutable memo_epoch : int;
       (* bumped on every event that can change a shard's synopsis —
          write acks and RETIER broadcasts — so the memo flushes exactly
@@ -166,7 +166,17 @@ let router ~n ?seqs ~ranges rpcs =
    acknowledged through this router. *)
 let seq t = Array.fold_left ( + ) 0 t.seqs
 
-let set_cache t ~cap = t.memo <- Some (Rcache.create ~cap ())
+(* A sub-range lies inside its shard, so its global bounds name the
+   shard too: [glo * n + ghi] is one key per (shard, lo, hi), with no
+   allocation, for any n below 2^31. Rcache mixes the key, so it is its
+   own hash. *)
+let memo_key t k ~lo ~hi =
+  let base = t.ranges.(k).lo in
+  ((base + lo) * t.n) + base + hi
+
+let set_cache t ~cap =
+  if t.n >= 1 lsl 31 then invalid_arg "Shard.set_cache: domain too large";
+  t.memo <- Some (Rcache.create ~cap ~hash:Fun.id ~equal:Int.equal ())
 let memo_hits t = match t.memo with Some m -> Rcache.hits m | None -> 0
 let memo_misses t = match t.memo with Some m -> Rcache.misses m | None -> 0
 let bump_epoch t = t.memo_epoch <- t.memo_epoch + 1
@@ -253,7 +263,7 @@ let value t k ~lo ~hi =
   match t.memo with
   | None -> fetch t k ~lo ~hi
   | Some memo -> (
-      let key = (k, lo, hi) in
+      let key = memo_key t k ~lo ~hi in
       match Rcache.find memo ~epoch:t.memo_epoch key with
       | Some v ->
           (match t.sent.(k) with
@@ -337,7 +347,7 @@ let gather t req =
           let held =
             match t.memo with
             | Some memo ->
-                Rcache.mem memo ~epoch:t.memo_epoch (k, lo, hi)
+                Rcache.mem memo ~epoch:t.memo_epoch (memo_key t k ~lo ~hi)
                 || queued ~lo ~hi t.sent.(k)
             | None -> false
           in
@@ -364,12 +374,15 @@ let clear t =
   Array.fill t.sent 0 (Array.length t.sent) [];
   Array.fill t.got 0 (Array.length t.got) []
 
-let eval_round t reqs =
-  Array.iter (gather t) reqs;
+let eval_round ?len t reqs =
+  let len = Option.value len ~default:(Array.length reqs) in
+  for i = 0 to len - 1 do
+    gather t reqs.(i)
+  done;
   for k = 0 to Array.length t.rpcs - 1 do
     send t k
   done;
-  let replies = Array.map (compose t) reqs in
+  let replies = Array.init len (fun i -> compose t reqs.(i)) in
   clear t;
   replies
 

@@ -53,14 +53,16 @@ val router :
 
 val set_cache : t -> cap:int -> unit
 (** Install a sub-range sum memo of at most [cap] entries
-    ({!Wavesyn_adaptive.Rcache}, keyed [(shard, lo, hi)] in
-    shard-local coordinates). A memo hit skips the sub-range a RANGE
+    ({!Wavesyn_adaptive.Rcache}, keyed by one int per sub-range, its
+    global bounds packed as [lo * n + hi], so a probe allocates
+    nothing). A memo hit skips the sub-range a RANGE
     merge or QUANTILE bisection would have sent — {!eval_round} does
     not gather a sub-range the memo holds; the memo is
     flushed on every event that can change a shard's synopsis — write
     acks and RETIER broadcasts — so merged replies are byte-identical
     memo-on vs memo-off (see docs/ADAPTIVE.md). Raises
-    [Invalid_argument] on [cap < 1]. *)
+    [Invalid_argument] on [cap < 1] or a domain of [2^31] cells or
+    more. *)
 
 val memo_hits : t -> int
 (** Sub-range sums answered from the memo; 0 when none is installed. *)
@@ -69,10 +71,11 @@ val memo_misses : t -> int
 (** Sub-range sums that went to a shard despite an installed memo; 0
     when none is installed. *)
 
-val eval_round : t -> Wire.request array -> Wire.reply array
-(** Answer one serving round's reads (POINT, RANGE, QUANTILE) by
-    scatter-gather, replies positional, with domain validation and
-    error messages mirroring the unsharded server's.
+val eval_round : ?len:int -> t -> Wire.request array -> Wire.reply array
+(** Answer one serving round's reads (POINT, RANGE, QUANTILE) — the
+    first [len] of [reqs], default all — by scatter-gather, replies
+    positional, with domain validation and error messages mirroring
+    the unsharded server's.
 
     The round's POINT cells and the RANGE sub-ranges the memo does not
     hold are gathered per shard in arrival order, and each shard gets
@@ -87,7 +90,7 @@ val eval_round : t -> Wire.request array -> Wire.reply array
     [Error {code = Internal}] reply naming the shard.
 
     A request adds at most one sub-request per shard, so no frame holds
-    more entries than [Array.length reqs]: shards whose queue bound is
+    more entries than [len]: shards whose queue bound is
     at least the front-end's never shed. *)
 
 val eval : t -> Wire.request -> Wire.reply

@@ -98,10 +98,15 @@ let error_code_of_byte = function
 
 let put_i64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
 let put_f64 buf v = Buffer.add_int64_be buf (Int64.bits_of_float v)
+let set_i64 b pos v = Bytes.set_int64_be b pos (Int64.of_int v)
+let set_f64 b pos v = Bytes.set_int64_be b pos (Int64.bits_of_float v)
 
-let put_str buf s =
-  Buffer.add_int32_be buf (Int32.of_int (String.length s));
-  Buffer.add_string buf s
+(* A length-prefixed string at [pos]; the offset past it. *)
+let set_str b pos s =
+  let len = String.length s in
+  Bytes.set_int32_be b pos (Int32.of_int len);
+  Bytes.blit_string s 0 b (pos + 4) len;
+  pos + 4 + len
 
 exception Corrupt_payload of string
 
@@ -204,6 +209,23 @@ let batchable = function
   | Ping | Point _ | Range _ | Quantile _ | Stats | Update _ -> true
   | Batch _ | Shutdown | Sync _ | Handoff | Ingest _ | Retier _ -> false
 
+(* Read keys: RANGE and QUANTILE compare field by field (a quantile by
+   [Float.equal], so 0.0 and -0.0 are one key, as are all NaNs),
+   everything else structurally. The hash is the fields packed into one
+   int, unmixed: {!Wavesyn_adaptive.Rcache} mixes it. A quantile's int
+   drops the float's top bit, its sign, so -0.0 hashes as 0.0. *)
+let read_hash = function
+  | Range { lo; hi } -> (lo lsl 31) lxor hi
+  | Quantile q ->
+      if Float.is_nan q then 1 else Int64.to_int (Int64.bits_of_float q)
+  | r -> Hashtbl.hash r
+
+let read_equal a b =
+  match (a, b) with
+  | Range r, Range s -> r.lo = s.lo && r.hi = s.hi
+  | Quantile p, Quantile q -> Float.equal p q
+  | _ -> a = b
+
 (* Batch entries are a kind byte plus that kind's fixed-size payload. *)
 let rec put_request_payload buf = function
   | Ping | Stats | Shutdown | Handoff -> ()
@@ -235,58 +257,83 @@ let rec put_request_payload buf = function
           put_request_payload buf r)
         reqs
 
-let put_reply_payload buf = function
-  | Pong | Bye -> ()
-  | Value v -> put_f64 buf v
-  | Quantile_pos i -> put_i64 buf i
-  | Stats_text s -> Buffer.add_string buf s
-  | Overload { bound; depth; tier } ->
-      put_i64 buf bound;
-      put_i64 buf depth;
-      put_str buf tier
-  | Error { code; message } ->
-      Buffer.add_uint8 buf (error_code_byte code);
-      Buffer.add_string buf message
-  | Ship { last_seq; complete; manifest; body } ->
-      put_i64 buf last_seq;
-      Buffer.add_uint8 buf (if complete then 1 else 0);
-      let body_kind, body_str =
-        match body with
-        | Ship_none -> (0, "")
-        | Ship_records s -> (1, s)
-        | Ship_snapshot s -> (2, s)
-      in
-      Buffer.add_uint8 buf body_kind;
-      put_str buf manifest;
-      put_str buf body_str
-  | Handoff_ack { seq; role } ->
-      put_i64 buf seq;
-      put_str buf role
-  | Acked { seq } -> put_i64 buf seq
+let ship_body_kind = function
+  | Ship_none -> 0
+  | Ship_records _ -> 1
+  | Ship_snapshot _ -> 2
 
-(* The frame is laid out once in its final bytes: the payload is
-   blitted in and the CRC is taken in place. *)
-let frame ~kind payload =
-  let plen = Buffer.length payload in
-  let b = Bytes.create (14 + plen) in
-  Bytes.blit_string magic 0 b 0 4;
-  Bytes.set_uint8 b 4 version;
-  Bytes.set_uint8 b 5 kind;
-  Bytes.set_int32_be b 6 (Int32.of_int plen);
-  Buffer.blit payload 0 b 10 plen;
-  let crc = Crc32.update_bytes 0 b ~pos:4 ~len:(6 + plen) in
-  Bytes.set_int32_be b (10 + plen) (Int32.of_int crc);
-  Bytes.unsafe_to_string b
+let ship_body_bytes = function
+  | Ship_none -> ""
+  | Ship_records s | Ship_snapshot s -> s
+
+let reply_payload_length = function
+  | Pong | Bye -> 0
+  | Value _ | Quantile_pos _ | Acked _ -> 8
+  | Stats_text s -> String.length s
+  | Overload { tier; _ } -> 20 + String.length tier
+  | Error { message; _ } -> 1 + String.length message
+  | Ship { manifest; body; _ } ->
+      18 + String.length manifest + String.length (ship_body_bytes body)
+  | Handoff_ack { role; _ } -> 12 + String.length role
+
+(* Exactly [reply_payload_length] bytes at [pos]. *)
+let set_reply_payload b pos = function
+  | Pong | Bye -> ()
+  | Value v -> set_f64 b pos v
+  | Quantile_pos i -> set_i64 b pos i
+  | Stats_text s -> Bytes.blit_string s 0 b pos (String.length s)
+  | Overload { bound; depth; tier } ->
+      set_i64 b pos bound;
+      set_i64 b (pos + 8) depth;
+      ignore (set_str b (pos + 16) tier)
+  | Error { code; message } ->
+      Bytes.set_uint8 b pos (error_code_byte code);
+      Bytes.blit_string message 0 b (pos + 1) (String.length message)
+  | Ship { last_seq; complete; manifest; body } ->
+      set_i64 b pos last_seq;
+      Bytes.set_uint8 b (pos + 8) (if complete then 1 else 0);
+      Bytes.set_uint8 b (pos + 9) (ship_body_kind body);
+      ignore (set_str b (set_str b (pos + 10) manifest) (ship_body_bytes body))
+  | Handoff_ack { seq; role } ->
+      set_i64 b pos seq;
+      ignore (set_str b (pos + 8) role)
+  | Acked { seq } -> set_i64 b pos seq
+
+(* A frame is laid out in its final bytes: the header, the payload
+   written (or blitted) after it, then the CRC taken in place. *)
+let set_header b pos ~kind ~plen =
+  Bytes.blit_string magic 0 b pos 4;
+  Bytes.set_uint8 b (pos + 4) version;
+  Bytes.set_uint8 b (pos + 5) kind;
+  Bytes.set_int32_be b (pos + 6) (Int32.of_int plen)
+
+let seal b pos ~plen =
+  let crc = Crc32.update_bytes 0 b ~pos:(pos + 4) ~len:(6 + plen) in
+  Bytes.set_int32_be b (pos + 10 + plen) (Int32.of_int crc);
+  pos + 14 + plen
 
 let encode_request r =
   let buf = Buffer.create 32 in
   put_request_payload buf r;
-  frame ~kind:(request_kind r) buf
+  let plen = Buffer.length buf in
+  let b = Bytes.create (14 + plen) in
+  set_header b 0 ~kind:(request_kind r) ~plen;
+  Buffer.blit buf 0 b 10 plen;
+  ignore (seal b 0 ~plen);
+  Bytes.unsafe_to_string b
+
+let reply_frame_length r = 14 + reply_payload_length r
+
+let frame_reply b ~pos r =
+  let plen = reply_payload_length r in
+  set_header b pos ~kind:(reply_kind r) ~plen;
+  set_reply_payload b (pos + 10) r;
+  seal b pos ~plen
 
 let encode_reply r =
-  let buf = Buffer.create 32 in
-  put_reply_payload buf r;
-  frame ~kind:(reply_kind r) buf
+  let b = Bytes.create (reply_frame_length r) in
+  ignore (frame_reply b ~pos:0 r);
+  Bytes.unsafe_to_string b
 
 (* --- decoding --- *)
 

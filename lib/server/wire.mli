@@ -132,13 +132,32 @@ val batchable : request -> bool
     {!encode_request}'s refusal, {!decode}'s rejection and the server's
     answer to an illegal entry. *)
 
+val read_hash : request -> int
+(** The result cache's key hash: RANGE and QUANTILE requests pack
+    their fields into an int (unmixed), other kinds take
+    [Hashtbl.hash]. Requests that are {!read_equal} hash alike. *)
+
+val read_equal : request -> request -> bool
+(** The result cache's key equality: field by field for RANGE and
+    QUANTILE — a quantile by [Float.equal], so [0.0] and [-0.0] are
+    one key — structural for other kinds. *)
+
 val encode_request : request -> string
 (** Complete binary frame for a request. Raises [Invalid_argument] on a
     [Batch] entry that is not {!batchable} (["Wire: nested BATCH"],
     ["Wire: SHUTDOWN inside BATCH"], ...). *)
 
+val reply_frame_length : reply -> int
+(** Byte length of a reply's binary frame. *)
+
+val frame_reply : Bytes.t -> pos:int -> reply -> int
+(** [frame_reply b ~pos r] writes [r]'s binary frame into [b] at [pos]
+    — {!reply_frame_length} bytes, CRC taken in place — and returns the
+    offset just past it. [b] must have room. *)
+
 val encode_reply : reply -> string
-(** Complete binary frame for a reply. *)
+(** Complete binary frame for a reply: the bytes {!frame_reply}
+    writes. *)
 
 val decode : Bytes.t -> pos:int -> len:int -> decoded
 (** [decode buf ~pos ~len] inspects [buf.[pos..len-1]] for one frame.

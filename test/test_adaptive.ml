@@ -243,6 +243,181 @@ let test_rcache_find_words () =
   check (Printf.sprintf "miss allocates %.2f words (<= 0.5)" miss) true
     (miss <= 0.5)
 
+(* --- Rcache against a reference model ---
+
+   Random [find] / [mem] / [add] sequences, each at an epoch that now
+   and then advances, against an association list kept under the same
+   equality: results, hit and miss counts, invalidations (epoch and
+   capacity flushes) and size must agree after every operation. Small
+   caps exercise capacity flushes, large ones bucket growth. *)
+
+type 'k op = Find of 'k | Mem of 'k | Add of 'k * int
+
+let gen_ops gen_key =
+  QCheck.Gen.(
+    pair
+      (oneof [ int_range 1 6; int_range 130 300 ])
+      (list_size (int_range 1 600)
+         (pair
+            (frequency [ (19, return 0); (1, return 1) ])
+            (frequency
+               [
+                 (3, map (fun k -> Find k) gen_key);
+                 (1, map (fun k -> Mem k) gen_key);
+                 (3, map2 (fun k v -> Add (k, v)) gen_key small_nat);
+               ]))))
+
+let model_agrees ~create ~equal (cap, ops) =
+  let c = create cap in
+  let entries = ref [] and epoch = ref 0 in
+  let hits = ref 0 and misses = ref 0 and flushes = ref 0 in
+  let flush () =
+    entries := [];
+    incr flushes
+  in
+  let sync e =
+    if e <> !epoch then begin
+      epoch := e;
+      flush ()
+    end
+  in
+  let held k = List.find_opt (fun (k', _) -> equal k' k) !entries in
+  let step = ref 0 in
+  List.for_all
+    (fun (advance, op) ->
+      step := !step + advance;
+      let e = !step in
+      let agrees =
+        match op with
+        | Find k ->
+            let got = Rcache.find c ~epoch:e k in
+            sync e;
+            let want = Option.map snd (held k) in
+            (match want with Some _ -> incr hits | None -> incr misses);
+            got = want
+        | Mem k -> Rcache.mem c ~epoch:e k = (e = !epoch && held k <> None)
+        | Add (k, v) ->
+            Rcache.add c ~epoch:e k v;
+            sync e;
+            if held k = None then begin
+              if List.length !entries >= cap then flush ();
+              entries := (k, v) :: !entries
+            end;
+            true
+      in
+      agrees
+      && Rcache.hits c = !hits
+      && Rcache.misses c = !misses
+      && Rcache.invalidations c = !flushes
+      && Rcache.size c = List.length !entries)
+    ops
+
+let model_test ~name ~create ~equal gen_key =
+  QCheck.Test.make ~name ~count:150 (QCheck.make (gen_ops gen_key))
+    (model_agrees ~create ~equal)
+
+(* The server's keys, RANGE and QUANTILE (signed zeros and NaN among
+   them), plus structurally keyed POINTs, under [Wire.read_hash] /
+   [Wire.read_equal]. *)
+let prop_rcache_request_keys =
+  model_test ~name:"Rcache = model (server request keys)"
+    ~create:(fun cap ->
+      Rcache.create ~cap ~hash:Wire.read_hash ~equal:Wire.read_equal ())
+    ~equal:Wire.read_equal
+    QCheck.Gen.(
+      frequency
+        [
+          ( 3,
+            map2 (fun lo hi -> Wire.Range { lo; hi }) (int_bound 20)
+              (int_bound 20) );
+          ( 2,
+            map
+              (fun q -> Wire.Quantile q)
+              (oneofl [ 0.; -0.; 0.25; 0.5; 1.; Float.nan; -.Float.nan ]) );
+          (1, map (fun i -> Wire.Point i) (int_bound 8));
+        ])
+
+(* The router memo's keys: packed ints as their own hash. *)
+let prop_rcache_memo_keys =
+  model_test ~name:"Rcache = model (memo int keys)"
+    ~create:(fun cap -> Rcache.create ~cap ~hash:Fun.id ~equal:Int.equal ())
+    ~equal:Int.equal
+    QCheck.Gen.(
+      oneof [ int_bound 400; map (fun k -> k * 0x100001) (int_bound 400); int ])
+
+(* Default [Hashtbl.hash] and [( = )] over strings. *)
+let prop_rcache_string_keys =
+  model_test ~name:"Rcache = model (default-hashed strings)"
+    ~create:(fun cap -> Rcache.create ~cap ())
+    ~equal:String.equal
+    QCheck.Gen.(map (fun i -> "k" ^ string_of_int i) (int_bound 300))
+
+(* QUANTILE 0.0 and -0.0 are one key of the server's cache. *)
+let test_rcache_signed_zero () =
+  let c = Rcache.create ~hash:Wire.read_hash ~equal:Wire.read_equal () in
+  Rcache.add c ~epoch:0 (Wire.Quantile 0.) (Wire.Quantile_pos 3);
+  check "-0.0 hits the 0.0 entry" true
+    (Rcache.find c ~epoch:0 (Wire.Quantile (-0.)) = Some (Wire.Quantile_pos 3));
+  Rcache.add c ~epoch:0 (Wire.Quantile (-0.)) (Wire.Quantile_pos 4);
+  checki "one entry" 1 (Rcache.size c)
+
+(* Distinct (shard, lo, hi) never share a memo key: stub shards answer
+   each sub-range with a value naming it, and every RANGE over a
+   16-cell, 4-shard domain, asked twice, is answered with the sum of
+   its own sub-ranges' names — the second time wholly from the memo. *)
+let test_memo_keys_distinct () =
+  let n = 16 in
+  let ranges = must_s (Shard.split ~n ~shards:4) in
+  let name k lo hi = float_of_int ((k * 10_000) + (lo * 100) + hi) in
+  let rpc k = function
+    | Wire.Range { lo; hi } -> Ok [ Wire.Value (name k lo hi) ]
+    | _ -> Ok [ Wire.Error { code = Wire.Internal; message = "stub" } ]
+  in
+  let r =
+    must_s (Shard.router ~n ~ranges (Array.init 4 (fun k -> rpc k)))
+  in
+  Shard.set_cache r ~cap:4096;
+  let want lo hi =
+    List.fold_left
+      (fun (acc, k) { Shard.lo = slo; hi = shi } ->
+        let acc =
+          if shi >= lo && slo <= hi then
+            acc +. name k (max lo slo - slo) (min hi shi - slo)
+          else acc
+        in
+        (acc, k + 1))
+      (0., 0) ranges
+    |> fst
+  in
+  let sweep () =
+    for lo = 0 to n - 1 do
+      for hi = lo to n - 1 do
+        match Shard.eval r (Wire.Range { lo; hi }) with
+        | Wire.Value v when v = want lo hi -> ()
+        | reply ->
+            Alcotest.failf "RANGE %d %d answered %s" lo hi
+              (Wire.describe_reply reply)
+      done
+    done
+  in
+  sweep ();
+  (* Each shard's 4 cells hold 10 sub-ranges. *)
+  checki "one miss per distinct sub-range" 40 (Shard.memo_misses r);
+  let hits = Shard.memo_hits r in
+  sweep ();
+  checki "second sweep never misses" 40 (Shard.memo_misses r);
+  check "second sweep hit" true (Shard.memo_hits r > hits);
+  let huge =
+    must_s
+      (Shard.router ~n:(1 lsl 31)
+         ~ranges:[ { Shard.lo = 0; hi = (1 lsl 31) - 1 } ]
+         [| rpc 0 |])
+  in
+  check "a domain of 2^31 cells has no memo key" true
+    (match Shard.set_cache huge ~cap:1 with
+    | exception Invalid_argument _ -> true
+    | () -> false)
+
 (* --- the sharded router's sub-range memo --- *)
 
 (* In-process stub shards: each answers RANGE from an exact synopsis
@@ -612,9 +787,21 @@ let () =
         [
           Alcotest.test_case "rcache" `Quick test_rcache;
           Alcotest.test_case "rcache find words" `Quick test_rcache_find_words;
+          Alcotest.test_case "rcache signed zero" `Quick
+            test_rcache_signed_zero;
+          Alcotest.test_case "memo keys distinct" `Quick
+            test_memo_keys_distinct;
           Alcotest.test_case "shard memo quantiles" `Quick
             test_shard_memo_quantiles;
         ] );
+      ( "rcache model",
+        List.map
+          (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 33 |]))
+          [
+            prop_rcache_request_keys;
+            prop_rcache_memo_keys;
+            prop_rcache_string_keys;
+          ] );
       ( "serving",
         [
           Alcotest.test_case "cache transcripts" `Quick

@@ -522,6 +522,55 @@ let prop_conn_garbage =
           | exception e ->
               QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
 
+(* Replies framed in place: a random reply sequence (every constructor,
+   every error code and SHIP body) framed back to back into one buffer
+   with [Wire.frame_reply] is the concatenated [Wire.encode_reply]
+   bytes, decodes back reply by reply at successive offsets, and is
+   what a connection queuing the same replies puts on the wire. *)
+let prop_reply_framing =
+  QCheck.Test.make ~name:"Wire.frame_reply = encode_reply, in one buffer"
+    ~count:200
+    (QCheck.make
+       ~print:(fun rs -> String.concat "; " (List.map Wire.describe_reply rs))
+       QCheck.Gen.(list_size (int_range 1 12) gen_reply))
+    (fun replies ->
+      let encoded = String.concat "" (List.map Wire.encode_reply replies) in
+      let b =
+        Bytes.create
+          (List.fold_left
+             (fun acc r -> acc + Wire.reply_frame_length r)
+             0 replies)
+      in
+      let stop =
+        List.fold_left (fun pos r -> Wire.frame_reply b ~pos r) 0 replies
+      in
+      let rec decode_all pos = function
+        | [] -> pos = Bytes.length b
+        | r :: rest -> (
+            match Wire.decode b ~pos ~len:(Bytes.length b) with
+            | `Frame ((Wire.Rep _ as f), next) ->
+                same_frame f (Wire.Rep r) && decode_all next rest
+            | _ -> false)
+      in
+      let queued =
+        with_conn (fun a conn ->
+            List.iter (Conn.queue_reply conn) replies;
+            (match Conn.flush conn with
+            | `Drained -> ()
+            | `More | `Peer_gone -> QCheck.Test.fail_report "flush stalled");
+            let got = Bytes.create (String.length encoded) in
+            let rec read off =
+              if off < Bytes.length got then
+                read (off + Unix.read a got off (Bytes.length got - off))
+            in
+            read 0;
+            Bytes.to_string got)
+      in
+      stop = Bytes.length b
+      && Bytes.to_string b = encoded
+      && decode_all 0 replies
+      && queued = encoded)
+
 let () =
   Alcotest.run "decoders"
     [
@@ -553,5 +602,6 @@ let () =
             prop_wire_stream;
             prop_conn_chunks;
             prop_conn_garbage;
+            prop_reply_framing;
           ] );
     ]

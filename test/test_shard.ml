@@ -184,6 +184,49 @@ let test_tcp_connect_refused () =
   | Ok _ -> Alcotest.fail "connected to a dead port"
   | Error e -> Alcotest.fail ("wrong error class: " ^ Validate.to_string e)
 
+(* A Unix socket that is bound late — as a sharded server's shard
+   domain binds only after its cut — is found within [wait_ms]: the
+   client polls a missing or refusing socket path at least every
+   millisecond rather than backing off, and no retry sleep runs past
+   the deadline. *)
+let test_unix_connect_late_bind () =
+  let path = sock_path () in
+  let binder =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.02;
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind fd (Unix.ADDR_UNIX path);
+        Unix.listen fd 1;
+        (fd, Unix.gettimeofday ()))
+  in
+  let wait_ms = 2000. in
+  let t0 = Unix.gettimeofday () in
+  let got = Client.connect ~wait_ms path in
+  let connected = Unix.gettimeofday () in
+  let fd, bound = Domain.join binder in
+  Fun.protect
+    ~finally:(fun () ->
+      (match got with Ok c -> Client.close c | Error _ -> ());
+      Unix.close fd;
+      try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  (match got with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("late bind: " ^ Validate.to_string e));
+  check "connected after the bind" true (connected >= bound);
+  check "connected within wait_ms" true
+    ((connected -. t0) *. 1000. < wait_ms);
+  (* No listener at all: the refusal comes back once [wait_ms] is
+     spent, not a backoff step later. *)
+  let t0 = Unix.gettimeofday () in
+  (match Client.connect ~wait_ms:30. (sock_path ()) with
+  | Error (Validate.Io_error _) -> ()
+  | Ok _ -> Alcotest.fail "connected to a missing socket"
+  | Error e -> Alcotest.fail ("wrong error class: " ^ Validate.to_string e));
+  let spent_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  check (Printf.sprintf "gave up after %.1f ms (>= 30)" spent_ms) true
+    (spent_ms >= 30.)
+
 (* The port-taken path: binding a second server on a live port is a
    structured Io_error from Server.run (the cram test pins the CLI
    exit code), and SO_REUSEADDR lets the port be rebound immediately
@@ -1180,6 +1223,8 @@ let () =
             test_tcp_roundtrip_and_connect_retry;
           Alcotest.test_case "tcp connect refused" `Quick
             test_tcp_connect_refused;
+          Alcotest.test_case "unix connect, late bind" `Quick
+            test_unix_connect_late_bind;
           Alcotest.test_case "tcp port taken + rebind" `Quick
             test_tcp_port_taken_and_rebind;
           Alcotest.test_case "one-byte binary frames" `Quick
